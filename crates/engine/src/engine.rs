@@ -1897,7 +1897,10 @@ impl Engine {
         Engine { sim, model }
     }
 
-    /// Schedules the user's migration request at `at`.
+    /// Schedules the user's migration request at `at`. An instant behind
+    /// [`now`](Self::now) fires at `now` instead and is counted in
+    /// [`EngineStats::sched_clamped_past`]; the same clamp applies to every
+    /// `schedule_*` injection below.
     pub fn schedule_migration(&mut self, at: SimTime) {
         self.sim.schedule(at, Ev::MigrationRequest);
     }
@@ -2106,6 +2109,21 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).1, 0);
+    }
+
+    #[test]
+    fn migration_requested_behind_the_clock_fires_at_now() {
+        // Regression: an external schedule behind the clock rewound virtual
+        // time (release) or panicked on the past event (debug).
+        let mut e = engine_for(library::linear(), ProtocolConfig::dcr(), 6);
+        e.run_until(SimTime::from_secs(10));
+        e.schedule_migration(SimTime::from_secs(5));
+        e.run_until(SimTime::from_secs(20));
+        assert_eq!(e.now(), SimTime::from_secs(20));
+        assert_eq!(e.stats().sched_clamped_past, 1);
+        assert_eq!(e.trace().migration_requested_at(), Some(SimTime::from_secs(10)));
+        let times: Vec<SimTime> = e.trace().iter().map(TraceEvent::at).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "trace time ran backwards");
     }
 
     #[test]

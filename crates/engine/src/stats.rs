@@ -85,8 +85,10 @@ pub struct EngineStats {
     /// Lookahead-window rotations performed by the calendar queue backend
     /// (always 0 under the heap backend).
     pub queue_rotations: u64,
-    /// Past-instant `Scheduler::at` calls silently clamped to `now`
-    /// (release builds; debug builds panic instead). Nonzero flags a
+    /// Past instants silently clamped to `now`: external schedules such as
+    /// [`Engine::schedule_migration`](crate::Engine::schedule_migration)
+    /// with an instant behind the clock, and handler `Scheduler::at` calls
+    /// (release builds; debug builds panic there instead). Nonzero flags a
     /// scheduling bug that the clamp kept from corrupting event order.
     pub sched_clamped_past: u64,
     /// Dispatch-table rebuilds (one at construction, one per completed

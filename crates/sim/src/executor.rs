@@ -15,14 +15,16 @@ use crate::queue::{EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Where a [`Scheduler`] deposits follow-up events: straight into the
-/// future-event list (single-threaded loop), or into a per-handle emission
-/// buffer the sharded driver assigns sequence numbers to and routes after
-/// the handler returns (multi-worker loop — the buffer preserves emission
-/// order, so sequence assignment is identical to the in-place path).
+/// Where a [`Scheduler`] deposits follow-up events: in place
+/// (single-threaded loop — events due at the current instant join the
+/// same-instant lane, later ones the future-event list), or into a
+/// per-handle emission buffer the sharded executor assigns sequence
+/// numbers to and routes after the handler returns (multi-worker loop — the
+/// buffer preserves emission order, so sequence assignment is identical to
+/// the in-place path).
 #[derive(Debug)]
 enum Sink<'a, E> {
-    Queue(&'a mut EventQueue<E>),
+    Queue { queue: &'a mut EventQueue<E>, lane: &'a mut Vec<(u64, E)> },
     Buffer(&'a mut Vec<(SimTime, E)>),
 }
 
@@ -47,7 +49,14 @@ impl<'a, E> Scheduler<'a, E> {
 
     fn push(&mut self, due: SimTime, event: E) {
         match &mut self.sink {
-            Sink::Queue(queue) => queue.schedule(due, event),
+            Sink::Queue { queue, lane } => {
+                if due == self.now {
+                    lane.push((queue.take_seq(), event));
+                } else {
+                    queue.schedule(due, event);
+                }
+                queue.note_pending(lane.len());
+            }
             Sink::Buffer(buf) => buf.push((due, event)),
         }
     }
@@ -73,7 +82,14 @@ impl<'a, E> Scheduler<'a, E> {
     {
         let due = self.now + delay;
         match &mut self.sink {
-            Sink::Queue(queue) => queue.schedule_batch(due, events),
+            Sink::Queue { queue, lane } => {
+                if due == self.now {
+                    lane.extend(events.into_iter().map(|e| (queue.take_seq(), e)));
+                } else {
+                    queue.schedule_batch(due, events);
+                }
+                queue.note_pending(lane.len());
+            }
             Sink::Buffer(buf) => buf.extend(events.into_iter().map(|e| (due, e))),
         }
     }
@@ -379,17 +395,28 @@ impl<E> Simulation<E> {
         self.queue.rotations() + self.worker_rotations
     }
 
-    /// Number of past-instant [`Scheduler::at`] calls that were clamped to
-    /// `now` (release builds only — debug builds panic instead). Nonzero
-    /// means a model scheduled into the past: a bug, but one the clamp
-    /// keeps from corrupting pop order.
+    /// Number of past instants clamped to `now`: external
+    /// [`schedule`](Self::schedule) calls (any build) plus
+    /// [`Scheduler::at`] calls from handlers (release builds only — debug
+    /// builds panic there instead). Nonzero means a caller or a model
+    /// scheduled into the past: a bug, but one the clamp keeps from
+    /// corrupting pop order.
     pub fn clamped_past_schedules(&self) -> u64 {
         self.clamped_past
     }
 
     /// Schedules an initial or external event.
+    ///
+    /// An instant before [`now`](Self::now) — possible once a
+    /// [`run_until`](Self::run_until) has advanced the clock — is clamped
+    /// to `now` and counted in
+    /// [`clamped_past_schedules`](Self::clamped_past_schedules): the event
+    /// fires at the current instant instead of rewinding virtual time.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.queue.schedule(at, event);
+        if at < self.now {
+            self.clamped_past += 1;
+        }
+        self.queue.schedule(at.max(self.now), event);
     }
 
     /// Runs the model until `horizon` (inclusive), the queue drains, or the
@@ -402,9 +429,15 @@ impl<E> Simulation<E> {
     /// single [`EventQueue::pop_due`] call and handled back to back through
     /// one hoisted [`Scheduler`], so the backend is not re-touched between
     /// same-instant events. Events a handler schedules *at* the current
-    /// instant join the next batch of the same instant (they carry higher
-    /// sequence numbers), which preserves the exact event order of
-    /// one-at-a-time dispatch.
+    /// instant never enter the future-event list: they collect in the
+    /// same-instant lane, in emission order, and the lane is dispatched as
+    /// the next batch. Nothing else can be due then — the batch took every
+    /// queued entry due at or before the instant — so this is the exact
+    /// event order of one-at-a-time dispatch (see the "Same-instant lane"
+    /// section of the [crate docs](crate)). If the event budget runs out
+    /// first, the lane's entries return to the future-event list under the
+    /// sequence numbers they were given, and a later call resumes in the
+    /// same order.
     ///
     /// Under [`SimExecutor::Workers`], the future-event list is sharded
     /// across worker threads and the driver executes the merged runs —
@@ -424,35 +457,51 @@ impl<E> Simulation<E> {
     /// The in-place single-threaded event loop.
     fn run_single<P: Process<E>>(&mut self, model: &mut P, horizon: SimTime) -> RunOutcome {
         let mut spent: u64 = 0;
-        // One buffer reused across instants: single-event instants (the
-        // common case under jittered timings) must not pay a heap
-        // allocation per event.
-        let mut batch: Vec<(SimTime, E)> = Vec::new();
+        // Two buffers reused across instants, entries tagged with their
+        // sequence numbers: `batch` holds the events being dispatched,
+        // `lane` collects what they schedule at the current instant, which
+        // is exactly the next batch. Single-event instants (the common case
+        // under jittered timings) must not pay a heap allocation per event.
+        let mut batch: Vec<(u64, E)> = Vec::new();
+        let mut lane: Vec<(u64, E)> = Vec::new();
         loop {
-            let t = match self.queue.peek_time() {
-                None => return RunOutcome::Quiescent,
-                Some(t) if t > horizon => {
-                    // Clamp, don't assign: a horizon already behind the
-                    // clock must not rewind virtual time.
-                    self.now = self.now.max(horizon);
-                    return RunOutcome::HorizonReached;
-                }
-                Some(t) => t,
-            };
-            if spent >= self.budget {
-                return RunOutcome::BudgetExhausted;
-            }
-            debug_assert!(t >= self.now, "event queue produced a past event");
-            self.now = t;
             let remaining = usize::try_from(self.budget - spent).unwrap_or(usize::MAX);
-            self.queue.pop_due_capped_into(t, remaining, &mut batch);
-            debug_assert!(!batch.is_empty(), "peeked entry vanished");
+            if lane.is_empty() {
+                let t = match self.queue.peek_time() {
+                    None => return RunOutcome::Quiescent,
+                    Some(t) if t > horizon => {
+                        // Clamp, don't assign: a horizon already behind the
+                        // clock must not rewind virtual time.
+                        self.now = self.now.max(horizon);
+                        return RunOutcome::HorizonReached;
+                    }
+                    Some(t) => t,
+                };
+                if remaining == 0 {
+                    return RunOutcome::BudgetExhausted;
+                }
+                debug_assert!(t >= self.now, "event queue produced a past event");
+                self.now = t;
+                self.queue.pop_due_keyed_into(t, remaining, &mut batch);
+                debug_assert!(!batch.is_empty(), "peeked entry vanished");
+            } else {
+                if remaining == 0 {
+                    self.requeue(&mut lane, 0);
+                    return RunOutcome::BudgetExhausted;
+                }
+                debug_assert!(
+                    !self.queue.holds_due_by(self.now),
+                    "same-instant lane dispatched ahead of a queued event due at or before now"
+                );
+                std::mem::swap(&mut batch, &mut lane);
+                self.requeue(&mut batch, remaining);
+            }
             // The batch length is bounded by the remaining budget, so
             // counting it wholesale is equivalent to per-event increments.
             let dispatched = batch.len() as u64;
             let mut sched = Scheduler {
                 now: self.now,
-                sink: Sink::Queue(&mut self.queue),
+                sink: Sink::Queue { queue: &mut self.queue, lane: &mut lane },
                 clamped_past: &mut self.clamped_past,
             };
             for (_, event) in batch.drain(..) {
@@ -460,6 +509,17 @@ impl<E> Simulation<E> {
             }
             self.processed += dispatched;
             spent += dispatched;
+        }
+    }
+
+    /// Returns same-instant entries past the first `keep` to the
+    /// future-event list under their reserved sequence numbers, so the
+    /// budget-capped dispatch they missed resumes in the same order.
+    fn requeue(&mut self, entries: &mut Vec<(u64, E)>, keep: usize) {
+        if entries.len() > keep {
+            for (seq, event) in entries.drain(keep..) {
+                self.queue.schedule_preassigned(self.now, seq, event);
+            }
         }
     }
 }
@@ -593,6 +653,74 @@ mod tests {
         assert_eq!(model.fired_at, vec![5_000], "clamped to the scheduling instant");
         assert_eq!(sim.now(), SimTime::from_millis(5));
         assert_eq!(sim.clamped_past_schedules(), 1, "the silent clamp is counted");
+    }
+
+    #[test]
+    fn external_schedule_into_the_past_clamps_to_now() {
+        // Regression: `Simulation::schedule` did not clamp, so an instant
+        // behind the clock made the next run rewind virtual time (release)
+        // or panic on the past event (debug).
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime::from_secs(10), Ev::Emit(1));
+        let mut model = Recorder::default();
+        sim.run_until(&mut model, SimTime::from_secs(10));
+        sim.schedule(SimTime::from_secs(5), Ev::Emit(2));
+        assert_eq!(sim.clamped_past_schedules(), 1, "the clamp is counted");
+        assert_eq!(sim.run_until(&mut model, SimTime::from_secs(20)), RunOutcome::Quiescent);
+        assert_eq!(sim.now(), SimTime::from_secs(10), "clock must never move backwards");
+        assert_eq!(model.seen, vec![(10_000_000, 1), (10_000_000, 2)]);
+    }
+
+    #[test]
+    fn budget_split_inside_the_lane_resumes_in_uncapped_order() {
+        // Every event of the instant fans out into same-instant children
+        // through each lane entry point, plus one later event. Splitting
+        // the budget at every position — many of them while the lane
+        // still holds entries — must reproduce the uncapped order.
+        struct Fan {
+            seen: Vec<(u64, u32)>,
+        }
+        impl Process<u32> for Fan {
+            fn handle(&mut self, v: u32, sched: &mut Scheduler<'_, u32>) {
+                let now = sched.now();
+                self.seen.push((now.as_micros(), v));
+                if v < 30 {
+                    sched.now_event(4 * v + 1);
+                    sched.after(SimDuration::from_micros(5), 1_000 + v);
+                    sched.after_batch(SimDuration::ZERO, [4 * v + 2, 4 * v + 3]);
+                    sched.at(now, 4 * v + 4);
+                    sched.after(SimDuration::ZERO, 2_000 + v);
+                }
+            }
+        }
+        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
+            let run = |first_budget: u64| {
+                let mut sim = Simulation::with_backend(backend);
+                sim.schedule(SimTime::from_millis(1), 0);
+                sim.schedule(SimTime::from_millis(1), 500);
+                let mut model = Fan { seen: Vec::new() };
+                sim.set_budget(first_budget);
+                let first = (sim.run_until(&mut model, SimTime::MAX), sim.processed());
+                let lane_left = sim.queue.peek_time() == Some(sim.now());
+                sim.set_budget(u64::MAX);
+                assert_eq!(sim.run_until(&mut model, SimTime::MAX), RunOutcome::Quiescent);
+                // Requeued lane entries keep their sequence numbers.
+                (first, lane_left, (model.seen, sim.queue.scheduled_total()))
+            };
+            let (_, _, whole) = run(u64::MAX);
+            let mut mid_lane_splits = 0;
+            for split in 1..whole.0.len() as u64 {
+                let (first, lane_left, seen) = run(split);
+                assert_eq!(
+                    first,
+                    (RunOutcome::BudgetExhausted, split),
+                    "{backend:?} split {split}"
+                );
+                assert_eq!(seen, whole, "{backend:?} split at {split} reordered dispatch");
+                mid_lane_splits += u32::from(lane_left);
+            }
+            assert!(mid_lane_splits > 0, "no split left same-instant events behind");
+        }
     }
 
     #[test]

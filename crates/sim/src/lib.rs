@@ -37,6 +37,24 @@
 //! small models or when timestamps are adversarially far-flung (each window
 //! rotation pays a sort of the overflow tier).
 //!
+//! # Same-instant lane
+//!
+//! Under the single-threaded loop, events scheduled at the current
+//! instant — [`Scheduler::now_event`], `after(SimDuration::ZERO)`,
+//! `at(now)` (a clamped past instant included) and a zero-delay
+//! [`Scheduler::after_batch`] — never enter the future-event list. They
+//! collect, in emission order, in a FIFO lane that is dispatched as the
+//! next batch. That is exactly `(due, seq)` order because **the loop takes
+//! every queued entry due at the current instant out of the future-event
+//! list before it dispatches any of them**: when a batch ends, nothing
+//! queued is due at or before `now`, so the events the batch scheduled at
+//! `now` are the next batch, and the lane holds them in sequence order.
+//! Lane entries still take sequence numbers and count as pending, so
+//! [`Simulation::queue_peak_pending`], traces and seeds are unchanged; if
+//! the event budget runs out, they return to the future-event list under
+//! those numbers. The sharded executor's buffered [`Scheduler`] does not
+//! use the lane: it routes every emission through its per-shard queues.
+//!
 //! # Execution model
 //!
 //! Orthogonal to the backend, [`SimExecutor`] picks *who walks* the

@@ -330,6 +330,17 @@ impl<E> Calendar<E> {
         self.len -= 1;
         entry
     }
+
+    /// Whether any entry is due at or before `t`, without settling. Ring
+    /// entries sit at slots from `cursor` on, overflow entries at slots
+    /// from `window_end` on, so only the slots up to `slot_of(t)` are read.
+    fn holds_due_by(&self, t: SimTime) -> bool {
+        let last = slot_of(t);
+        let in_ring = (self.cursor..=last.min(self.window_end() - 1)).any(|slot| {
+            self.buckets[(slot & CALENDAR_MASK) as usize].items.iter().any(|s| s.due <= t)
+        });
+        in_ring || (last >= self.window_end() && self.overflow.iter().any(|s| s.due <= t))
+    }
 }
 
 /// The backend storage of an [`EventQueue`].
@@ -409,14 +420,8 @@ impl<E> EventQueue<E> {
     ///
     /// Events scheduled for the same instant pop in insertion order.
     pub fn schedule(&mut self, due: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Scheduled { due, seq, event };
-        match &mut self.tier {
-            Tier::Heap(heap) => heap.push(entry),
-            Tier::Calendar(cal) => cal.insert(entry),
-        }
-        self.peak_pending = self.peak_pending.max(self.len());
+        let seq = self.take_seq();
+        self.schedule_preassigned(due, seq, event);
     }
 
     /// Schedules a batch of events all due at `due`, preserving the
@@ -467,14 +472,19 @@ impl<E> EventQueue<E> {
     /// order. Lets a dispatch loop reuse one buffer across instants instead
     /// of allocating a fresh `Vec` per batch.
     pub fn pop_due_capped_into(&mut self, now: SimTime, max: usize, into: &mut Vec<(SimTime, E)>) {
+        self.pop_due_with(now, max, |s| into.push((s.due, s.event)));
+    }
+
+    /// Pops up to `max` entries due at or before `now`, in pop order, and
+    /// hands each to `take` with its key intact.
+    fn pop_due_with(&mut self, now: SimTime, max: usize, mut take: impl FnMut(Scheduled<E>)) {
         let mut taken = 0;
         match &mut self.tier {
             Tier::Heap(heap) => {
                 while taken < max {
                     match heap.peek() {
                         Some(s) if s.due <= now => {
-                            let s = heap.pop().expect("peeked entry present");
-                            into.push((s.due, s.event));
+                            take(heap.pop().expect("peeked entry present"));
                             taken += 1;
                         }
                         _ => break,
@@ -485,8 +495,7 @@ impl<E> EventQueue<E> {
                 while taken < max {
                     match cal.peek() {
                         Some(s) if s.due <= now => {
-                            let s = cal.pop().expect("peeked entry present");
-                            into.push((s.due, s.event));
+                            take(cal.pop().expect("peeked entry present"));
                             taken += 1;
                         }
                         _ => break,
@@ -542,6 +551,49 @@ impl<E> EventQueue<E> {
     }
 
     // -----------------------------------------------------------------
+    // Same-instant lane internals (`crate::executor`)
+    // -----------------------------------------------------------------
+    //
+    // The single-threaded loop holds the events a handler schedules at the
+    // current instant in a lane outside the queue. They still take their
+    // sequence numbers here, and still count as pending, so the counter
+    // and the high-water mark read as if they had been queued.
+
+    /// Takes the next sequence number for an entry held outside the queue.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Raises the pending high-water mark to the queued entries plus
+    /// `held` entries pending outside the queue.
+    pub(crate) fn note_pending(&mut self, held: usize) {
+        self.peak_pending = self.peak_pending.max(self.len() + held);
+    }
+
+    /// [`pop_due_capped_into`](Self::pop_due_capped_into) keeping each
+    /// entry's sequence number instead of its due instant.
+    pub(crate) fn pop_due_keyed_into(
+        &mut self,
+        now: SimTime,
+        max: usize,
+        into: &mut Vec<(u64, E)>,
+    ) {
+        self.pop_due_with(now, max, |s| into.push((s.seq, s.event)));
+    }
+
+    /// Whether any entry is due at or before `t`. Unlike
+    /// [`peek_time`](Self::peek_time) it leaves the calendar unsettled, so
+    /// a debug-only check cannot change the rotation count.
+    pub(crate) fn holds_due_by(&self, t: SimTime) -> bool {
+        match &self.tier {
+            Tier::Heap(heap) => heap.peek().is_some_and(|s| s.due <= t),
+            Tier::Calendar(cal) => cal.holds_due_by(t),
+        }
+    }
+
+    // -----------------------------------------------------------------
     // Sharded-executor internals (`crate::workers`)
     // -----------------------------------------------------------------
     //
@@ -559,7 +611,7 @@ impl<E> EventQueue<E> {
             Tier::Heap(heap) => heap.push(entry),
             Tier::Calendar(cal) => cal.insert(entry),
         }
-        self.peak_pending = self.peak_pending.max(self.len());
+        self.note_pending(0);
     }
 
     /// `(due, seq)` key of the earliest pending entry (`&mut` for the same
@@ -863,7 +915,12 @@ mod tests {
                     }
                 }
                 3 => {
+                    // The non-settling probe first, on an unsettled calendar.
+                    let probe = now + crate::SimDuration::from_micros(i % 3 * 200_000);
+                    let due = cal.holds_due_by(probe);
+                    assert_eq!(due, heap.holds_due_by(probe), "due probe diverged at step {i}");
                     assert_eq!(heap.peek_time(), cal.peek_time(), "peek diverged at step {i}");
+                    assert_eq!(due, cal.peek_time().is_some_and(|t| t <= probe), "step {i}");
                 }
                 _ => {
                     let cap = (rng() % 7) as usize;

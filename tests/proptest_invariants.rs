@@ -4,6 +4,7 @@ use flowmig::core::CcrPipelined;
 use flowmig::engine::{AckOutcome, Acker, ShardedStateStore};
 use flowmig::metrics::RootId;
 use flowmig::prelude::*;
+use flowmig::sim::{Process, RunOutcome, Scheduler, Simulation};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -512,6 +513,241 @@ proptest! {
             }
         }
         prop_assert_eq!(heap.scheduled_total(), cal.scheduled_total());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dispatch-loop reference oracle
+// ---------------------------------------------------------------------
+
+/// How a [`Fanout`] handler schedules one follow-up.
+#[derive(Clone, Copy)]
+enum Emit {
+    NowEvent,
+    AfterZero,
+    AtNow,
+    BatchZero,
+    After(SimDuration),
+    BatchAfter(SimDuration),
+}
+
+/// A model whose follow-ups depend only on the dispatched id and on how
+/// many follow-ups it may still spawn, so two loops that dispatch in the
+/// same order log the same sequence and schedule the same events.
+struct Fanout {
+    plan: Vec<(u8, u64)>,
+    spawn_left: u64,
+    next_id: u64,
+    seen: Vec<(SimTime, u64)>,
+}
+
+impl Fanout {
+    fn new(plan: &[(u8, u64)]) -> Self {
+        Fanout { plan: plan.to_vec(), spawn_left: 300, next_id: 1_000, seen: Vec::new() }
+    }
+
+    /// Logs the dispatch of `id` at `now` and returns its follow-ups.
+    fn react(&mut self, now: SimTime, id: u64) -> Vec<(Emit, Vec<u64>)> {
+        self.seen.push((now, id));
+        let mut out = Vec::new();
+        for pick in [id, id / 3 + 7] {
+            let (kind, raw) = self.plan[(pick % self.plan.len() as u64) as usize];
+            let near = SimDuration::from_micros(1 + raw % 2_000);
+            let emit = match kind {
+                0 => continue,
+                1 => Emit::NowEvent,
+                2 => Emit::AfterZero,
+                3 => Emit::AtNow,
+                4 => Emit::BatchZero,
+                5 => Emit::After(near),
+                // Beyond the calendar's lookahead window: overflow traffic.
+                6 => Emit::After(SimDuration::from_micros(1 + raw % 3_000_000)),
+                _ => Emit::BatchAfter(near),
+            };
+            let fan =
+                if matches!(emit, Emit::BatchZero | Emit::BatchAfter(_)) { 1 + raw % 4 } else { 1 };
+            let n = fan.min(self.spawn_left);
+            if n == 0 {
+                break;
+            }
+            self.spawn_left -= n;
+            let ids = (0..n).map(|_| {
+                self.next_id += 1;
+                self.next_id
+            });
+            out.push((emit, ids.collect()));
+        }
+        out
+    }
+}
+
+impl Process<u64> for Fanout {
+    fn handle(&mut self, id: u64, sched: &mut Scheduler<'_, u64>) {
+        let now = sched.now();
+        for (emit, ids) in self.react(now, id) {
+            match emit {
+                Emit::NowEvent => sched.now_event(ids[0]),
+                Emit::AfterZero => sched.after(SimDuration::ZERO, ids[0]),
+                Emit::AtNow => sched.at(now, ids[0]),
+                Emit::BatchZero => sched.after_batch(SimDuration::ZERO, ids),
+                Emit::After(delay) => sched.after(delay, ids[0]),
+                Emit::BatchAfter(delay) => sched.after_batch(delay, ids),
+            }
+        }
+    }
+}
+
+/// The reference dispatch loop: pops the single earliest `(due, seq)`
+/// entry, dispatches it and repeats — no batching and no same-instant
+/// lane — over an ordered map rather than the crate's event queue.
+#[derive(Default)]
+struct ReferenceLoop {
+    pending: std::collections::BTreeMap<(SimTime, u64), u64>,
+    next_seq: u64,
+    now: SimTime,
+    processed: u64,
+    peak: usize,
+    clamped: u64,
+    /// Entries of the simulator's current batch not yet dispatched. The
+    /// simulator takes a whole batch — everything due at the instant, or
+    /// everything the previous batch scheduled at it — out of the pending
+    /// set before dispatching any of it, so these do not count toward the
+    /// pending high-water mark.
+    in_hand: usize,
+}
+
+impl ReferenceLoop {
+    fn insert(&mut self, due: SimTime, id: u64) {
+        self.pending.insert((due, self.next_seq), id);
+        self.next_seq += 1;
+        self.peak = self.peak.max(self.pending.len() - self.in_hand);
+    }
+
+    /// `Simulation::schedule`: a past instant is clamped to `now`.
+    fn schedule(&mut self, at: SimTime, id: u64) {
+        self.clamped += u64::from(at < self.now);
+        self.insert(at.max(self.now), id);
+    }
+
+    fn run_until(&mut self, model: &mut Fanout, horizon: SimTime, budget: u64) -> RunOutcome {
+        let mut spent = 0;
+        loop {
+            let Some(&(t, _)) = self.pending.keys().next() else {
+                return RunOutcome::Quiescent;
+            };
+            if t > horizon {
+                self.now = self.now.max(horizon);
+                return RunOutcome::HorizonReached;
+            }
+            if spent >= budget {
+                return RunOutcome::BudgetExhausted;
+            }
+            if self.in_hand == 0 {
+                let due = self.pending.range(..=(t, u64::MAX)).count() as u64;
+                self.in_hand = due.min(budget - spent) as usize;
+            }
+            let ((t, _), id) = self.pending.pop_first().expect("peeked entry present");
+            self.in_hand -= 1;
+            self.now = t;
+            for (emit, ids) in model.react(t, id) {
+                let due = match emit {
+                    Emit::After(delay) | Emit::BatchAfter(delay) => t + delay,
+                    _ => t,
+                };
+                for id in ids {
+                    self.insert(due, id);
+                }
+            }
+            self.processed += 1;
+            spent += 1;
+        }
+    }
+}
+
+/// What one `run_until` call leaves observable: outcome, clock,
+/// processed, pending, pending high-water mark and clamped schedules.
+type Observed = (RunOutcome, SimTime, u64, usize, usize, u64);
+
+proptest! {
+    /// The single-threaded loop — batched dispatch plus the same-instant
+    /// lane — dispatches exactly what a one-at-a-time reference loop
+    /// dispatches, in the same order, and reports the same counters, for
+    /// models mixing every way to schedule at the current instant with
+    /// positive delays. Runs are split over several `run_until` calls with
+    /// random budgets (often cutting an instant, or its lane, short) and
+    /// horizons, with external schedules — some behind the clock — between
+    /// them, on both queue backends.
+    #[test]
+    fn single_thread_loop_matches_one_at_a_time_reference(
+        plan in proptest::collection::vec((0u8..8, 0u64..4_000_000), 1..16),
+        starts in proptest::collection::vec(0u64..3_000, 1..6),
+        segments in proptest::collection::vec((0u64..48, 0u64..5_000, 0u8..3, 0u64..4_000), 1..10),
+    ) {
+        // The segment list, then a final uncapped drain.
+        let calls: Vec<(u64, u64, u8, u64)> =
+            segments.iter().copied().chain([(u64::MAX, u64::MAX, 0, 0)]).collect();
+        let at = |now: SimTime, kind: u8, offset: u64| match kind {
+            1 => Some(SimTime::from_micros(now.as_micros().saturating_sub(offset))),
+            2 => Some(now + SimDuration::from_micros(offset)),
+            _ => None,
+        };
+        let horizon = |now: SimTime, step: u64| match step {
+            u64::MAX => SimTime::MAX,
+            step => now + SimDuration::from_micros(step),
+        };
+
+        let mut reference = ReferenceLoop::default();
+        let mut reference_model = Fanout::new(&plan);
+        for (id, &t) in starts.iter().enumerate() {
+            reference.schedule(SimTime::from_micros(t), id as u64);
+        }
+        let mut expected: Vec<Observed> = Vec::new();
+        for (call, &(budget, step, kind, offset)) in calls.iter().enumerate() {
+            if let Some(t) = at(reference.now, kind, offset) {
+                reference.schedule(t, 100 + call as u64);
+            }
+            let outcome =
+                reference.run_until(&mut reference_model, horizon(reference.now, step), budget);
+            expected.push((
+                outcome,
+                reference.now,
+                reference.processed,
+                reference.pending.len(),
+                reference.peak,
+                reference.clamped,
+            ));
+        }
+        prop_assert_eq!(expected.last().map(|o| o.0), Some(RunOutcome::Quiescent));
+
+        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
+            let mut sim = Simulation::with_backend(backend);
+            let mut model = Fanout::new(&plan);
+            for (id, &t) in starts.iter().enumerate() {
+                sim.schedule(SimTime::from_micros(t), id as u64);
+            }
+            for (call, (&(budget, step, kind, offset), want)) in
+                calls.iter().zip(&expected).enumerate()
+            {
+                if let Some(t) = at(sim.now(), kind, offset) {
+                    sim.schedule(t, 100 + call as u64);
+                }
+                sim.set_budget(budget);
+                let outcome = sim.run_until(&mut model, horizon(sim.now(), step));
+                let got: Observed = (
+                    outcome,
+                    sim.now(),
+                    sim.processed(),
+                    sim.pending(),
+                    sim.queue_peak_pending(),
+                    sim.clamped_past_schedules(),
+                );
+                prop_assert_eq!(&got, want, "call {} diverged on {:?}", call, backend);
+            }
+            prop_assert_eq!(
+                &model.seen, &reference_model.seen,
+                "dispatch sequence diverged on {:?}", backend
+            );
+        }
     }
 }
 
