@@ -210,6 +210,29 @@ fn bench_event_queue(c: &mut Criterion) {
                 black_box(sum)
             })
         });
+        group.bench_function(&format!("fanout_singles_10k_{label}"), |b| {
+            b.iter(|| {
+                // A wave fanned out to 10k participants, as handlers emit
+                // it: each event dispatched at the instant schedules its
+                // follow-up 1 ms out with its own `schedule` call (not
+                // `schedule_batch`), for 10 waves.
+                let mut q = EventQueue::with_backend(backend);
+                for i in 0..10_000u64 {
+                    q.schedule(SimTime::ZERO, i);
+                }
+                let mut batch = Vec::new();
+                let mut sum = 0u64;
+                for _ in 0..10 {
+                    let t = q.peek_time().expect("a wave is pending");
+                    q.pop_due_capped_into(t, usize::MAX, &mut batch);
+                    for (at, v) in batch.drain(..) {
+                        sum = sum.wrapping_add(v);
+                        q.schedule(at + SimDuration::from_millis(1), v + 1);
+                    }
+                }
+                black_box((sum, q.len()))
+            })
+        });
         group.bench_function(&format!("mixed_horizon_100k_{label}"), |b| {
             b.iter(|| black_box(mixed_horizon_churn_100k(backend)))
         });

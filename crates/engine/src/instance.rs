@@ -109,7 +109,8 @@ impl InstanceRuntime {
     }
 
     /// Drops all queued work (worker killed); returns the data events that
-    /// were lost, for loss accounting.
+    /// were lost, for loss accounting: queued, in service, buffered before
+    /// INIT, and captured by a PREPARE but not yet persisted by a COMMIT.
     pub fn kill(&mut self) -> Vec<DataEvent> {
         self.status = WorkerStatus::Dead;
         let mut lost: Vec<DataEvent> = Vec::new();
@@ -122,11 +123,11 @@ impl InstanceRuntime {
             lost.push(d);
         }
         lost.extend(self.pre_init.drain(..));
+        lost.append(&mut self.pending);
         self.current = None;
         self.initialized = false;
         self.capture = false;
         self.capture_ranges = None;
-        self.pending.clear();
         self.prepared = None;
         self.seen = AlignmentState::default();
         lost
@@ -197,8 +198,11 @@ mod tests {
         r.queue.push_back(QueueItem::Data(data(2)));
         r.current = Some(Work::Data(data(3)));
         r.pre_init.push_back(data(4));
+        r.pending.push(data(5));
         let lost = r.kill();
-        assert_eq!(lost.len(), 4); // 2 queued + 1 in-flight + 1 pre-init
+        // 2 queued + 1 in-flight + 1 pre-init + 1 captured.
+        assert_eq!(lost.iter().map(|d| d.id).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        assert!(r.pending.is_empty());
         assert_eq!(r.status, WorkerStatus::Dead);
         assert!(r.queue.is_empty());
         assert!(!r.initialized);

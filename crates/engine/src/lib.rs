@@ -81,7 +81,6 @@ mod config;
 mod dispatch;
 mod engine;
 mod event;
-pub mod fasthash;
 mod instance;
 mod protocol;
 #[cfg(test)]
@@ -93,7 +92,7 @@ pub use acker::{AckOutcome, Acker};
 pub use config::{EngineConfig, StoreLatencyModel, StoreReplication, StoreServiceModel};
 pub use engine::{Engine, EngineCtl};
 pub use event::{ControlEvent, ControlSender, DataEvent, QueueItem};
-pub use fasthash::{FastHashMap, FastHashSet, FxHasher};
+pub use flowmig_sim::fasthash::{self, FastHashMap, FastHashSet, FxHasher};
 pub use instance::WorkerStatus;
 pub use protocol::{
     resend, InstanceScope, KeyRangeScope, MigrationCoordinator, NoopCoordinator, ProtocolConfig,

@@ -143,7 +143,8 @@ pub enum TraceEvent {
         /// Completion instant.
         at: SimTime,
     },
-    /// A data event was dropped (routed to a dead or absent instance).
+    /// A data event was dropped: routed to a dead or absent instance, or
+    /// held (queued, in service or captured) by an instance that was killed.
     EventDropped {
         /// Root whose derived event was lost.
         root: RootId,

@@ -72,8 +72,13 @@ impl<'a, E> Scheduler<'a, E> {
     }
 
     /// Schedules every event in `events` to fire `delay` from now, in
-    /// iteration order (one [`EventQueue::schedule_batch`] insertion —
-    /// used for same-delay fan-outs like broadcast control waves).
+    /// iteration order — exactly as one [`after`](Self::after) call per
+    /// event would. Used for same-delay fan-outs like broadcast control
+    /// waves: a zero delay puts the batch on the same-instant lane, a
+    /// positive one goes to [`EventQueue::schedule_batch`], where the
+    /// batch's consecutive sequence numbers form one run behind a single
+    /// heap entry on the heap backend. Back-to-back `after` calls with one
+    /// delay form the same run.
     ///
     /// [`EventQueue::schedule_batch`]: crate::EventQueue::schedule_batch
     pub fn after_batch<I>(&mut self, delay: SimDuration, events: I)

@@ -1,9 +1,10 @@
-//! A small Fx-style fast hasher for the engine's hot maps.
+//! A small Fx-style fast hasher for hot maps.
 //!
 //! `std`'s default `SipHash13` is DoS-resistant but costs tens of
-//! nanoseconds per lookup; the engine's hot maps (`Acker` ledgers, the
-//! root replay cache, store blob maps) are keyed by trusted in-process
-//! ids, so a multiply-and-rotate hash is safe and several times faster.
+//! nanoseconds per lookup; the hot maps (the event queue's run table,
+//! and the engine's `Acker` ledgers, root replay cache and store blob
+//! maps) are keyed by trusted in-process ids, so a multiply-and-rotate
+//! hash is safe and several times faster.
 //! Written in-tree (like the serde/rand shims) because the container has
 //! no registry access.
 //!

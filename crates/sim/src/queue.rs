@@ -11,10 +11,10 @@
 //! Two interchangeable backends implement that contract, selected by
 //! [`QueueBackend`]:
 //!
-//! * [`QueueBackend::Heap`] — a `BinaryHeap` of `(due, seq)`-keyed entries.
-//!   Every operation is `O(log n)`; no tuning, no pathological cases. The
-//!   default, and the reference implementation the calendar backend is
-//!   tested against.
+//! * [`QueueBackend::Heap`] — a `BinaryHeap` of `(due, seq)`-keyed entries
+//!   that coalesces *runs* (below). Every operation is `O(log n)`; no
+//!   tuning, no pathological cases. The default, and the reference
+//!   implementation the calendar backend is tested against.
 //! * [`QueueBackend::Calendar`] — a two-tier calendar queue: a ring of
 //!   [`CALENDAR_BUCKETS`] near-term time buckets (each a FIFO vector,
 //!   [`CALENDAR_BUCKET_MICROS`] wide) covering a rotating lookahead
@@ -22,18 +22,35 @@
 //!   drains into the ring as the window advances. Scheduling into the
 //!   window is `O(1)` amortized (same-instant and monotone appends skip
 //!   sorting entirely), popping is `O(1)` off the current bucket, and only
-//!   window rotations pay a sort. On the engine's workload — dense
-//!   near-term traffic plus sparse far-future timers — it is several times
-//!   faster than the heap at 100k pending events (see the `hotpath`
+//!   window rotations pay a sort. On 100k pending random singletons —
+//!   dense near-term traffic plus sparse far-future timers, which form no
+//!   runs — it is over twice as fast as the heap (see the `hotpath`
 //!   bench's `event_queue` group and its CI tripwire).
 //!
 //! Both backends produce **byte-identical pop sequences** for any
 //! interleaving of schedules and pops — this is proptested in
 //! `tests/proptest_invariants.rs` and pinned against all determinism trace
-//! hashes, so backend choice is purely a performance knob. Pick `Heap` for
-//! tiny models or adversarially far-flung timestamps; pick `Calendar` for
-//! large simulations with mostly near-term traffic.
+//! hashes, so backend choice is purely a performance knob. See the
+//! "Backend selection" section of the [crate docs](crate) for measurements.
+//!
+//! # Runs
+//!
+//! A *run* is a sequence of entries scheduled back to back for one instant
+//! with consecutive sequence numbers — the shape of a wave's fan-out, where
+//! every participant's handler schedules the same follow-up after the same
+//! delay. The heap backend keeps a run behind **one** heap entry, its head;
+//! the later events wait in a side table keyed by the head's sequence
+//! number, and when the head pops the whole run drains into the dispatch
+//! batch without touching the heap again. This cannot reorder anything:
+//! sequence numbers are unique, so no other entry holds one inside a run,
+//! and the run's events are adjacent in `(due, seq)` order. Any insertion
+//! that takes a sequence number in between — another instant, a
+//! same-instant lane push, an external schedule — closes the run. Heap
+//! entries keep their size, and the side table is only consulted while it
+//! holds a run, so a singleton pays only the open-run bookkeeping: a few
+//! comparisons and stores per push and pop.
 
+use crate::fasthash::FastHashMap;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -67,7 +84,8 @@ fn slot_of(due: SimTime) -> u64 {
 /// order-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum QueueBackend {
-    /// Binary-heap future-event list: `O(log n)` everywhere, no tuning.
+    /// Binary-heap future-event list that keeps each same-instant run
+    /// behind one heap entry: `O(log n)` everywhere, no tuning.
     #[default]
     Heap,
     /// Two-tier calendar queue: `O(1)` amortized scheduling and popping
@@ -343,10 +361,137 @@ impl<E> Calendar<E> {
     }
 }
 
+/// The instant and sequence numbers of the run the latest insertion started
+/// or extended, while its head is still queued.
+#[derive(Debug, Clone, Copy)]
+struct OpenRun {
+    due: SimTime,
+    head: u64,
+    /// The sequence number that would extend the run.
+    next: u64,
+}
+
+/// The heap backend: a binary heap whose entries each head a run of one or
+/// more events (see the module docs).
+///
+/// Invariants: every `runs` key is the sequence number of a heap entry,
+/// whose run continues with that table entry's events at the same instant
+/// and the following sequence numbers; `parked` is the number of events
+/// `runs` holds; `open`, when set, names a heap entry.
+#[derive(Debug, Clone)]
+struct RunHeap<E> {
+    heap: BinaryHeap<Scheduled<E>>,
+    runs: FastHashMap<u64, VecDeque<E>>,
+    parked: usize,
+    open: Option<OpenRun>,
+    /// The largest drained run buffer, reused by the next run so that a
+    /// recurring wave-sized run does not regrow its buffer every wave;
+    /// regrowing costs no measurable time but raises peak memory.
+    spare: VecDeque<E>,
+}
+
+impl<E> RunHeap<E> {
+    fn new() -> Self {
+        RunHeap {
+            heap: BinaryHeap::new(),
+            runs: FastHashMap::default(),
+            parked: 0,
+            open: None,
+            spare: VecDeque::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() + self.parked
+    }
+
+    fn peek(&self) -> Option<&Scheduled<E>> {
+        self.heap.peek()
+    }
+
+    /// Inserts an entry: appends it to the open run if it extends it (same
+    /// instant, next sequence number), else pushes it as a new heap entry
+    /// that opens a run of its own.
+    fn push(&mut self, entry: Scheduled<E>) {
+        if let Some(open) = &mut self.open {
+            if open.next == entry.seq && open.due == entry.due {
+                open.next += 1;
+                let spare = &mut self.spare;
+                let run = self.runs.entry(open.head).or_insert_with(|| std::mem::take(spare));
+                run.push_back(entry.event);
+                self.parked += 1;
+                return;
+            }
+        }
+        self.open = Some(OpenRun { due: entry.due, head: entry.seq, next: entry.seq + 1 });
+        self.heap.push(entry);
+    }
+
+    /// Detaches the later events of the run headed by the entry with
+    /// sequence number `head`, which is about to pop, and closes that run.
+    fn take_run(&mut self, head: u64) -> Option<VecDeque<E>> {
+        if self.open.is_some_and(|open| open.head == head) {
+            self.open = None;
+        }
+        if self.runs.is_empty() {
+            return None;
+        }
+        let run = self.runs.remove(&head)?;
+        self.parked -= run.len();
+        Some(run)
+    }
+
+    /// Pops up to `max` events due at or before `now`, in `(due, seq)`
+    /// order, handing each to `take`. A popped run head brings its run
+    /// along; if `max` cuts the run, the rest stays queued behind a new
+    /// head that carries the next sequence number.
+    fn pop_due_with(&mut self, now: SimTime, max: usize, take: &mut impl FnMut(Scheduled<E>)) {
+        let mut taken = 0;
+        while taken < max {
+            let (due, seq) = match self.heap.peek() {
+                Some(s) if s.due <= now => s.key(),
+                _ => break,
+            };
+            let run = self.take_run(seq);
+            take(self.heap.pop().expect("peeked entry present"));
+            taken += 1;
+            let Some(mut run) = run else { continue };
+            let room = max - taken;
+            let cut = run.len() > room;
+            let drained = if cut { room } else { run.len() };
+            for (seq, event) in (seq + 1..).zip(run.drain(..drained)) {
+                take(Scheduled { due, seq, event });
+            }
+            taken += drained;
+            if cut {
+                // The rest of the run keeps its instant and sequence
+                // numbers; its first event is the new head.
+                let head = seq + 1 + drained as u64;
+                let event = run.pop_front().expect("a cut run keeps an event");
+                self.heap.push(Scheduled { due, seq: head, event });
+                if !run.is_empty() {
+                    self.parked += run.len();
+                    self.runs.insert(head, run);
+                    continue;
+                }
+            }
+            if run.capacity() > self.spare.capacity() {
+                self.spare = run;
+            }
+        }
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let mut popped = None;
+        self.pop_due_with(SimTime::MAX, 1, &mut |s| popped = Some(s));
+        popped
+    }
+}
+
 /// The backend storage of an [`EventQueue`].
 #[derive(Debug, Clone)]
 enum Tier<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
+    Heap(RunHeap<E>),
     Calendar(Box<Calendar<E>>),
 }
 
@@ -402,7 +547,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue on the given backend.
     pub fn with_backend(backend: QueueBackend) -> Self {
         let tier = match backend {
-            QueueBackend::Heap => Tier::Heap(BinaryHeap::new()),
+            QueueBackend::Heap => Tier::Heap(RunHeap::new()),
             QueueBackend::Calendar => Tier::Calendar(Box::new(Calendar::new())),
         };
         EventQueue { tier, next_seq: 0, peak_pending: 0 }
@@ -425,18 +570,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules a batch of events all due at `due`, preserving the
-    /// iterator's order as the FIFO tie-break — equivalent to calling
-    /// [`schedule`](Self::schedule) once per event, but reserving backend
-    /// capacity up front.
+    /// iterator's order as the FIFO tie-break — exactly equivalent to
+    /// calling [`schedule`](Self::schedule) once per event. The batch takes
+    /// consecutive sequence numbers, so on the heap backend it forms one
+    /// run behind a single heap entry (see the module docs).
     pub fn schedule_batch<I>(&mut self, due: SimTime, events: I)
     where
         I: IntoIterator<Item = E>,
     {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        if let Tier::Heap(heap) = &mut self.tier {
-            heap.reserve(lower);
-        }
         for event in events {
             self.schedule(due, event);
         }
@@ -444,11 +585,15 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match &mut self.tier {
+        self.pop_entry().map(|s| (s.due, s.event))
+    }
+
+    /// Removes and returns the earliest entry, key intact.
+    fn pop_entry(&mut self) -> Option<Scheduled<E>> {
+        match &mut self.tier {
             Tier::Heap(heap) => heap.pop(),
             Tier::Calendar(cal) => cal.pop(),
-        };
-        entry.map(|s| (s.due, s.event))
+        }
     }
 
     /// Drains and returns every event due at or before `now`, in the exact
@@ -478,20 +623,10 @@ impl<E> EventQueue<E> {
     /// Pops up to `max` entries due at or before `now`, in pop order, and
     /// hands each to `take` with its key intact.
     fn pop_due_with(&mut self, now: SimTime, max: usize, mut take: impl FnMut(Scheduled<E>)) {
-        let mut taken = 0;
         match &mut self.tier {
-            Tier::Heap(heap) => {
-                while taken < max {
-                    match heap.peek() {
-                        Some(s) if s.due <= now => {
-                            take(heap.pop().expect("peeked entry present"));
-                            taken += 1;
-                        }
-                        _ => break,
-                    }
-                }
-            }
+            Tier::Heap(heap) => heap.pop_due_with(now, max, &mut take),
             Tier::Calendar(cal) => {
+                let mut taken = 0;
                 while taken < max {
                     match cal.peek() {
                         Some(s) if s.due <= now => {
@@ -651,11 +786,7 @@ impl<E> EventQueue<E> {
                     _ => return Some(key),
                 }
             }
-            let entry = match &mut self.tier {
-                Tier::Heap(heap) => heap.pop(),
-                Tier::Calendar(cal) => cal.pop(),
-            }
-            .expect("peeked entry present");
+            let entry = self.pop_entry().expect("peeked entry present");
             first_due.get_or_insert(entry.due);
             into.push(entry);
         }
@@ -663,16 +794,7 @@ impl<E> EventQueue<E> {
 
     /// Drains every entry, keys intact, in `(due, seq)` order.
     pub(crate) fn drain_all_into(&mut self, into: &mut Vec<Scheduled<E>>) {
-        loop {
-            let entry = match &mut self.tier {
-                Tier::Heap(heap) => heap.pop(),
-                Tier::Calendar(cal) => cal.pop(),
-            };
-            match entry {
-                Some(e) => into.push(e),
-                None => return,
-            }
-        }
+        self.pop_due_with(SimTime::MAX, usize::MAX, |s| into.push(s));
     }
 
     /// Restores the sequence counter after a sharded run handed seq
@@ -943,5 +1065,137 @@ mod tests {
             }
         }
         assert_eq!(heap.scheduled_total(), cal.scheduled_total());
+    }
+
+    /// Heap entries (run heads and singletons) and parked run events of a
+    /// heap-backed queue.
+    fn heap_layout<E>(q: &EventQueue<E>) -> (usize, usize) {
+        match &q.tier {
+            Tier::Heap(h) => (h.heap.len(), h.parked),
+            Tier::Calendar(_) => unreachable!("heap backend only"),
+        }
+    }
+
+    #[test]
+    fn same_due_entries_without_back_to_back_seqs_never_merge() {
+        // Each insertion shares its instant with an earlier one, but none
+        // extends the latest insertion by the next sequence number at the
+        // same instant, so each must become a heap entry of its own and pop
+        // exactly as a plain binary heap of the same entries does.
+        let (t, u) = (SimTime::from_millis(1), SimTime::from_millis(2));
+        let mut q = EventQueue::with_backend(QueueBackend::Heap);
+        q.schedule(t, 0); // seq 0
+        let held = q.take_seq(); // seq 1, held outside as a lane entry is
+        q.schedule(t, 2); // same instant, a sequence number skipped
+        q.schedule(u, 3); // next sequence number, another instant
+        q.schedule(t, 4); // next sequence number, back to the first instant
+        q.schedule_preassigned(t, held, 1); // a requeued entry, out of order
+        q.schedule_preassigned(t, 6, 6); // skips 5
+        q.schedule_preassigned(t, 5, 5); // below the latest insertion
+        assert_eq!(heap_layout(&q), (7, 0), "no insertion may join a run");
+
+        let entries = [(t, 0), (t, 1), (t, 2), (u, 3), (t, 4), (t, 5), (t, 6)];
+        let mut reference: BinaryHeap<Scheduled<u64>> =
+            entries.into_iter().map(|(due, seq)| Scheduled { due, seq, event: seq }).collect();
+        while let Some(want) = reference.pop() {
+            assert_eq!(q.pop(), Some((want.due, want.event)));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn budget_cuts_inside_a_run_resume_under_the_right_sequence_numbers() {
+        // A run of eight between an earlier event and a same-instant event
+        // after a skipped sequence number. Cutting the drain at every pair
+        // of positions must resume in the uncut order, each event under the
+        // sequence number it was scheduled with.
+        let t = SimTime::from_millis(4);
+        let build = || {
+            let mut q = EventQueue::with_backend(QueueBackend::Heap);
+            q.schedule(SimTime::from_millis(3), 100); // seq 0
+            q.schedule_batch(t, 0..8); // seqs 1..=8: one run
+            q.take_seq(); // seq 9 held outside: the run closes
+            q.schedule(t, 200); // seq 10
+            assert_eq!(heap_layout(&q), (3, 7));
+            q
+        };
+        let mut whole = Vec::new();
+        build().pop_due_keyed_into(t, usize::MAX, &mut whole);
+        let want: Vec<(u64, u64)> =
+            [(0, 100)].into_iter().chain((1..=8).map(|s| (s, s - 1))).chain([(10, 200)]).collect();
+        assert_eq!(whole, want);
+        for first in 0..=whole.len() {
+            for second in 0..=whole.len() - first {
+                let mut q = build();
+                let mut got = Vec::new();
+                q.pop_due_keyed_into(t, first, &mut got);
+                q.pop_due_keyed_into(t, second, &mut got);
+                assert_eq!(got.len(), first + second);
+                assert_eq!(q.len(), whole.len() - got.len(), "cut at {first}+{second}");
+                q.pop_due_keyed_into(t, usize::MAX, &mut got);
+                assert_eq!(got, whole, "cut at {first}+{second}");
+                assert!(q.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn len_peak_and_total_count_events_not_heap_entries() {
+        let mut q = EventQueue::with_backend(QueueBackend::Heap);
+        let t = SimTime::from_millis(1);
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        q.schedule(SimTime::from_millis(2), 100);
+        assert_eq!(heap_layout(&q), (2, 99), "one run and a singleton");
+        assert_eq!((q.len(), q.peak_pending(), q.scheduled_total()), (101, 101, 101));
+        q.pop();
+        assert_eq!(heap_layout(&q), (2, 98), "the run's second event heads the rest");
+        assert_eq!(q.pop_due_capped(t, 49).len(), 49);
+        assert_eq!(q.len(), 51);
+        q.schedule_batch(SimTime::from_millis(3), 0..10);
+        assert_eq!(heap_layout(&q), (3, 58));
+        assert_eq!((q.len(), q.peak_pending(), q.scheduled_total()), (61, 101, 111));
+        assert_eq!(q.pop_due(SimTime::MAX).len(), 61);
+        assert_eq!(heap_layout(&q), (0, 0));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_10k_run_drains_one_pop_at_a_time_in_order_behind_one_heap_entry() {
+        // The sharded executor pops one entry at a time (`pop_run_into`).
+        // Each pop of a run head must hand the run's next event to a new
+        // head: one heap pop and push plus O(1) table work, never a shift
+        // of the rest of the run. So the run stays behind exactly one heap
+        // entry while its parked tail shrinks by one event per pop.
+        const N: u64 = 10_000;
+        let (early, t, late) =
+            (SimTime::from_millis(1), SimTime::from_millis(5), SimTime::from_millis(9));
+        let build = || {
+            let mut q = EventQueue::with_backend(QueueBackend::Heap);
+            q.schedule(early, N);
+            for i in 0..N {
+                q.schedule(t, i);
+            }
+            q.schedule(late, N + 1);
+            q
+        };
+        let mut q = build();
+        assert_eq!(q.pop(), Some((early, N)));
+        for i in 0..N {
+            assert_eq!(heap_layout(&q), (2, (N - 1 - i) as usize), "before pop {i}");
+            assert_eq!(q.peek_key(), Some((t, i + 1)));
+            assert_eq!(q.pop(), Some((t, i)));
+        }
+        assert_eq!(q.pop(), Some((late, N + 1)));
+        assert!(q.is_empty());
+
+        let mut q = build();
+        assert_eq!(q.pop(), Some((early, N)));
+        let mut run = Vec::new();
+        let frontier = q.pop_run_into(t, 1, crate::SimDuration::ZERO, &mut run);
+        assert_eq!(frontier, Some((late, N + 1)), "the instant's cluster stays whole");
+        let keys: Vec<(SimTime, u64, u64)> = run.iter().map(|s| (s.due, s.seq, s.event)).collect();
+        assert_eq!(keys, (0..N).map(|i| (t, i + 1, i)).collect::<Vec<_>>());
     }
 }

@@ -174,6 +174,58 @@ fn ccr_default_timeout_rolls_back_when_an_executor_cannot_prepare_fifo() {
     ccr_default_timeout_rolls_back_when_an_executor_cannot_prepare(StoreServiceModel::FifoPerShard);
 }
 
+/// A crash inside CCR's capture window: the victim holds events its
+/// PREPARE captured that no COMMIT has persisted yet. They die with the
+/// instance, so the kill must count them as dropped, in the stats and in
+/// the trace, like the queued events it discards.
+fn ccr_crash_in_the_capture_window_drops_captured_events(service: StoreServiceModel) {
+    let dag = library::linear();
+    let instances = InstanceSet::plan(&dag);
+    let plan = ScalePlan::paper_scenario(&dag, &instances, ScaleDirection::In)
+        .expect("scenario placeable");
+    let victim = instances.of_task(dag.task_by_name("t2").expect("t2 exists"))[0];
+
+    let strategy = Ccr::new().with_wave_timeout(SimDuration::from_secs(10));
+    let mut engine = Engine::new(
+        dag.clone(),
+        instances.clone(),
+        &plan,
+        config_with(service),
+        strategy.protocol(),
+        strategy.coordinator(),
+        7,
+    );
+    let crash = SimTime::from_millis(60_020);
+    engine.schedule_migration(SimTime::from_secs(60));
+    engine.schedule_outage(victim, crash, SimDuration::from_secs(20));
+    engine.run_until(SimTime::from_micros(crash.as_micros() - 1));
+    let held = engine.captured_len(victim) + engine.queue_depth(victim);
+    assert!(engine.captured_len(victim) > 0, "the victim holds captured events when it dies");
+    engine.run_until(SimTime::from_secs(300));
+
+    assert!(engine.trace().migration_completed_at().is_none(), "migration aborts");
+    let stats = engine.stats();
+    assert_eq!(stats.pending_replayed, 0, "no checkpoint was restored");
+    let dropped_at_crash = engine
+        .trace()
+        .iter()
+        .filter(|e| matches!(*e, TraceEvent::EventDropped { at, .. } if *at == crash))
+        .count();
+    assert_eq!(dropped_at_crash, held, "the kill drops every event the victim held");
+    assert_eq!(stats.events_dropped, engine.trace().dropped_count(), "stats mirror the trace");
+    check_queue_accounting(&engine, service);
+}
+
+#[test]
+fn ccr_crash_in_the_capture_window_drops_captured_events_unqueued() {
+    ccr_crash_in_the_capture_window_drops_captured_events(StoreServiceModel::Unqueued);
+}
+
+#[test]
+fn ccr_crash_in_the_capture_window_drops_captured_events_fifo() {
+    ccr_crash_in_the_capture_window_drops_captured_events(StoreServiceModel::FifoPerShard);
+}
+
 /// A crash outside any migration: the outage drops events (no acking for
 /// DCR protocol) but the engine keeps running and the instance recovers.
 fn steady_state_crash_recovers_without_migration(service: StoreServiceModel) {

@@ -520,7 +520,7 @@ proptest! {
 // Dispatch-loop reference oracle
 // ---------------------------------------------------------------------
 
-/// How a [`Fanout`] handler schedules one follow-up.
+/// How a [`Fanout`] handler schedules its follow-ups.
 #[derive(Clone, Copy)]
 enum Emit {
     NowEvent,
@@ -529,6 +529,10 @@ enum Emit {
     BatchZero,
     After(SimDuration),
     BatchAfter(SimDuration),
+    /// One `after` call per follow-up, back to back, with one delay: the
+    /// shape of a wave whose every participant schedules the same
+    /// follow-up, which the heap backend keeps as one run.
+    AfterEach(SimDuration),
 }
 
 /// A model whose follow-ups depend only on the dispatched id and on how
@@ -543,7 +547,7 @@ struct Fanout {
 
 impl Fanout {
     fn new(plan: &[(u8, u64)]) -> Self {
-        Fanout { plan: plan.to_vec(), spawn_left: 300, next_id: 1_000, seen: Vec::new() }
+        Fanout { plan: plan.to_vec(), spawn_left: 600, next_id: 1_000, seen: Vec::new() }
     }
 
     /// Logs the dispatch of `id` at `now` and returns its follow-ups.
@@ -562,10 +566,16 @@ impl Fanout {
                 5 => Emit::After(near),
                 // Beyond the calendar's lookahead window: overflow traffic.
                 6 => Emit::After(SimDuration::from_micros(1 + raw % 3_000_000)),
-                _ => Emit::BatchAfter(near),
+                7 => Emit::BatchAfter(near),
+                _ => Emit::AfterEach(near),
             };
-            let fan =
-                if matches!(emit, Emit::BatchZero | Emit::BatchAfter(_)) { 1 + raw % 4 } else { 1 };
+            // Fans of up to 64 form runs long enough for random budgets to
+            // cut them mid-way.
+            let fan = match emit {
+                Emit::BatchZero => 1 + raw % 4,
+                Emit::BatchAfter(_) | Emit::AfterEach(_) => 1 + raw % 64,
+                _ => 1,
+            };
             let n = fan.min(self.spawn_left);
             if n == 0 {
                 break;
@@ -592,6 +602,11 @@ impl Process<u64> for Fanout {
                 Emit::BatchZero => sched.after_batch(SimDuration::ZERO, ids),
                 Emit::After(delay) => sched.after(delay, ids[0]),
                 Emit::BatchAfter(delay) => sched.after_batch(delay, ids),
+                Emit::AfterEach(delay) => {
+                    for id in ids {
+                        sched.after(delay, id);
+                    }
+                }
             }
         }
     }
@@ -651,7 +666,9 @@ impl ReferenceLoop {
             self.now = t;
             for (emit, ids) in model.react(t, id) {
                 let due = match emit {
-                    Emit::After(delay) | Emit::BatchAfter(delay) => t + delay,
+                    Emit::After(delay) | Emit::BatchAfter(delay) | Emit::AfterEach(delay) => {
+                        t + delay
+                    }
                     _ => t,
                 };
                 for id in ids {
@@ -673,13 +690,15 @@ proptest! {
     /// lane — dispatches exactly what a one-at-a-time reference loop
     /// dispatches, in the same order, and reports the same counters, for
     /// models mixing every way to schedule at the current instant with
-    /// positive delays. Runs are split over several `run_until` calls with
-    /// random budgets (often cutting an instant, or its lane, short) and
-    /// horizons, with external schedules — some behind the clock — between
-    /// them, on both queue backends.
+    /// positive delays, including same-delay fans of up to 64 events made
+    /// by one `after_batch` or by back-to-back `after` calls (which the heap
+    /// backend keeps as runs). Runs are split over several `run_until`
+    /// calls with random budgets (often cutting an instant, its lane, or a
+    /// run short) and horizons, with external schedules — some behind the
+    /// clock — between them, on both queue backends.
     #[test]
     fn single_thread_loop_matches_one_at_a_time_reference(
-        plan in proptest::collection::vec((0u8..8, 0u64..4_000_000), 1..16),
+        plan in proptest::collection::vec((0u8..9, 0u64..4_000_000), 1..16),
         starts in proptest::collection::vec(0u64..3_000, 1..6),
         segments in proptest::collection::vec((0u64..48, 0u64..5_000, 0u8..3, 0u64..4_000), 1..10),
     ) {
