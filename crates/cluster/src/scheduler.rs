@@ -108,10 +108,23 @@ impl InstanceScheduler for RoundRobinScheduler {
         "round-robin"
     }
 
-    fn order_slots(&self, _pool: &VmPool, mut slots: Vec<SlotId>) -> Vec<SlotId> {
-        // VM-major input → reorder slot-major (round-robin across VMs).
-        slots.sort_by_key(|s| (s.slot, s.vm));
-        slots
+    fn order_slots(&self, _pool: &VmPool, slots: Vec<SlotId>) -> Vec<SlotId> {
+        // Round-robin across VMs is the slot-major `(slot, vm)` order:
+        // bucket by slot index, then put each bucket in VM order. For the
+        // VM-major input `VmPool::slots_of` yields, every bucket already
+        // is, and the sort only confirms it in one pass.
+        let mut buckets: Vec<Vec<SlotId>> = Vec::new();
+        for s in slots {
+            let b = usize::from(s.slot);
+            if b >= buckets.len() {
+                buckets.resize_with(b + 1, Vec::new);
+            }
+            buckets[b].push(s);
+        }
+        for bucket in &mut buckets {
+            bucket.sort_unstable_by_key(|s| s.vm);
+        }
+        buckets.concat()
     }
 }
 
@@ -159,6 +172,41 @@ mod tests {
         let vms: std::collections::HashSet<_> =
             users[..4].iter().map(|&i| a.vm_of(i).unwrap()).collect();
         assert_eq!(vms.len(), 4);
+    }
+
+    #[test]
+    fn round_robin_order_is_the_slot_major_tuple_sort() {
+        // Pools of random sizes (including slot indices past 64) and mixed
+        // roles, from a fixed SplitMix64 stream: the bucketed order must
+        // reproduce the stable `(slot, vm)` sort exactly, for the VM-major
+        // input `assign` passes and for a shuffled one.
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let roles = [VmRole::Pinned, VmRole::InitialWorker, VmRole::TargetWorker];
+        for _ in 0..200 {
+            let mut pool = VmPool::new();
+            for _ in 0..next(40) {
+                let slots = if next(8) == 0 { 1 + next(255) } else { 1 + next(4) };
+                pool.add(VmSize::custom("R", slots as u8), roles[next(3) as usize]);
+            }
+            for role in roles {
+                let mut slots = pool.slots_of(role);
+                for _ in 0..2 {
+                    let mut expected = slots.clone();
+                    expected.sort_by_key(|s| (s.slot, s.vm));
+                    assert_eq!(RoundRobinScheduler.order_slots(&pool, slots.clone()), expected);
+                    for k in (1..slots.len()).rev() {
+                        slots.swap(k, next(k as u64 + 1) as usize);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -413,6 +413,70 @@ mod tests {
         assert_eq!(out.trace.range_moved_bytes(), 0);
     }
 
+    /// CCR with its PREPARE, COMMIT and INIT waves all narrowed to one
+    /// scope.
+    struct ScopedCcr(flowmig_engine::WaveScope);
+
+    impl MigrationStrategy for ScopedCcr {
+        fn kind(&self) -> crate::StrategyKind {
+            crate::StrategyKind::Ccr
+        }
+
+        fn plan(&self) -> crate::MigrationPlan {
+            use crate::{MigrationPlan, PausePolicy, PlanPhase, RangeRouting, WaveKind};
+            use flowmig_engine::{ProtocolConfig, WaveRouting};
+            use flowmig_metrics::MigrationPhase;
+            let wave = |kind, routing| PlanPhase::wave(kind, routing).with_scope(self.0);
+            let mut plan = MigrationPlan::new("CCR-scoped", ProtocolConfig::ccr())
+                .pause(PausePolicy::UntilComplete)
+                .phase(
+                    wave(WaveKind::Prepare, WaveRouting::Broadcast).scoped(MigrationPhase::Drain),
+                )
+                .phase(
+                    wave(WaveKind::Commit, WaveRouting::Sequential).scoped(MigrationPhase::Commit),
+                )
+                .phase(
+                    wave(WaveKind::Init, WaveRouting::Broadcast)
+                        .after_rebalance()
+                        .scoped(MigrationPhase::Restore)
+                        .with_resend(SimDuration::from_secs(1)),
+                );
+            if self.0.is_key_range() {
+                plan = plan.route_ranges(RangeRouting::OwnerRespawn);
+            }
+            plan
+        }
+    }
+
+    #[test]
+    fn scoped_waves_complete_on_a_dataflow_without_operators() {
+        // Source → sink: no instance migrates, so both scope kinds resolve
+        // to no participant. A wave with no member would wait forever for
+        // an ack; it degrades to every participant (here, the sink), as
+        // plain CCR addresses them.
+        use flowmig_engine::{InstanceScope, KeyRangeScope, WaveScope};
+        use flowmig_topology::{DataflowBuilder, TaskSpec};
+        let mut b = DataflowBuilder::new("src-sink");
+        let src = b.add(TaskSpec::source("src", 8.0));
+        let sink = b.add(TaskSpec::sink("sink"));
+        b.edge(src, sink);
+        let dag = b.finish().unwrap();
+        let controller = MigrationController::new()
+            .with_request_at(SimTime::from_secs(60))
+            .with_horizon(SimTime::from_secs(600));
+        for scope in [
+            WaveScope::Instances(InstanceScope::Migrating),
+            WaveScope::KeyRanges(KeyRangeScope::hot(600)),
+        ] {
+            let strategy = ScopedCcr(scope);
+            strategy.plan().validate().expect("the scoped plan validates");
+            let out = controller.run(&dag, &strategy, ScaleDirection::In).unwrap();
+            assert!(out.completed, "{scope:?} wedged");
+            assert_eq!(out.stats.events_dropped, 0, "{scope:?}");
+        }
+        assert!(controller.run(&dag, &Ccr::new(), ScaleDirection::In).unwrap().completed);
+    }
+
     #[test]
     fn dcr_linear_scale_in_completes_without_loss() {
         let c = MigrationController::new()

@@ -6,9 +6,10 @@
 //! `instances.task_of(..)` + `dag.spec(..)` + `of_task(..)` +
 //! `assignment.vm_of(..)` chains is resolved once here, per
 //! (re)configuration. [`DispatchTables::build`] runs at engine
-//! construction and again from `on_rebalance_done` — the only points
-//! where the assignment flips or staged logic updates mutate the DAG —
-//! so the per-event cost drops to array indexing.
+//! construction; `on_rebalance_done` — the only point where the
+//! assignment flips or staged logic updates mutate the DAG — re-reads the
+//! VM column ([`DispatchTables::refresh_vms`]), or rebuilds every table
+//! when the DAG changed. The per-event cost drops to array indexing.
 
 use crate::instance::InstanceRuntime;
 use flowmig_cluster::{Assignment, VmId};
@@ -50,7 +51,7 @@ pub(crate) struct DispatchTables {
     /// Per task: the precomputed key-partition thresholds (`None` for
     /// unkeyed tasks).
     partitioners: Vec<Option<KeyPartitioner>>,
-    /// Per instance: hosting VM under the *current* assignment. Rebuilt
+    /// Per instance: hosting VM under the *current* assignment. Re-read
     /// when `on_target` flips.
     vm: Vec<Option<VmId>>,
 }
@@ -92,6 +93,14 @@ impl DispatchTables {
             })
             .collect();
         DispatchTables { meta, edges: EdgeTable::build(dag, instances), partitioners, vm }
+    }
+
+    /// Re-reads the VM column from `assignment`: all an assignment flip
+    /// changes while the dataflow and instance expansion stay the same.
+    pub fn refresh_vms(&mut self, assignment: &Assignment) {
+        for (i, vm) in self.vm.iter_mut().enumerate() {
+            *vm = assignment.vm_of(InstanceId::from_index(i));
+        }
     }
 
     /// Metadata of instance `i`.
@@ -202,23 +211,35 @@ impl DispatchTables {
     }
 }
 
-/// A fixed-capacity bitset over dense instance indices — O(1) membership
-/// for the per-delivery rebalance-scope check that used to walk the scope
-/// `Vec` on every delivered event.
+/// A fixed-capacity bitset over dense instance indices with a member
+/// count: the engine's per-instance sets (wave participants, scope
+/// members, per-wave acks, the rebalance scope) are all of this shape, so
+/// membership is O(1) and iteration runs in index order without a sort.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct InstanceBitset {
     words: Vec<u64>,
+    len: usize,
 }
 
 impl InstanceBitset {
     /// An empty bitset sized for `n` instances.
     pub fn with_capacity(n: usize) -> Self {
-        InstanceBitset { words: vec![0; n.div_ceil(64)] }
+        InstanceBitset { words: vec![0; n.div_ceil(64)], len: 0 }
     }
 
-    /// Marks instance `i`.
-    pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
+    /// Marks instance `i`; returns whether it was newly marked.
+    pub fn insert(&mut self, i: usize) -> bool {
+        let word = &mut self.words[i / 64];
+        let bit = 1u64 << (i % 64);
+        // A branch, not `len += usize::from(fresh)`: rustc 1.95's release
+        // build miscompiled that form and `len` never grew
+        // (`bitset_inserts_and_clears` catches it under `--release`).
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.len += 1;
+        true
     }
 
     /// Whether instance `i` is marked.
@@ -227,15 +248,34 @@ impl InstanceBitset {
         (self.words[i / 64] >> (i % 64)) & 1 != 0
     }
 
-    /// Clears every mark (capacity retained).
-    pub fn clear(&mut self) {
-        self.words.fill(0);
+    /// Number of marked instances.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
     /// Whether no instance is marked.
-    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.len == 0
+    }
+
+    /// Clears every mark (capacity retained).
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Marked instances in ascending index order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -281,15 +321,20 @@ mod tests {
     fn bitset_inserts_and_clears() {
         let mut b = InstanceBitset::with_capacity(200);
         assert!(b.is_empty());
-        for i in [0usize, 63, 64, 127, 199] {
+        for i in [199usize, 0, 64, 63, 127] {
             assert!(!b.contains(i));
-            b.insert(i);
+            assert!(b.insert(i), "first insert of {i} is fresh");
             assert!(b.contains(i));
         }
+        assert!(!b.insert(64), "re-insert is not fresh");
+        assert_eq!(b.len(), 5);
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 199]);
         assert!(!b.contains(1));
         assert!(!b.contains(128));
         b.clear();
         assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
+        assert_eq!(b.iter().next(), None);
         assert!(!b.contains(63));
     }
 }

@@ -21,7 +21,7 @@ use flowmig_cluster::{Assignment, ScalePlan, ShardMap, VmId, VmRole};
 use flowmig_metrics::{ControlKind, MigrationPhase, RootId, TraceEvent, TraceLog};
 use flowmig_sim::{Process, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 use flowmig_topology::{Dataflow, InstanceId, InstanceSet, KeyRange, TaskId, TaskKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Mixes a root id into a uniformly distributed key hash (the SplitMix64
 /// finalizer): keyed tasks partition their key space over this hash, so
@@ -60,12 +60,13 @@ fn compress_partitions(mut parts: Vec<u32>) -> Vec<KeyRange> {
 
 /// A resolved wave scope: which participants a scoped wave addresses, and
 /// (for key-range scopes) which key ranges of each keyed member actually
-/// move. A member without a `ranges` entry migrates whole-instance (an
+/// move. `ranges` is indexed by instance (empty when no member is
+/// sliced); a member whose entry is empty migrates whole-instance (an
 /// unkeyed task under a key-range scope has no ranges to slice).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ScopeSet {
-    members: HashSet<InstanceId>,
-    ranges: HashMap<usize, Vec<KeyRange>>,
+    members: InstanceBitset,
+    ranges: Vec<Vec<KeyRange>>,
 }
 
 /// A root event cached at the source for replay (acking enabled only).
@@ -94,10 +95,17 @@ struct SourceState {
 }
 
 /// Ack bookkeeping for one control-wave phase.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct WaveTracker {
-    acked: HashSet<InstanceId>,
+    acked: InstanceBitset,
     completed: bool,
+}
+
+impl WaveTracker {
+    /// A tracker with no ack yet, over `n` instances.
+    fn new(n: usize) -> Self {
+        WaveTracker { acked: InstanceBitset::with_capacity(n), completed: false }
+    }
 }
 
 /// The engine's full mutable state (crate-private; drive it via [`Engine`]).
@@ -148,7 +156,8 @@ pub struct EngineModel {
     /// operations complete. `None` = no open window for that kind.
     parallel_pending: [Option<Vec<VecDeque<usize>>>; ControlKind::COUNT],
     trackers: [Option<WaveTracker>; ControlKind::COUNT],
-    participants: HashSet<InstanceId>,
+    /// Every non-source instance: the set an unscoped wave addresses.
+    participants: InstanceBitset,
     /// Resolved scope of the most recent wave per kind; absent means the
     /// wave addresses every participant (the default, pin-preserving path).
     scope_sets: [Option<ScopeSet>; ControlKind::COUNT],
@@ -230,8 +239,10 @@ impl EngineCtl<'_, '_> {
     /// migrating participants; a key-range scope additionally restricts
     /// keyed tasks to the instances owning a hot partition and slices
     /// their persists/fetches to those ranges (and narrows the rebalance
-    /// to the scoped members). The scope is re-resolved on every call, so
-    /// resends stay consistent with the first emission.
+    /// to the scoped members). A scope that resolves to no participant
+    /// addresses every participant instead, as [`Self::start_wave`] does.
+    /// The scope is re-resolved on every call, so resends stay consistent
+    /// with the first emission.
     pub fn start_scoped_wave(
         &mut self,
         kind: ControlKind,
@@ -245,7 +256,7 @@ impl EngineCtl<'_, '_> {
     /// Clears the ack tracker for `kind` — call before the first wave of a
     /// phase so acks from earlier phases don't count.
     pub fn reset_wave(&mut self, kind: ControlKind) {
-        self.model.trackers[kind.index()] = Some(WaveTracker::default());
+        self.model.trackers[kind.index()] = Some(WaveTracker::new(self.model.instances.len()));
         self.model.parallel_pending[kind.index()] = None;
     }
 
@@ -356,10 +367,12 @@ impl EngineModel {
             }
         }
 
-        let participants: HashSet<InstanceId> = instances
-            .iter()
-            .filter(|&i| dag.spec(instances.task_of(i)).kind() != TaskKind::Source)
-            .collect();
+        let mut participants = InstanceBitset::with_capacity(n);
+        for i in instances.iter() {
+            if dag.spec(instances.task_of(i)).kind() != TaskKind::Source {
+                participants.insert(i.index());
+            }
+        }
 
         let mut expected_senders = vec![0usize; n];
         for i in instances.iter() {
@@ -858,33 +871,35 @@ impl EngineModel {
     /// Resolves `scope` against the current migration set and key spaces
     /// and installs the result for `kind` waves (removes any scope for
     /// [`WaveScope::AllParticipants`]). A key-range scope also narrows the
-    /// rebalance to the scoped members.
+    /// rebalance to the scoped members. A scope that resolves to no member
+    /// degrades to every participant: a wave nobody is addressed by would
+    /// wait forever for its first ack.
     fn install_scope(&mut self, kind: ControlKind, scope: WaveScope) {
-        match scope {
-            WaveScope::AllParticipants => {
-                self.scope_sets[kind.index()] = None;
-            }
+        let set = match scope {
+            WaveScope::AllParticipants => None,
             WaveScope::Instances(InstanceScope::Migrating) => {
-                let members: HashSet<InstanceId> = self
-                    .migrating
-                    .iter()
-                    .copied()
-                    .filter(|i| self.participants.contains(i))
-                    .collect();
-                self.scope_sets[kind.index()] = Some(ScopeSet { members, ranges: HashMap::new() });
+                Some(ScopeSet { members: self.migrating_participants(), ranges: Vec::new() })
             }
             WaveScope::KeyRanges(kr) => {
                 let set = self.resolve_key_range_scope(kr.hot_weight_permille);
-                let mut kill_set: Vec<InstanceId> = set.members.iter().copied().collect();
-                kill_set.sort_unstable_by_key(|i| i.index());
-                self.respawning.clear();
-                for i in &kill_set {
-                    self.respawning.insert(i.index());
-                }
-                self.rebalance_scope = Some(kill_set);
-                self.scope_sets[kind.index()] = Some(set);
+                self.rebalance_scope =
+                    Some(set.members.iter().map(InstanceId::from_index).collect());
+                self.respawning.clone_from(&set.members);
+                Some(set)
+            }
+        };
+        self.scope_sets[kind.index()] = set.filter(|s| !s.members.is_empty());
+    }
+
+    /// The migrating instances that take part in waves.
+    fn migrating_participants(&self) -> InstanceBitset {
+        let mut members = InstanceBitset::with_capacity(self.instances.len());
+        for i in &self.migrating {
+            if self.participants.contains(i.index()) {
+                members.insert(i.index());
             }
         }
+        members
     }
 
     /// Resolves a key-range scope: for each migrating participant, keyed
@@ -895,24 +910,23 @@ impl EngineModel {
     /// owns any hot partition (e.g. a key-range scope over an unkeyed DAG
     /// degenerates to an instance scope).
     fn resolve_key_range_scope(&self, permille: u16) -> ScopeSet {
-        let mut members: HashSet<InstanceId> = HashSet::new();
-        let mut ranges: HashMap<usize, Vec<KeyRange>> = HashMap::new();
+        let n = self.instances.len();
+        let mut members = InstanceBitset::with_capacity(n);
+        let mut ranges: Vec<Vec<KeyRange>> = vec![Vec::new(); n];
         for &iid in &self.migrating {
-            if !self.participants.contains(&iid) {
+            let i = iid.index();
+            if !self.participants.contains(i) {
                 continue;
             }
-            let task = self.instances.task_of(iid);
-            let spec = self.dag.spec(task);
-            if !spec.is_keyed() {
-                members.insert(iid);
+            let meta = self.tables.meta(i);
+            if !meta.keyed {
+                members.insert(i);
                 continue;
             }
-            let replicas = self.instances.of_task(task);
-            let slot =
-                replicas.iter().position(|&i| i == iid).expect("instance belongs to its task")
-                    as u32;
-            let k = replicas.len() as u32;
-            let owned: Vec<u32> = spec
+            let (slot, k) = (meta.slot, meta.task_replicas);
+            let owned: Vec<u32> = self
+                .dag
+                .spec(meta.task)
                 .hot_ranges(permille)
                 .iter()
                 .flat_map(|r| r.start..r.end)
@@ -921,15 +935,13 @@ impl EngineModel {
             if owned.is_empty() {
                 continue; // this replica's state is all cold: it stays put
             }
-            members.insert(iid);
-            ranges.insert(iid.index(), compress_partitions(owned));
+            members.insert(i);
+            ranges[i] = compress_partitions(owned);
         }
         if members.is_empty() {
             // Nothing owns a hot partition (all-cold edge case): degrade
             // to the instance scope rather than wedge a zero-target wave.
-            members =
-                self.migrating.iter().copied().filter(|i| self.participants.contains(i)).collect();
-            ranges.clear();
+            return ScopeSet { members: self.migrating_participants(), ranges: Vec::new() };
         }
         ScopeSet { members, ranges }
     }
@@ -943,7 +955,10 @@ impl EngineModel {
     /// The hot key ranges the current `kind` wave slices `instance` to,
     /// if that wave is key-range scoped and `instance` is a keyed member.
     fn scoped_ranges(&self, kind: ControlKind, instance: usize) -> Option<&Vec<KeyRange>> {
-        self.scope_sets[kind.index()].as_ref().and_then(|s| s.ranges.get(&instance))
+        self.scope_sets[kind.index()]
+            .as_ref()
+            .and_then(|s| s.ranges.get(instance))
+            .filter(|r| !r.is_empty())
     }
 
     /// Store-op pricing surcharge for the per-partition counters a keyed
@@ -966,7 +981,8 @@ impl EngineModel {
             current
         };
         self.wave_routing[kind.index()] = Some(routing);
-        self.trackers[kind.index()].get_or_insert_with(WaveTracker::default);
+        let n = self.instances.len();
+        self.trackers[kind.index()].get_or_insert_with(|| WaveTracker::new(n));
         self.trace.record(TraceEvent::ControlWave { kind, wave, at: sched.now() });
 
         // Wave setup is driven entirely by the routing's interpreted
@@ -996,15 +1012,11 @@ impl EngineModel {
             // duplicates without advancing any window, wedging the shard
             // behind them.
             let acked = self.trackers[kind.index()].as_ref().map(|t| &t.acked);
-            let scope = self.scope_sets[kind.index()].as_ref();
-            let mut targets: Vec<usize> = self
-                .participants
+            let members =
+                self.scope_sets[kind.index()].as_ref().map_or(&self.participants, |s| &s.members);
+            let targets = members
                 .iter()
-                .filter(|i| scope.is_none_or(|s| s.members.contains(i)))
-                .filter(|i| !(disc.windowed && acked.is_some_and(|a| a.contains(i))))
-                .map(|i| i.index())
-                .collect();
-            targets.sort_unstable();
+                .filter(|&i| !(disc.windowed && acked.is_some_and(|a| a.contains(i))));
             let from = ControlSender::CheckpointSource(TaskId::from_index(0));
             if disc.windowed {
                 // Paced by the sharded store: every shard serves at most
@@ -1202,9 +1214,7 @@ impl EngineModel {
     }
 
     fn already_acked(&self, kind: ControlKind, instance: usize) -> bool {
-        self.trackers[kind.index()]
-            .as_ref()
-            .is_some_and(|t| t.acked.contains(&InstanceId::from_index(instance)))
+        self.trackers[kind.index()].as_ref().is_some_and(|t| t.acked.contains(instance))
     }
 
     fn finish_control(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
@@ -1608,7 +1618,7 @@ impl EngineModel {
             let Some(tracker) = self.trackers[kind.index()].as_mut() else {
                 return;
             };
-            let newly_acked = tracker.acked.insert(iid);
+            let newly_acked = tracker.acked.insert(instance);
             let complete = tracker.acked.len() >= target;
             let start = complete && !tracker.completed;
             if start {
@@ -1657,6 +1667,7 @@ impl EngineModel {
         // Apply staged task-logic updates: the redeployed executors run
         // the new user logic (§7's DAG update on the fly; DCR's clean
         // old/new boundary makes this safe).
+        let dag_changed = !self.staged_updates.is_empty();
         for (task, spec) in self.staged_updates.drain(..) {
             self.dag = self.dag.with_spec(task, spec);
         }
@@ -1672,24 +1683,31 @@ impl EngineModel {
             sched.after(delay, Ev::WorkerReady { instance: iid.index() as u32 });
         }
         // The routing inputs just changed (assignment flipped to the
-        // target, staged logic updates applied): rebuild the flat dispatch
+        // target, staged logic updates applied): refresh the flat dispatch
         // tables before the coordinator can start an INIT wave against
         // them. The scoped-respawn fast path ends with the rebalance too.
-        self.rebuild_dispatch_tables();
+        self.refresh_dispatch_tables(dag_changed);
         self.respawning.clear();
         self.notify(sched, |c, ctl| c.on_rebalance_complete(ctl));
     }
 
-    /// Rebuilds the flat dispatch tables from the current dataflow,
-    /// instance expansion, and assignment — see the crate-level "Dispatch
-    /// model" section for the lifecycle.
-    fn rebuild_dispatch_tables(&mut self) {
-        self.tables = DispatchTables::build(
-            &self.dag,
-            &self.instances,
-            self.assignment(),
-            self.store.shard_count(),
-        );
+    /// Brings the flat dispatch tables up to date with the current
+    /// assignment: re-reads only the VM column, or rebuilds every table
+    /// from the dataflow when `dag_changed` (staged logic updates were
+    /// applied) — see the crate-level "Dispatch model" section for the
+    /// lifecycle.
+    fn refresh_dispatch_tables(&mut self, dag_changed: bool) {
+        let assignment = if self.on_target { &self.target } else { &self.initial };
+        if dag_changed {
+            self.tables = DispatchTables::build(
+                &self.dag,
+                &self.instances,
+                assignment,
+                self.store.shard_count(),
+            );
+        } else {
+            self.tables.refresh_vms(assignment);
+        }
         self.stats.dispatch_rebuilds += 1;
         debug_assert!(self.tables.agrees_with(
             &self.dag,
@@ -2047,6 +2065,7 @@ mod tests {
     use crate::protocol::NoopCoordinator;
     use flowmig_cluster::ScaleDirection;
     use flowmig_topology::library;
+    use std::collections::{HashMap, HashSet};
 
     fn engine_for(dag: Dataflow, protocol: ProtocolConfig, seed: u64) -> Engine {
         let instances = InstanceSet::plan(&dag);
@@ -2171,12 +2190,18 @@ mod tests {
         fn on_resend_timer(&mut self, _kind: ControlKind, _ctl: &mut EngineCtl<'_, '_>) {}
     }
 
-    #[test]
-    fn rebalance_rebuilds_tables_without_stale_targets() {
+    /// Whether every dispatch table agrees with the dynamic lookups — the
+    /// `agrees_with` oracle, called directly so release builds check it.
+    fn tables_fresh(m: &EngineModel) -> bool {
+        m.tables.agrees_with(&m.dag, &m.instances, m.assignment(), m.store.shard_count())
+    }
+
+    /// A grid engine under the wave-less [`RebalanceOnly`] coordinator.
+    fn rebalance_only_grid() -> Engine {
         let dag = library::grid();
         let instances = InstanceSet::plan(&dag);
         let plan = ScalePlan::paper_scenario(&dag, &instances, ScaleDirection::In).unwrap();
-        let mut e = Engine::new(
+        Engine::new(
             dag,
             instances,
             &plan,
@@ -2184,22 +2209,25 @@ mod tests {
             ProtocolConfig::dcr(),
             Box::new(RebalanceOnly),
             13,
-        );
+        )
+    }
+
+    #[test]
+    fn rebalance_rebuilds_tables_without_stale_targets() {
+        let mut e = rebalance_only_grid();
         // Construction builds the tables once, against the initial assignment.
         assert_eq!(e.model.stats.dispatch_rebuilds, 1);
-        let fresh = |m: &EngineModel| {
-            m.tables.agrees_with(&m.dag, &m.instances, m.assignment(), m.store.shard_count())
-        };
-        assert!(fresh(&e.model), "tables stale right after construction");
+        assert!(tables_fresh(&e.model), "tables stale right after construction");
 
         e.schedule_migration(SimTime::from_secs(10));
         e.run_until(SimTime::from_secs(60));
 
         // The scale-in kill/respawn switched the engine to the target
-        // assignment and re-derived every table from it, exactly once.
+        // assignment and refreshed the tables for it, exactly once: a
+        // plain flip re-reads only the VM column.
         assert!(e.model.on_target, "rebalance did not complete");
         assert_eq!(e.model.stats.dispatch_rebuilds, 2);
-        assert!(fresh(&e.model), "tables stale after rebalance");
+        assert!(tables_fresh(&e.model), "tables stale after rebalance");
         // The scenario genuinely relocates instances across VMs, and the VM
         // column tracks the *target* placement for each of them — a stale
         // table would still answer with pre-rebalance VMs here.
@@ -2212,6 +2240,36 @@ mod tests {
             assert_eq!(e.model.tables.vm(i.index()), e.model.target.vm_of(i));
         }
         assert!(e.model.respawning.is_empty(), "respawn scope not cleared");
+    }
+
+    #[test]
+    fn rebalance_with_a_staged_logic_update_rebuilds_every_table() {
+        let mut e = rebalance_only_grid();
+        let task = e.model.dag.task_by_name("m2").unwrap();
+        let slower = SimDuration::from_millis(250);
+        let keyed = e.model.dag.spec(task).clone().with_latency(slower).with_key_partitions(16);
+        e.stage_logic_update(task, keyed);
+        e.schedule_migration(SimTime::from_secs(10));
+        e.run_until(SimTime::from_secs(60));
+
+        assert!(e.model.on_target, "rebalance did not complete");
+        assert_eq!(e.model.stats.dispatch_rebuilds, 2);
+        assert!(tables_fresh(&e.model), "tables stale after a logic update");
+        for &i in e.model.instances.of_task(task) {
+            let meta = e.model.tables.meta(i.index());
+            assert_eq!((meta.latency, meta.keyed, meta.key_partitions), (slower, true, 16));
+        }
+        // Re-reading the VM column alone would have left the updated
+        // task's metadata and partitioner stale.
+        let m = &e.model;
+        let mut vm_only = DispatchTables::build(
+            &library::grid(),
+            &m.instances,
+            &m.initial,
+            m.store.shard_count(),
+        );
+        vm_only.refresh_vms(&m.target);
+        assert!(!vm_only.agrees_with(&m.dag, &m.instances, &m.target, m.store.shard_count()));
     }
 
     #[test]

@@ -50,28 +50,36 @@
 //!   cumulative key-weight thresholds, bitwise-identical to
 //!   `TaskSpec::partition_of` but O(log partitions) instead of
 //!   O(partitions²) per event;
-//! * a per-instance VM column replacing `Assignment::vm_of` hash lookups
-//!   in network-delay pricing.
+//! * a per-instance VM column replacing per-event `Assignment::vm_of`
+//!   lookups in network-delay pricing.
 //!
-//! **Lifecycle.** Tables are built once in `EngineModel::new` and rebuilt
-//! at exactly one other point: the end of a rebalance
+//! **Lifecycle.** Tables are built once in `EngineModel::new` and
+//! refreshed at exactly one other point: the end of a rebalance
 //! (`on_rebalance_done`), after the assignment flips to the target and
 //! staged logic updates are applied, before the coordinator is notified —
-//! the only events that change routing inputs. The
-//! [`EngineStats`] field `dispatch_rebuilds` counts rebuilds; debug
-//! builds assert table/graph agreement after every rebuild.
+//! the only events that change routing inputs. A plain flip changes only
+//! where instances run, so the refresh re-reads just the per-instance VM
+//! column from the target assignment; only when staged logic updates
+//! changed the dataflow are all tables rebuilt from it. The
+//! [`EngineStats`] field `dispatch_rebuilds` counts the construction build
+//! plus one refresh per rebalance, whichever path it took; debug builds
+//! assert table/graph agreement after both paths.
 //!
 //! Per-kind wave bookkeeping (`next_wave`, trackers, routing, scopes) is
 //! stored in [`flowmig_metrics::ControlKind`]-indexed arrays
-//! (`ControlKind::index`), and a
-//! rebalance scope installs an instance-indexed bitset so the per-delivery
-//! "is this instance mid-respawn?" check is O(1).
+//! (`ControlKind::index`). Every per-instance set — wave participants,
+//! scope members, per-wave acks and the rebalance scope — is an
+//! instance-indexed bitset with a member count, so membership checks
+//! (including the per-delivery "is this instance mid-respawn?" test) are
+//! O(1) and waves visit their targets in index order without a sort.
 //!
-//! **Hashing policy.** Maps that remain maps (acker ledgers, the root
-//! replay cache, store blob maps) use the in-tree [`FxHasher`] — see
-//! [`fasthash`] for the rule on when a map may adopt it (no observable
-//! iteration-order dependence; the determinism pins are the regression
-//! proof).
+//! **Hashing policy.** Bookkeeping keyed by dense instance indices lives
+//! in `Vec`s or bitsets, not hash maps. The maps that remain are keyed by
+//! sparse ids (acker ledgers and the root replay cache, by root id) or
+//! model the checkpoint store's key space (store blob maps), and use the
+//! in-tree [`FxHasher`] — see [`fasthash`] for the rule on when a map may
+//! adopt it (no observable iteration-order dependence; the determinism
+//! pins are the regression proof).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

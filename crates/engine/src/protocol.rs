@@ -54,7 +54,9 @@ pub enum WaveRouting {
 ///
 /// Scopes are symbolic selectors, resolved by the engine against the run's
 /// scale plan and key spaces when the wave starts — a plan stays static
-/// strategy data and never embeds concrete instance ids.
+/// strategy data and never embeds concrete instance ids. A scope that
+/// resolves to no participant (a dataflow where nothing migrates) widens
+/// to every participant, so the wave still completes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WaveScope {
     /// Every non-source participant (operators + sinks) — the pre-scope

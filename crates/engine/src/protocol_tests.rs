@@ -8,7 +8,7 @@ use crate::EngineConfig;
 use flowmig_cluster::{ScaleDirection, ScalePlan};
 use flowmig_metrics::{ControlKind, TraceEvent};
 use flowmig_sim::{SimDuration, SimTime};
-use flowmig_topology::{library, Dataflow, InstanceSet};
+use flowmig_topology::{library, Dataflow, InstanceSet, TaskKind};
 
 /// A coordinator that runs exactly one wave of a chosen kind/routing when
 /// the migration is requested, and records completion.
@@ -84,6 +84,41 @@ fn sequential_prepare_aligns_across_multi_instance_upstreams() {
         .filter(|e| matches!(e, TraceEvent::ControlAcked { kind: ControlKind::Prepare, .. }))
         .count();
     assert_eq!(acks, 22, "each participant acks the wave exactly once");
+}
+
+#[test]
+fn wave_acks_are_tracked_past_one_bitset_word() {
+    // gridx5 has 75 operator and 5 sink participants, so the participant
+    // and ack bitsets span two 64-bit words. A broadcast and a windowed
+    // COMMIT each take exactly one ack from every participant, those
+    // indexed past 63 included, and complete.
+    let dag = library::grid_scaled(5);
+    let instances = InstanceSet::plan(&dag);
+    let participants: Vec<usize> = instances
+        .iter()
+        .filter(|&i| dag.spec(instances.task_of(i)).kind() != TaskKind::Source)
+        .map(|i| i.index())
+        .collect();
+    assert_eq!(participants.len(), 80);
+    assert!(participants.iter().any(|&i| i >= 64));
+    for routing in [WaveRouting::Broadcast, WaveRouting::Parallel { fan_out: 2 }] {
+        let (mut engine, completed) =
+            engine_with_wave(dag.clone(), ControlKind::Commit, routing, ProtocolConfig::ccr());
+        engine.run_until(SimTime::from_secs(60));
+        assert!(completed.get(), "{routing:?} COMMIT completes");
+        let mut acked: Vec<usize> = engine
+            .trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ControlAcked { kind: ControlKind::Commit, instance, .. } => {
+                    Some(instance.index())
+                }
+                _ => None,
+            })
+            .collect();
+        acked.sort_unstable();
+        assert_eq!(acked, participants, "{routing:?}: one ack per participant");
+    }
 }
 
 #[test]

@@ -91,8 +91,12 @@ pub struct EngineStats {
     /// (release builds; debug builds panic there instead). Nonzero flags a
     /// scheduling bug that the clamp kept from corrupting event order.
     pub sched_clamped_past: u64,
-    /// Dispatch-table rebuilds (one at construction, one per completed
-    /// rebalance) — see the crate-level "Dispatch model" section.
+    /// Times the dispatch tables were brought up to date: one full build
+    /// at construction, then one per completed rebalance. A rebalance
+    /// counts whichever way it refreshed them: re-reading only the VM
+    /// column (the assignment flip alone) or rebuilding every table
+    /// (staged logic updates changed the dataflow). See the crate-level
+    /// "Dispatch model" section.
     pub dispatch_rebuilds: u64,
     /// Barrier windows the multi-worker executor cut short because a
     /// shard's frontier fell inside the merged run (always 0 under the

@@ -8,13 +8,18 @@
 //! Written in-tree (like the serde/rand shims) because the container has
 //! no registry access.
 //!
-//! **Hashing policy.** A map may adopt [`FastHashMap`]/[`FastHashSet`]
-//! only if no observable behavior depends on its iteration order: every
-//! current user either accesses entries purely by key or sorts whatever
-//! it iterates (e.g. `Acker::expire` orders expiries by registration
-//! time, never by bucket iteration). The 37 pinned determinism trace
-//! hashes are the regression proof — a hidden order dependence would
-//! shift a pin.
+//! **Hashing policy.** State keyed by dense instance indices lives in
+//! `Vec`s or bitsets, not hash maps: assignments, wave participants,
+//! scope members and per-wave ack sets are indexed by the instance number
+//! directly, which costs neither a hash nor a sort to iterate in order.
+//! Hash maps are for sparse keys (root ids, the queue's run keys) and for
+//! the checkpoint store's key space. A map may adopt
+//! [`FastHashMap`]/[`FastHashSet`] only if no observable behavior depends
+//! on its iteration order: every current user either accesses entries
+//! purely by key or sorts whatever it iterates (e.g. `Acker::expire`
+//! orders expiries by registration time, never by bucket iteration). The
+//! 38 pinned determinism trace hashes are the regression proof — a hidden
+//! order dependence would shift a pin.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,11 +1,14 @@
 //! Property-based tests over the core data structures and protocols.
 
+use flowmig::cluster::{SlotId, VmId};
 use flowmig::core::CcrPipelined;
 use flowmig::engine::{AckOutcome, Acker, ShardedStateStore};
 use flowmig::metrics::RootId;
 use flowmig::prelude::*;
 use flowmig::sim::{Process, RunOutcome, Scheduler, Simulation};
+use flowmig::topology::InstanceId;
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------
 // Acker XOR-ledger properties
@@ -196,6 +199,96 @@ proptest! {
         // Reliability must not depend on the pricing model.
         prop_assert_eq!(fifo.stats.events_dropped, 0);
         prop_assert_eq!(fifo.stats.replayed_roots, 0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dense assignment oracle
+// ---------------------------------------------------------------------
+
+/// One `place(instance, slot)` call: sparse instance ids, a few VMs, and
+/// slot indices in the first, second and last 64-slot occupancy words.
+fn place_op() -> impl Strategy<Value = (usize, usize, u8)> {
+    (0usize..24, 0usize..4, prop_oneof![0u8..4, 62u8..66, 252u8..255])
+}
+
+/// Replays `ops` on a dense [`Assignment`] and on a `HashMap` model,
+/// checking each `place` return value. A placement onto a slot another
+/// instance holds is skipped in both: `place` panics on it, which the
+/// cluster crate's unit tests pin.
+fn replay_places(ops: &[(usize, usize, u8)]) -> (Assignment, HashMap<InstanceId, SlotId>) {
+    let mut dense = Assignment::new();
+    let mut model = HashMap::new();
+    for &(i, vm, slot) in ops {
+        let (i, s) = (InstanceId::from_index(i), SlotId { vm: VmId::from_index(vm), slot });
+        if model.iter().any(|(&j, &t)| j != i && t == s) {
+            continue;
+        }
+        assert_eq!(dense.place(i, s), model.insert(i, s), "place({i}, {s}) return value");
+    }
+    (dense, model)
+}
+
+proptest! {
+    /// The dense `Assignment` answers every query like a plain
+    /// `HashMap<InstanceId, SlotId>` fed the same `place` history — fresh
+    /// slots, re-places onto a new or the same slot, ids with gaps placed
+    /// out of order — and compares equal exactly when the mappings are,
+    /// whatever history built them.
+    #[test]
+    fn dense_assignment_matches_a_hash_map_model(
+        first in proptest::collection::vec(place_op(), 0..64),
+        second in proptest::collection::vec(place_op(), 0..64),
+    ) {
+        let (a, model_a) = replay_places(&first);
+        let (b, model_b) = replay_places(&second);
+        for (dense, model) in [(&a, &model_a), (&b, &model_b)] {
+            prop_assert_eq!(dense.len(), model.len());
+            prop_assert_eq!(dense.is_empty(), model.is_empty());
+            for i in (0..80).map(InstanceId::from_index) {
+                prop_assert_eq!(dense.slot_of(i), model.get(&i).copied());
+                prop_assert_eq!(dense.vm_of(i), model.get(&i).map(|s| s.vm));
+            }
+            let mut pairs: Vec<(InstanceId, SlotId)> =
+                model.iter().map(|(&i, &s)| (i, s)).collect();
+            pairs.sort();
+            prop_assert_eq!(dense.iter().collect::<Vec<_>>(), pairs);
+            let vms: HashSet<VmId> = model.values().map(|s| s.vm).collect();
+            prop_assert_eq!(dense.vms_used(), vms);
+        }
+
+        // Migration diffs, including on asymmetric instance sets: an
+        // instance in only one assignment counts as moved.
+        let keys: HashSet<InstanceId> = model_a.keys().chain(model_b.keys()).copied().collect();
+        let mut moved: Vec<InstanceId> =
+            keys.into_iter().filter(|i| model_a.get(i) != model_b.get(i)).collect();
+        moved.sort();
+        prop_assert_eq!(a.moved_instances(&b), moved.clone());
+        prop_assert_eq!(b.moved_instances(&a), moved);
+        prop_assert!(a.moved_instances(&a).is_empty());
+        prop_assert_eq!(a == b, model_a == model_b);
+
+        // The same mapping through other histories: placed directly in
+        // reverse instance order; re-placed onto the slots it already
+        // holds; and with every instance first parked on a
+        // higher-numbered VM (and a wider slot index), whose left-over
+        // occupancy storage must not make the mappings compare unequal.
+        let mut pairs: Vec<(InstanceId, SlotId)> = model_a.iter().map(|(&i, &s)| (i, s)).collect();
+        pairs.sort();
+        let direct: Assignment = pairs.iter().rev().copied().collect();
+        prop_assert!(direct == a);
+        let mut again = a.clone();
+        for &(i, s) in &pairs {
+            prop_assert_eq!(again.place(i, s), Some(s));
+        }
+        prop_assert!(again == a);
+        let mut detour = Assignment::new();
+        for (k, &(i, _)) in pairs.iter().enumerate() {
+            detour.place(i, SlotId { vm: VmId::from_index(100 + k), slot: 200 });
+        }
+        detour.extend(pairs.iter().copied());
+        prop_assert!(detour == a);
+        prop_assert_eq!(detour.vms_used(), a.vms_used());
     }
 }
 
