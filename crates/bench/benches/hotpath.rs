@@ -14,7 +14,7 @@ use criterion::{criterion_group, BatchSize, Criterion};
 use flowmig_engine::{Acker, ShardedStateStore, StateBlob};
 use flowmig_metrics::RootId;
 use flowmig_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
-use flowmig_topology::InstanceId;
+use flowmig_topology::{InstanceId, KeyRange};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -259,13 +259,14 @@ fn bench_sharded_store(c: &mut Criterion) {
             b.iter_batched(
                 || ShardedStateStore::with_shards(shards),
                 |mut store| {
+                    let whole = KeyRange::whole(1);
                     for idx in 0..64 {
-                        store.put(InstanceId::from_index(idx), blob.clone());
+                        store.put(InstanceId::from_index(idx), whole, blob.clone());
                     }
                     let mut fetched = 0usize;
                     for idx in 0..64 {
-                        fetched +=
-                            store.get(InstanceId::from_index(idx)).map_or(0, |b| b.pending.len());
+                        let blob = store.get(InstanceId::from_index(idx), whole);
+                        fetched += blob.map_or(0, |b| b.pending.len());
                     }
                     black_box((fetched, store.bytes_written()))
                 },

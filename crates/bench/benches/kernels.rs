@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flowmig_cluster::ScaleDirection;
 use flowmig_core::{Ccr, Dsm, MigrationController};
-use flowmig_engine::{Acker, StateBlob, StateStore};
+use flowmig_engine::{Acker, ShardedStateStore, StateBlob};
 use flowmig_metrics::RootId;
 use flowmig_sim::{EventQueue, SimDuration, SimTime};
-use flowmig_topology::{library, InstanceId};
+use flowmig_topology::{library, InstanceId, KeyRange};
 use std::hint::black_box;
 
 fn bench_acker(c: &mut Criterion) {
@@ -76,10 +76,11 @@ fn bench_state_store(c: &mut Criterion) {
             key_counts: Vec::new(),
         };
         b.iter_batched(
-            StateStore::new,
+            ShardedStateStore::new,
             |mut store| {
-                store.put(InstanceId::from_index(0), blob.clone());
-                black_box(store.get(InstanceId::from_index(0)).map(|b| b.pending.len()))
+                let (i, whole) = (InstanceId::from_index(0), KeyRange::whole(1));
+                store.put(i, whole, blob.clone());
+                black_box(store.get(i, whole).map(|b| b.pending.len()))
             },
             BatchSize::SmallInput,
         )

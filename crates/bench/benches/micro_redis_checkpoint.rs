@@ -14,12 +14,18 @@
 
 use flowmig_bench::{banner, paper};
 use flowmig_engine::{
-    ShardedStateStore, StateBlob, StateStore, StoreLatencyModel, StoreServiceModel,
+    ShardedStateStore, StateBlob, StoreLatencyModel, StoreOpKind, StoreReplication,
+    StoreServiceModel,
 };
 use flowmig_metrics::RootId;
 use flowmig_sim::SimTime;
-use flowmig_topology::InstanceId;
+use flowmig_topology::{InstanceId, KeyRange};
 use flowmig_workloads::TextTable;
+
+/// A one-shard store serving concurrent load under `model`.
+fn one_shard(model: StoreServiceModel) -> ShardedStateStore {
+    ShardedStateStore::with_config(1, model, StoreReplication::default())
+}
 
 fn main() {
     banner("§5.1 Redis micro", "checkpoint latency vs captured-event count and shard load");
@@ -31,13 +37,11 @@ fn main() {
     // latency formula for every size.
     let mut table = TextTable::new(&["pending events", "persist cost (ms)", "paper"]);
     for n in [0usize, 10, 100, 500, 1_000, 2_000, 5_000] {
-        let mut store = ShardedStateStore::with_shards(1);
-        let delay = store.admit(
-            InstanceId::from_index(0),
-            SimTime::ZERO,
-            model.op_cost(n),
-            StoreServiceModel::FifoPerShard,
-        );
+        let mut store = one_shard(StoreServiceModel::FifoPerShard);
+        let delay = store
+            .admit(InstanceId::from_index(0), SimTime::ZERO, model.op_cost(n), StoreOpKind::Persist)
+            .delay()
+            .expect("a healthy shard serves");
         assert_eq!(delay, model.op_cost(n), "idle shard reproduces the latency model at {n}");
         let note = if n == 2_000 {
             format!("≈{:.0} ms", paper::REDIS_2000_EVENTS_MS)
@@ -66,15 +70,17 @@ fn main() {
         "fifo total wait (ms)",
     ]);
     for k in [1u64, 2, 4, 8, 16] {
-        let mut flat = ShardedStateStore::with_shards(1);
-        let mut fifo = ShardedStateStore::with_shards(1);
+        let mut flat = one_shard(StoreServiceModel::Unqueued);
+        let mut fifo = one_shard(StoreServiceModel::FifoPerShard);
         let (mut flat_last, mut fifo_last) = (0.0f64, 0.0f64);
         for op in 0..k {
             let i = InstanceId::from_index(op as usize);
-            let f = flat.admit(i, SimTime::ZERO, service, StoreServiceModel::Unqueued);
-            let q = fifo.admit(i, SimTime::ZERO, service, StoreServiceModel::FifoPerShard);
-            flat_last = flat_last.max(f.as_millis_f64());
-            fifo_last = fifo_last.max(q.as_millis_f64());
+            let admit = |store: &mut ShardedStateStore| {
+                let outcome = store.admit(i, SimTime::ZERO, service, StoreOpKind::Persist);
+                outcome.delay().expect("a healthy shard serves").as_millis_f64()
+            };
+            flat_last = flat_last.max(admit(&mut flat));
+            fifo_last = fifo_last.max(admit(&mut fifo));
         }
         assert!(
             (fifo_last - service.as_millis_f64() * k as f64).abs() < 1e-6,
@@ -90,8 +96,9 @@ fn main() {
     println!("{sweep}");
 
     // Durability semantics: a 2 000-event blob round-trips intact.
-    let mut store = StateStore::new();
+    let mut store = ShardedStateStore::new();
     let instance = InstanceId::from_index(0);
+    let whole = KeyRange::whole(1);
     let blob = StateBlob {
         processed: 123,
         pending: (0..2_000u64)
@@ -104,8 +111,8 @@ fn main() {
             .collect(),
         key_counts: Vec::new(),
     };
-    store.put(instance, blob.clone());
-    let restored = store.get(instance).expect("blob present");
+    store.put(instance, whole, blob.clone());
+    let restored = store.get(instance, whole).expect("blob present");
     assert_eq!(restored, blob);
     println!(
         "durability check passed: 2000-event blob round-trips intact ({} puts, {} gets)",

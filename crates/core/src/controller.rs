@@ -166,7 +166,8 @@ impl MigrationController {
     /// Schedules a full store-shard outage: every replica of `shard` goes
     /// down at `at` and recovers `downtime` later (see
     /// [`flowmig_engine::Engine::schedule_shard_outage`]). May be called
-    /// multiple times for multiple outages.
+    /// multiple times for multiple outages. A run panics before it starts
+    /// if `shard` is not below [`store_shards`](Self::store_shards).
     pub fn with_shard_outage(mut self, shard: usize, at: SimTime, downtime: SimDuration) -> Self {
         self.shard_outages.push((shard, usize::MAX, at, downtime));
         self
@@ -175,7 +176,8 @@ impl MigrationController {
     /// Schedules a partial shard outage: `down` replicas of `shard` (the
     /// fastest first) go down at `at` and recover `downtime` later. With
     /// replication configured, persists whose quorum fits in the
-    /// survivors complete degraded instead of failing.
+    /// survivors complete degraded instead of failing. A run panics before
+    /// it starts if `shard` is not below [`store_shards`](Self::store_shards).
     pub fn with_shard_degradation(
         mut self,
         shard: usize,
@@ -213,6 +215,11 @@ impl MigrationController {
     /// The configured horizon.
     pub fn horizon(&self) -> SimTime {
         self.horizon
+    }
+
+    /// The shard count of the checkpoint store a run builds.
+    pub fn store_shards(&self) -> usize {
+        self.engine_config.store_shards
     }
 
     /// Runs one migration of `dag` under `strategy` for the Table 1

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 /// finalizer): keyed tasks partition their key space over this hash, so
 /// sibling instances of one task agree on an event's partition without
 /// coordination.
-fn key_hash(x: u64) -> u64 {
+pub(crate) fn key_hash(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -390,7 +390,11 @@ impl EngineModel {
         let pinned_vm =
             plan.pool().with_role(VmRole::Pinned).next().expect("plan has a pinned source/sink VM");
         let source_count = sources.len();
-        let store = ShardedStateStore::with_shards(config.store_shards);
+        let store = ShardedStateStore::with_config(
+            config.store_shards,
+            config.store_service,
+            config.store_replication,
+        );
         let tables = DispatchTables::build(&dag, &instances, plan.initial(), store.shard_count());
         let stats = EngineStats { dispatch_rebuilds: 1, ..EngineStats::default() };
 
@@ -961,10 +965,23 @@ impl EngineModel {
             .filter(|r| !r.is_empty())
     }
 
-    /// Store-op pricing surcharge for the per-partition counters a keyed
-    /// persist/fetch carries, in pending-event equivalents (zero for
-    /// unkeyed state, which keeps pre-keyed pricing byte-identical).
-    fn counter_event_equiv(partitions: usize) -> usize {
+    /// The range of `instance`'s whole-instance blob: the one its last
+    /// unscoped COMMIT wrote, else its current key space.
+    fn committed_range(&self, instance: usize) -> KeyRange {
+        self.runtimes[instance]
+            .committed
+            .unwrap_or_else(|| KeyRange::whole(self.tables.meta(instance).key_partitions))
+    }
+
+    /// Store-op pricing surcharge for the per-partition counters that a
+    /// persist/fetch of `ranges` carries, in pending-event equivalents
+    /// (zero for unkeyed state, which keeps pre-keyed pricing
+    /// byte-identical).
+    fn counter_event_equiv(keyed: bool, ranges: &[KeyRange]) -> usize {
+        if !keyed {
+            return 0;
+        }
+        let partitions: usize = ranges.iter().map(|r| r.len() as usize).sum();
         (std::mem::size_of::<u64>() * partitions).div_ceil(std::mem::size_of::<DataEvent>())
     }
 
@@ -1091,7 +1108,8 @@ impl EngineModel {
 
     /// Prices one store round-trip for `instance`: the latency model's
     /// service time for `pending_events`, admitted through the instance's
-    /// shard queue under [`EngineConfig::store_service`] and
+    /// shard queue, which the store serves under
+    /// [`EngineConfig::store_service`] and
     /// [`EngineConfig::store_replication`]. Under per-shard FIFO queueing a
     /// saturated shard delays the operation; the wait is surfaced in
     /// [`EngineStats`] and as a [`TraceEvent::StoreQueueWait`] so
@@ -1114,8 +1132,7 @@ impl EngineModel {
         let service = self.config.store.op_cost(pending_events);
         let now = sched.now();
         let replication = self.config.store_replication;
-        let outcome =
-            self.store.admit_op(iid, now, service, self.config.store_service, replication, kind);
+        let outcome = self.store.admit(iid, now, service, kind);
         let shard = self.store.shard_of(iid);
         let AdmitOutcome::Served { delay, wait, degraded } = outcome else {
             self.stats.store_ops_failed += 1;
@@ -1246,8 +1263,10 @@ impl EngineModel {
                     rt.capture = true;
                     rt.capture_ranges = ranges;
                 } else {
-                    let processed = self.runtimes[instance].processed;
-                    self.runtimes[instance].prepared = Some(processed);
+                    // Without a capture the instance keeps processing until
+                    // COMMIT, so snapshot the state it persists now.
+                    let rt = &mut self.runtimes[instance];
+                    rt.prepared = Some((rt.processed, rt.key_processed.clone()));
                 }
                 if disc.edge_forwarded {
                     self.forward_control(instance, c, sched);
@@ -1271,25 +1290,21 @@ impl EngineModel {
                     self.runtimes[instance].seen.clear(ControlKind::Commit);
                 }
                 // Second half: persist to the state store (service time
-                // plus any per-shard queueing delay). Keyed state adds its
-                // per-partition counters to the payload — sliced to the
-                // hot ranges under a key-range scope, so a range persist
-                // is priced by the bytes actually moving.
+                // plus any per-shard queueing delay). Keyed state adds the
+                // per-partition counters of the ranges the wave moves, so
+                // a key-range persist is priced by the bytes actually
+                // moving.
                 let pending_len = if self.protocol.persist_pending {
                     self.runtimes[instance].pending.len()
                 } else {
                     0
                 };
                 let meta = self.tables.meta(instance);
-                let covered_partitions = if meta.keyed {
-                    match self.scoped_ranges(ControlKind::Commit, instance) {
-                        Some(ranges) => ranges.iter().map(|r| r.len() as usize).sum(),
-                        None => meta.key_partitions as usize,
-                    }
-                } else {
-                    0
-                };
-                let payload = pending_len + Self::counter_event_equiv(covered_partitions);
+                let whole = [KeyRange::whole(meta.key_partitions)];
+                let ranges = self
+                    .scoped_ranges(ControlKind::Commit, instance)
+                    .map_or(&whole[..], Vec::as_slice);
+                let payload = pending_len + Self::counter_event_equiv(meta.keyed, ranges);
                 let Some(cost) = self.store_admit(instance, payload, StoreOpKind::Persist, sched)
                 else {
                     return; // shard down: the COMMIT stalls toward rollback
@@ -1339,23 +1354,20 @@ impl EngineModel {
                     self.ack_control(instance, ControlKind::Init, sched);
                     return;
                 }
-                // A key-range INIT fetches only the hot range blobs; the
-                // round-trip is priced by their stored pending events and
-                // counters rather than the whole instance's.
+                // The round-trip is priced by the pending events stored in
+                // the blobs it reads and the counters of the ranges the
+                // wave moves: a key-range INIT fetches only the hot range
+                // blobs, a whole-instance INIT the blob its COMMIT wrote.
                 let iid = InstanceId::from_index(instance);
                 let meta = self.tables.meta(instance);
-                let (stored_pending, covered_partitions) =
-                    match self.scoped_ranges(ControlKind::Init, instance) {
-                        Some(ranges) => (
-                            self.store.peek_ranges_pending_len(iid, ranges),
-                            ranges.iter().map(|r| r.len() as usize).sum(),
-                        ),
-                        None => (
-                            self.store.peek_pending_len(iid).unwrap_or(0),
-                            if meta.keyed { meta.key_partitions as usize } else { 0 },
-                        ),
-                    };
-                let payload = stored_pending + Self::counter_event_equiv(covered_partitions);
+                let whole = [KeyRange::whole(meta.key_partitions)];
+                let committed = [self.committed_range(instance)];
+                let (read, moved) = match self.scoped_ranges(ControlKind::Init, instance) {
+                    Some(ranges) => (ranges.as_slice(), ranges.as_slice()),
+                    None => (&committed[..], &whole[..]),
+                };
+                let payload = self.store.peek_pending_len(iid, read)
+                    + Self::counter_event_equiv(meta.keyed, moved);
                 let Some(cost) = self.store_admit(instance, payload, StoreOpKind::Fetch, sched)
                 else {
                     return; // shard down: INIT resends retry after recovery
@@ -1366,148 +1378,143 @@ impl EngineModel {
         }
     }
 
+    /// The COMMIT second half: persists one [`StateBlob`] per key range the
+    /// wave moves, addressed by `(instance, range)`. A whole-instance
+    /// COMMIT moves the single range [`KeyRange::whole`] and puts every
+    /// persisted pending event into that one blob, hashing no key. Under a
+    /// key-range scope each pending event's partition is computed once to
+    /// file it under its range, and the cold-range counters stay in place —
+    /// they never touch the store.
     fn finish_persist(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(ranges) = self.scoped_ranges(ControlKind::Commit, instance).cloned() {
-            self.finish_range_persist(instance, ranges, c, sched);
-            return;
-        }
         let iid = InstanceId::from_index(instance);
-        let meta = self.tables.meta(instance);
-        let keyed = meta.keyed;
+        let meta = *self.tables.meta(instance);
         let parts = meta.key_partitions as usize;
+        let scoped = self.scoped_ranges(ControlKind::Commit, instance).cloned();
+        let whole = [KeyRange::whole(meta.key_partitions)];
+        let ranges = scoped.as_deref().unwrap_or(&whole);
         let rt = &mut self.runtimes[instance];
-        let processed = rt.prepared.take().unwrap_or(rt.processed);
-        let pending = if self.protocol.persist_pending {
+        let (processed, mut counts) =
+            rt.prepared.take().unwrap_or_else(|| (rt.processed, rt.key_processed.clone()));
+        if !meta.keyed {
+            counts.clear(); // unkeyed blobs carry no counters
+        } else if counts.len() < parts {
+            counts.resize(parts, 0);
+        }
+        let mut pending = if self.protocol.persist_pending {
             std::mem::take(&mut rt.pending)
         } else {
             Vec::new()
         };
-        let key_counts = if keyed {
-            if rt.key_processed.len() < parts {
-                rt.key_processed.resize(parts, 0);
-            }
-            rt.key_processed.clone()
+        let mut buckets: Vec<Vec<DataEvent>> = Vec::new();
+        if scoped.is_none() {
+            rt.committed = Some(whole[0]);
         } else {
-            Vec::new()
-        };
-        self.stats.state_bytes_moved +=
-            (std::mem::size_of::<u64>() * (1 + key_counts.len())) as u64;
-        self.store.put(iid, StateBlob { processed, pending, key_counts });
-        self.stats.state_persists += 1;
-        if self.wave_discipline(ControlKind::Commit).edge_forwarded {
-            self.forward_control(instance, c, sched);
-        }
-        self.ack_control(instance, ControlKind::Commit, sched);
-    }
-
-    /// The COMMIT second half under a key-range scope: splits the captured
-    /// pending list by range, persists one [`StateBlob`] per contiguous hot
-    /// range (addressed by `(instance, range)`), and leaves the cold-range
-    /// counters in place — they never touch the store.
-    fn finish_range_persist(
-        &mut self,
-        instance: usize,
-        ranges: Vec<KeyRange>,
-        c: ControlEvent,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        let iid = InstanceId::from_index(instance);
-        let meta = *self.tables.meta(instance);
-        let parts = meta.key_partitions as usize;
-        let slot = meta.slot;
-        let k = meta.task_replicas;
-
-        let (pending, counts) = {
-            let rt = &mut self.runtimes[instance];
-            let _ = rt.prepared.take();
-            if rt.key_processed.len() < parts {
-                rt.key_processed.resize(parts, 0);
+            buckets.resize_with(ranges.len(), Vec::new);
+            let mut resident = Vec::new();
+            for d in pending {
+                let p = self.tables.partition_of(meta.task, key_hash(d.root.0));
+                match ranges.iter().position(|r| r.contains(p)) {
+                    Some(idx) => buckets[idx].push(d),
+                    None => resident.push(d),
+                }
             }
-            let pending = if self.protocol.persist_pending {
-                std::mem::take(&mut rt.pending)
-            } else {
-                Vec::new()
-            };
-            (pending, rt.key_processed.clone())
-        };
-        // The capture filter only diverts hot-range events, so everything
-        // taken here should land in a bucket; anything else (events queued
-        // before the scope was installed) stays resident as pending.
-        let mut buckets: Vec<Vec<DataEvent>> = vec![Vec::new(); ranges.len()];
-        let mut residual: Vec<DataEvent> = Vec::new();
-        for d in pending {
-            let p = self.tables.partition_of(meta.task, key_hash(d.root.0));
-            match ranges.iter().position(|r| r.contains(p)) {
-                Some(idx) => buckets[idx].push(d),
-                None => residual.push(d),
-            }
+            pending = resident;
         }
         let mut moved_bytes = 0u64;
-        for (range, bucket) in ranges.iter().zip(buckets) {
-            let key_counts: Vec<u64> =
-                (range.start..range.end).map(|p| counts[p as usize]).collect();
-            let processed = key_counts.iter().sum();
+        for (idx, &range) in ranges.iter().enumerate() {
+            // A whole-instance blob carries the instance's state as is; a
+            // range blob carries its partitions' counters and captured
+            // events, and its user state is the events those partitions saw.
+            let (processed, key_counts, bucket) = if scoped.is_none() {
+                (processed, std::mem::take(&mut counts), std::mem::take(&mut pending))
+            } else {
+                let key_counts = counts[range.start as usize..range.end as usize].to_vec();
+                (key_counts.iter().sum(), key_counts, std::mem::take(&mut buckets[idx]))
+            };
             let blob = StateBlob { processed, pending: bucket, key_counts };
             moved_bytes += blob.byte_size();
             self.stats.state_bytes_moved +=
                 (std::mem::size_of::<u64>() * (1 + blob.key_counts.len())) as u64;
-            self.store.put_range(iid, *range, blob);
+            self.store.put(iid, range, blob);
         }
-        if !residual.is_empty() {
-            self.runtimes[instance].pending = residual;
+        // The capture filter only diverts hot-range events, so anything
+        // left (events queued before the scope was installed) stays
+        // resident as pending.
+        if !pending.is_empty() {
+            self.runtimes[instance].pending = pending;
         }
-        let resident_partitions = (0..parts as u32)
-            .filter(|&p| p % k == slot && !ranges.iter().any(|r| r.contains(p)))
-            .count() as u64;
-        let resident_bytes = std::mem::size_of::<u64>() as u64 * resident_partitions;
-        self.stats.state_bytes_resident += resident_bytes;
         self.stats.state_persists += 1;
-        self.trace.record(TraceEvent::RangePersist {
-            instance: iid,
-            ranges: ranges.len() as u32,
-            moved_bytes,
-            resident_bytes,
-            at: sched.now(),
-        });
+        if scoped.is_some() {
+            let (slot, k) = (meta.slot, meta.task_replicas);
+            let resident_partitions = (0..parts as u32)
+                .filter(|&p| p % k == slot && !ranges.iter().any(|r| r.contains(p)))
+                .count() as u64;
+            let resident_bytes = std::mem::size_of::<u64>() as u64 * resident_partitions;
+            self.stats.state_bytes_resident += resident_bytes;
+            self.trace.record(TraceEvent::RangePersist {
+                instance: iid,
+                ranges: ranges.len() as u32,
+                moved_bytes,
+                resident_bytes,
+                at: sched.now(),
+            });
+        }
         if self.wave_discipline(ControlKind::Commit).edge_forwarded {
             self.forward_control(instance, c, sched);
         }
         self.ack_control(instance, ControlKind::Commit, sched);
     }
 
+    /// The INIT second half, and ROLLBACK's re-init of an instance that
+    /// lost its state: fetches the blob of every key range the wave moves
+    /// (a ROLLBACK reads the whole-instance blob) and rebuilds the instance
+    /// from them. A whole-instance restore replaces the user state; a
+    /// key-range restore merges the fetched hot counters into the cold ones
+    /// that stayed in place.
     fn finish_restore(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
-        if c.kind == ControlKind::Init {
-            if let Some(ranges) = self.scoped_ranges(ControlKind::Init, instance).cloned() {
-                self.finish_range_restore(instance, ranges, c, sched);
-                return;
-            }
-        }
         let iid = InstanceId::from_index(instance);
-        let mut blob = self.store.get(iid).unwrap_or_default();
+        let meta = *self.tables.meta(instance);
+        let scoped = match c.kind {
+            ControlKind::Init => self.scoped_ranges(ControlKind::Init, instance).cloned(),
+            _ => None,
+        };
+        let whole = [self.committed_range(instance)];
+        let ranges = scoped.as_deref().unwrap_or(&whole);
+        let rt = &mut self.runtimes[instance];
+        let parts = meta.key_partitions as usize;
+        if scoped.is_none() {
+            rt.key_processed.clear(); // a whole-instance restore replaces them
+        } else if rt.key_processed.len() < parts {
+            rt.key_processed.resize(parts, 0);
+        }
+        let (mut processed, mut moved_bytes) = (0u64, 0u64);
+        let mut fetched_pending: Vec<DataEvent> = Vec::new();
+        for &range in ranges {
+            let Some(mut blob) = self.store.get(iid, range) else {
+                continue;
+            };
+            moved_bytes += blob.byte_size();
+            processed += blob.processed;
+            let start = range.start as usize;
+            let end = start + blob.key_counts.len();
+            if rt.key_processed.len() < end {
+                rt.key_processed.resize(end, 0);
+            }
+            rt.key_processed[start..end].copy_from_slice(&blob.key_counts);
+            fetched_pending.append(&mut blob.pending);
+        }
         self.stats.state_fetches += 1;
-        let pending_replayed = blob.pending.len() as u32;
+        rt.processed = if scoped.is_some() { rt.key_processed.iter().sum() } else { processed };
+        let pending_replayed = fetched_pending.len() as u32;
+        rt.resume(fetched_pending);
         self.stats.pending_replayed += u64::from(pending_replayed);
-        {
-            let rt = &mut self.runtimes[instance];
-            rt.processed = blob.processed;
-            rt.key_processed = std::mem::take(&mut blob.key_counts);
-            rt.initialized = true;
-            rt.capture = false;
-            rt.capture_ranges = None;
-            // Queue front order after restore: captured pending events
-            // first (they were in flight before the migration), then any
-            // events buffered while uninitialized, then the rest.
-            let pre_init: Vec<DataEvent> = rt.pre_init.drain(..).collect();
-            for d in pre_init.into_iter().rev() {
-                rt.queue.push_front(QueueItem::Data(d));
-            }
-            let residual: Vec<DataEvent> = rt.pending.drain(..).collect();
-            for d in residual.into_iter().rev() {
-                rt.queue.push_front(QueueItem::Data(d));
-            }
-            for d in blob.pending.into_iter().rev() {
-                rt.queue.push_front(QueueItem::Data(d));
-            }
+        if scoped.is_some() {
+            self.trace.record(TraceEvent::RangeRestore {
+                instance: iid,
+                ranges: ranges.len() as u32,
+                moved_bytes,
+                at: sched.now(),
+            });
         }
         self.trace.record(TraceEvent::InstanceRestored {
             instance: iid,
@@ -1518,78 +1525,6 @@ impl EngineModel {
             self.forward_control(instance, c, sched);
         }
         self.ack_control(instance, c.kind, sched);
-    }
-
-    /// The INIT second half under a key-range scope: fetches only the hot
-    /// range blobs and merges them into the per-key counters that survived
-    /// the kill in place. The merged state is the fetched hot counters plus
-    /// the retained cold ones.
-    fn finish_range_restore(
-        &mut self,
-        instance: usize,
-        ranges: Vec<KeyRange>,
-        c: ControlEvent,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        let iid = InstanceId::from_index(instance);
-        let parts = self.tables.meta(instance).key_partitions as usize;
-        let mut moved_bytes = 0u64;
-        let mut fetched: Vec<(KeyRange, StateBlob)> = Vec::new();
-        for &range in &ranges {
-            if let Some(blob) = self.store.get_range(iid, range) {
-                moved_bytes += blob.byte_size();
-                fetched.push((range, blob));
-            }
-        }
-        self.stats.state_fetches += 1;
-        let mut hot_pending: Vec<DataEvent> = Vec::new();
-        let pending_replayed;
-        {
-            let rt = &mut self.runtimes[instance];
-            if rt.key_processed.len() < parts {
-                rt.key_processed.resize(parts, 0);
-            }
-            for (range, mut blob) in fetched {
-                for (off, p) in (range.start..range.end).enumerate() {
-                    rt.key_processed[p as usize] = blob.key_counts.get(off).copied().unwrap_or(0);
-                }
-                hot_pending.append(&mut blob.pending);
-            }
-            pending_replayed = hot_pending.len() as u32;
-            rt.processed = rt.key_processed.iter().sum();
-            rt.initialized = true;
-            rt.capture = false;
-            rt.capture_ranges = None;
-            // Queue front order identical to the whole-instance restore:
-            // fetched pending first, then residual pending, then pre-init.
-            let pre_init: Vec<DataEvent> = rt.pre_init.drain(..).collect();
-            for d in pre_init.into_iter().rev() {
-                rt.queue.push_front(QueueItem::Data(d));
-            }
-            let residual: Vec<DataEvent> = rt.pending.drain(..).collect();
-            for d in residual.into_iter().rev() {
-                rt.queue.push_front(QueueItem::Data(d));
-            }
-            for d in hot_pending.into_iter().rev() {
-                rt.queue.push_front(QueueItem::Data(d));
-            }
-        }
-        self.stats.pending_replayed += u64::from(pending_replayed);
-        self.trace.record(TraceEvent::RangeRestore {
-            instance: iid,
-            ranges: ranges.len() as u32,
-            moved_bytes,
-            at: sched.now(),
-        });
-        self.trace.record(TraceEvent::InstanceRestored {
-            instance: iid,
-            at: sched.now(),
-            pending_replayed,
-        });
-        if self.wave_discipline(ControlKind::Init).edge_forwarded {
-            self.forward_control(instance, c, sched);
-        }
-        self.ack_control(instance, ControlKind::Init, sched);
     }
 
     fn forward_control(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
@@ -1956,7 +1891,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics (at fire time) if `shard` is out of range for the store.
+    /// Panics if the store has no shard `shard`.
     pub fn schedule_shard_outage(&mut self, shard: usize, at: SimTime, downtime: SimDuration) {
         self.schedule_shard_degradation(shard, usize::MAX, at, downtime);
     }
@@ -1966,6 +1901,11 @@ impl Engine {
     /// With [`EngineConfig::store_replication`] configured, a persist
     /// whose quorum still fits in the surviving replicas completes
     /// *degraded* instead of failing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has no shard `shard`: checked here, before the
+    /// run, rather than when the outage fires.
     pub fn schedule_shard_degradation(
         &mut self,
         shard: usize,
@@ -1973,6 +1913,8 @@ impl Engine {
         at: SimTime,
         downtime: SimDuration,
     ) {
+        let shards = self.model.store.shard_count();
+        assert!(shard < shards, "no store shard {shard}: the store has {shards} shards");
         self.sim.schedule(at, Ev::ShardOutageStart { shard: shard as u32, down: down as u32 });
         self.sim.schedule(at + downtime, Ev::ShardOutageEnd { shard: shard as u32 });
     }
@@ -2410,6 +2352,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no store shard 8: the store has 8 shards")]
+    fn shard_outage_beyond_the_store_is_rejected_when_scheduled() {
+        let mut e = engine_for(library::linear(), ProtocolConfig::dcr(), 5);
+        e.schedule_shard_outage(8, SimTime::from_secs(10), SimDuration::from_secs(5));
+    }
+
+    #[test]
     fn failed_roots_replay_in_fifo_order() {
         // Crash an operator so a cohort of trees times out, then check the
         // spout re-emits the failed roots oldest-first (registration order),
@@ -2568,6 +2517,6 @@ mod tests {
         for iid in all {
             assert!(e.key_processed(iid).is_empty());
         }
-        assert_eq!(e.store().range_len(), 0);
+        assert!(e.store().is_empty());
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::event::{ControlSender, DataEvent, QueueItem};
 use flowmig_metrics::ControlKind;
+use flowmig_topology::KeyRange;
 use std::collections::{HashSet, VecDeque};
 
 /// Lifecycle status of an instance's hosting worker.
@@ -46,8 +47,10 @@ pub(crate) struct InstanceRuntime {
     pub capture: bool,
     /// Captured in-flight events awaiting checkpoint + resume (CCR).
     pub pending: Vec<DataEvent>,
-    /// State snapshot taken at PREPARE (DCR), persisted at COMMIT.
-    pub prepared: Option<u64>,
+    /// User state `(processed, key_processed)` snapshotted at PREPARE by
+    /// strategies that keep processing until COMMIT (no capture), and
+    /// persisted at COMMIT so the blob holds one instant's state.
+    pub prepared: Option<(u64, Vec<u64>)>,
     /// User events received while uninitialized, replayed after INIT.
     pub pre_init: VecDeque<DataEvent>,
     /// The user state: processed-event count (the paper's dummy stateful
@@ -58,10 +61,16 @@ pub(crate) struct InstanceRuntime {
     /// store survives in place, so a key-range restore only has to merge the
     /// hot ranges it fetched.
     pub key_processed: Vec<u64>,
+    /// The key range of the last whole-instance blob this instance
+    /// committed, which a whole restore reads. A staged logic update may
+    /// change the task's key space between COMMIT and INIT, so the range
+    /// is not recomputed from the current one. Retained across
+    /// [`kill`](Self::kill), like the blob in the store.
+    pub committed: Option<KeyRange>,
     /// CCR key-range capture filter: when set, only events whose key falls
     /// in one of these ranges are diverted to `pending`; others process
     /// normally. `None` means capture everything (whole-instance CCR).
-    pub capture_ranges: Option<Vec<flowmig_topology::KeyRange>>,
+    pub capture_ranges: Option<Vec<KeyRange>>,
     /// Alignment bookkeeping: senders seen for the current wave, per kind.
     pub seen: AlignmentState,
     /// Waves already forwarded downstream, kind-indexed
@@ -85,6 +94,7 @@ impl InstanceRuntime {
             pre_init: VecDeque::new(),
             processed: 0,
             key_processed: Vec::new(),
+            committed: None,
             capture_ranges: None,
             seen: AlignmentState::default(),
             forwarded: [const { Vec::new() }; ControlKind::COUNT],
@@ -131,6 +141,20 @@ impl InstanceRuntime {
         self.prepared = None;
         self.seen = AlignmentState::default();
         lost
+    }
+
+    /// Resumes after a restore: the user state is initialized, any capture
+    /// ends, and the queue front becomes `fetched` (events in flight before
+    /// the migration, from the store), then captured events that stayed
+    /// resident, then events buffered while uninitialized.
+    pub fn resume(&mut self, fetched: Vec<DataEvent>) {
+        self.initialized = true;
+        self.capture = false;
+        self.capture_ranges = None;
+        let front = self.pre_init.drain(..).rev().chain(self.pending.drain(..).rev());
+        for d in front.chain(fetched.into_iter().rev()) {
+            self.queue.push_front(QueueItem::Data(d));
+        }
     }
 }
 
@@ -207,6 +231,28 @@ mod tests {
         assert!(r.queue.is_empty());
         assert!(!r.initialized);
         assert!(!r.busy());
+    }
+
+    #[test]
+    fn resume_orders_fetched_then_resident_then_pre_init_events() {
+        let mut r = InstanceRuntime::new(1);
+        r.initialized = false;
+        r.capture = true;
+        r.queue.push_back(QueueItem::Data(data(7)));
+        r.pre_init.extend([data(5), data(6)]);
+        r.pending.extend([data(3), data(4)]);
+        r.resume(vec![data(1), data(2)]);
+        let order: Vec<u64> = r
+            .queue
+            .iter()
+            .map(|item| match item {
+                QueueItem::Data(d) => d.id,
+                QueueItem::Control(_) => unreachable!("only data was queued"),
+            })
+            .collect();
+        assert_eq!(order, vec![1, 2, 3, 4, 5, 6, 7]);
+        assert!(r.pending.is_empty() && r.pre_init.is_empty());
+        assert!(r.initialized && !r.capture);
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   (barrier-aligned, edge-wired) or broadcast (hub-and-spoke) routing;
 //! * **capture semantics** for CCR (pending-event lists persisted and
 //!   resumed);
-//! * a latency-modelled, sharded **state store** ([`ShardedStateStore`]
-//!   behind the [`StateStore`] facade — the paper's Redis, partitioned for
-//!   per-shard COMMIT-wave accounting), with a pluggable service model
+//! * a latency-modelled, sharded **state store** ([`ShardedStateStore`] —
+//!   the paper's Redis, partitioned for per-shard COMMIT-wave accounting)
+//!   whose checkpoints are `(instance, key range)` blobs: one persist path
+//!   and one restore path move a whole instance (its single
+//!   [`flowmig_topology::KeyRange::whole`] range) or a key-range scope's
+//!   hot ranges. The store owns its service model
 //!   ([`StoreServiceModel`]): zero-queueing compatibility pricing,
 //!   per-shard FIFO queues under which a saturated shard makes
 //!   concurrent operations wait, or M/M/1-style soft degradation —
@@ -107,4 +110,4 @@ pub use protocol::{
     WaveDiscipline, WaveRouting, WaveScope,
 };
 pub use stats::EngineStats;
-pub use store::{AdmitOutcome, ShardStats, ShardedStateStore, StateBlob, StateStore, StoreOpKind};
+pub use store::{AdmitOutcome, ShardStats, ShardedStateStore, StateBlob, StoreOpKind};

@@ -3,12 +3,14 @@
 //! through a scripted coordinator so each phase can be observed directly.
 
 use crate::engine::{Engine, EngineCtl};
-use crate::protocol::{MigrationCoordinator, ProtocolConfig, WaveRouting};
+use crate::protocol::{
+    KeyRangeScope, MigrationCoordinator, ProtocolConfig, WaveRouting, WaveScope,
+};
 use crate::EngineConfig;
 use flowmig_cluster::{ScaleDirection, ScalePlan};
 use flowmig_metrics::{ControlKind, TraceEvent};
 use flowmig_sim::{SimDuration, SimTime};
-use flowmig_topology::{library, Dataflow, InstanceSet, TaskKind};
+use flowmig_topology::{library, Dataflow, InstanceId, InstanceSet, KeyRange, TaskKind};
 
 /// A coordinator that runs exactly one wave of a chosen kind/routing when
 /// the migration is requested, and records completion.
@@ -401,52 +403,58 @@ fn spout_throttles_at_max_pending() {
     assert!(emitted < 120, "throttle caps outstanding emissions, got {emitted}");
 }
 
-#[test]
-fn key_range_scoped_cycle_migrates_hot_ranges_only() {
-    // Full CCR-style cycle under a key-range scope on a keyed 4-replica
-    // operator with Zipf(2) keys: partition 0 alone carries >60 % of the
-    // traffic, so the hot set is k[0,1) and only its owner (replica slot 0)
-    // participates in the waves and the rebalance. The three cold replicas
-    // must keep running untouched while replica 0's hot-range state round-
-    // trips through the store.
-    use crate::protocol::{KeyRangeScope, WaveScope};
-    use crate::WorkerStatus;
+/// The hot-range scope of the key-range cycle tests: on their Zipf(2)
+/// operator, partition 0 alone carries >60 % of the traffic.
+const HOT_SCOPE: WaveScope = WaveScope::KeyRanges(KeyRangeScope { hot_weight_permille: 600 });
 
-    struct KrCycle;
-    const SCOPE: WaveScope = WaveScope::KeyRanges(KeyRangeScope { hot_weight_permille: 600 });
-    impl MigrationCoordinator for KrCycle {
-        fn name(&self) -> &'static str {
-            "kr-cycle"
-        }
-        fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
-            ctl.reset_wave(ControlKind::Prepare);
-            ctl.start_scoped_wave(ControlKind::Prepare, WaveRouting::Broadcast, SCOPE);
-        }
-        fn on_wave_complete(&mut self, kind: ControlKind, ctl: &mut EngineCtl<'_, '_>) {
-            match kind {
-                ControlKind::Prepare => {
-                    ctl.reset_wave(ControlKind::Commit);
-                    ctl.start_scoped_wave(ControlKind::Commit, WaveRouting::Broadcast, SCOPE);
-                }
-                ControlKind::Commit => ctl.start_rebalance(),
-                _ => {}
-            }
-        }
-        fn on_rebalance_complete(&mut self, ctl: &mut EngineCtl<'_, '_>) {
-            ctl.reset_wave(ControlKind::Init);
-            ctl.start_scoped_wave(ControlKind::Init, WaveRouting::Broadcast, SCOPE);
-            // The respawned worker drops deliveries until ready: resend
-            // like the real strategies do.
-            ctl.schedule_resend(ControlKind::Init, SimDuration::from_millis(500));
-        }
-        fn on_resend_timer(&mut self, kind: ControlKind, ctl: &mut EngineCtl<'_, '_>) {
-            if kind == ControlKind::Init && !ctl.wave_complete(kind) {
-                ctl.start_scoped_wave(kind, WaveRouting::Broadcast, SCOPE);
-                ctl.schedule_resend(kind, SimDuration::from_millis(500));
-            }
+/// A CCR-style cycle whose COMMIT, rebalance and INIT take the key-range
+/// scope [`HOT_SCOPE`], and whose PREPARE takes `prepare`. The COMMIT
+/// starts `commit_delay` after the PREPARE wave completes, or at once.
+struct KrCycle {
+    prepare: WaveScope,
+    commit_delay: Option<SimDuration>,
+}
+
+impl MigrationCoordinator for KrCycle {
+    fn name(&self) -> &'static str {
+        "kr-cycle"
+    }
+    fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
+        ctl.reset_wave(ControlKind::Prepare);
+        ctl.start_scoped_wave(ControlKind::Prepare, WaveRouting::Broadcast, self.prepare);
+    }
+    fn on_wave_complete(&mut self, kind: ControlKind, ctl: &mut EngineCtl<'_, '_>) {
+        match kind {
+            ControlKind::Prepare => match self.commit_delay {
+                Some(delay) => ctl.schedule_resend(ControlKind::Commit, delay),
+                None => self.on_resend_timer(ControlKind::Commit, ctl),
+            },
+            ControlKind::Commit => ctl.start_rebalance(),
+            _ => {}
         }
     }
+    fn on_rebalance_complete(&mut self, ctl: &mut EngineCtl<'_, '_>) {
+        ctl.reset_wave(ControlKind::Init);
+        ctl.start_scoped_wave(ControlKind::Init, WaveRouting::Broadcast, HOT_SCOPE);
+        // The respawned worker drops deliveries until ready: resend
+        // like the real strategies do.
+        ctl.schedule_resend(ControlKind::Init, SimDuration::from_millis(500));
+    }
+    fn on_resend_timer(&mut self, kind: ControlKind, ctl: &mut EngineCtl<'_, '_>) {
+        if kind == ControlKind::Commit {
+            ctl.reset_wave(ControlKind::Commit);
+            ctl.start_scoped_wave(ControlKind::Commit, WaveRouting::Broadcast, HOT_SCOPE);
+        } else if kind == ControlKind::Init && !ctl.wave_complete(kind) {
+            ctl.start_scoped_wave(kind, WaveRouting::Broadcast, HOT_SCOPE);
+            ctl.schedule_resend(kind, SimDuration::from_millis(500));
+        }
+    }
+}
 
+/// A keyed 4-replica operator with Zipf(2) keys over 8 partitions, run
+/// under `cycle` with the migration requested at 30 s; returns the engine
+/// and the operator's replicas.
+fn kr_cycle_engine(cycle: KrCycle) -> (Engine, Vec<InstanceId>) {
     let mut b = flowmig_topology::DataflowBuilder::new("kr-cycle");
     let s = b.add(flowmig_topology::TaskSpec::source("s", 8.0));
     let op =
@@ -464,10 +472,23 @@ fn key_range_scoped_cycle_migrates_hot_ranges_only() {
         &plan,
         EngineConfig::default(),
         ProtocolConfig::ccr(),
-        Box::new(KrCycle),
+        Box::new(cycle),
         23,
     );
     engine.schedule_migration(SimTime::from_secs(30));
+    (engine, replicas)
+}
+
+#[test]
+fn key_range_scoped_cycle_migrates_hot_ranges_only() {
+    // Full CCR-style cycle under a key-range scope: the hot set is k[0,1)
+    // and only its owner (replica slot 0) participates in the waves and
+    // the rebalance. The three cold replicas must keep running untouched
+    // while replica 0's hot-range state round-trips through the store.
+    use crate::WorkerStatus;
+
+    let (mut engine, replicas) =
+        kr_cycle_engine(KrCycle { prepare: HOT_SCOPE, commit_delay: None });
     engine.run_until(SimTime::from_secs(60));
 
     // Only the hot-range owner was redeployed; the cold replicas never died.
@@ -490,8 +511,9 @@ fn key_range_scoped_cycle_migrates_hot_ranges_only() {
     // One scoped persist + one scoped fetch, addressed by (instance, range).
     assert_eq!(engine.stats().state_persists, 1);
     assert_eq!(engine.stats().state_fetches, 1);
-    assert_eq!(engine.store().len(), 0, "no whole-instance blob was written");
-    assert_eq!(engine.store().range_len(), 1, "exactly the hot range k[0,1) committed");
+    assert_eq!(engine.store().len(), 1, "exactly one blob was written");
+    assert!(engine.store().contains(replicas[0], KeyRange::new(0, 1)), "the hot range k[0,1)");
+    assert!(!engine.store().contains(replicas[0], KeyRange::whole(8)), "no whole-instance blob");
 
     // The trace prices the move: hot bytes moved, cold bytes resident.
     let (moved, resident) = engine
@@ -526,4 +548,39 @@ fn key_range_scoped_cycle_migrates_hot_ranges_only() {
     let counts = engine.key_processed(replicas[0]);
     assert!(counts.first().copied().unwrap_or(0) > 0, "hot partition 0 state restored");
     assert_eq!(counts.iter().sum::<u64>(), engine.processed_count(replicas[0]));
+}
+
+#[test]
+fn key_range_commit_files_only_hot_events_into_the_hot_blob() {
+    // A PREPARE that addresses every participant captures all of replica
+    // 0's events for 20 s, cold partition 4 included. The key-range COMMIT
+    // files the hot ones into the k[0,1) blob and leaves the rest resident
+    // (where the rebalance's kill at the same instant drops them: ROADMAP
+    // direction 1).
+    let hot = KeyRange::new(0, 1);
+    let cycle = || KrCycle {
+        prepare: WaveScope::AllParticipants,
+        commit_delay: Some(SimDuration::from_secs(20)),
+    };
+    let (mut probe, replicas) = kr_cycle_engine(cycle());
+    probe.run_until(SimTime::from_secs(90));
+    let persisted_at = probe
+        .trace()
+        .iter()
+        .find_map(|e| match *e {
+            TraceEvent::RangePersist { instance, at, .. } if instance == replicas[0] => Some(at),
+            _ => None,
+        })
+        .expect("replica 0 persisted its hot range");
+
+    let (mut engine, _) = kr_cycle_engine(cycle());
+    engine.run_until(persisted_at - SimDuration::from_micros(1));
+    let captured = engine.captured_len(replicas[0]);
+    engine.run_until(persisted_at);
+    let blob = engine.store().clone().get(replicas[0], hot).expect("hot blob");
+    let zipf = flowmig_topology::TaskSpec::operator("op").with_zipf_keys(8, 2);
+    let partition = |root: u64| zipf.partition_of(crate::engine::key_hash(root));
+    assert!(!blob.pending.is_empty(), "hot captured events are persisted");
+    assert!(blob.pending.iter().all(|d| hot.contains(partition(d.root.0))), "only hot events");
+    assert!(blob.pending.len() < captured, "cold captured events stay out of the hot blob");
 }

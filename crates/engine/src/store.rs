@@ -1,41 +1,23 @@
 //! The checkpoint state store (the paper's Redis v3.2.8).
 //!
-//! Tasks persist a [`StateBlob`] — their user state plus, for CCR, the
-//! captured pending-event list — keyed by instance. The *service time* of
-//! one operation comes from
-//! [`StoreLatencyModel`](crate::StoreLatencyModel); what concurrent load
-//! does to it is decided by the shard queue model: every operation is
-//! admitted through [`ShardedStateStore::admit`], and under
-//! [`StoreServiceModel::FifoPerShard`] each shard replica is a FIFO
-//! single-server queue with a busy horizon — an operation admitted against
-//! a busy replica waits for the horizon before its service time starts. The
-//! zero-queueing compatibility mode prices every operation independently
-//! (the historical behaviour); [`StoreServiceModel::SoftDegrade`] instead
-//! inflates service time with the shard's instantaneous in-flight load
-//! (M/M/1-style soft degradation). All modes record observed concurrency
-//! ([`ShardStats::max_queue_depth`]) and the queueing modes additionally
-//! accumulate per-shard waiting time ([`ShardStats::queued_wait`]).
+//! A checkpoint is a set of [`StateBlob`]s, each addressed by an
+//! `(instance, key range)` pair. A whole-instance checkpoint is the single
+//! range [`KeyRange::whole`] over the task's key space at COMMIT (an
+//! unkeyed task has one partition), and the engine restores it from that
+//! range even if a staged logic update has re-keyed the task since; a
+//! key-range migration persists one blob per hot range it moves. Both live in one blob map, so one persist path and one restore
+//! path serve every wave scope.
 //!
-//! The realism tier generalizes admission to a *replicated* shard
-//! ([`ShardedStateStore::admit_op`]): a persist is a quorum write over
-//! [`StoreReplication::replicas`] per-shard replicas, priced as the k-th
-//! fastest replica completion; a fetch is served by the fastest live
-//! replica. Replicas can be failed mid-run
-//! ([`ShardedStateStore::fail_shard_replicas`]) — operations against a
-//! shard with too few live replicas return [`AdmitOutcome::Failed`], and a
-//! quorum-satisfying subset serves the operation degraded. One deliberate
-//! decision: FIFO busy horizons are **not** reset when a migration wave
-//! aborts. The store already accepted that queued work; a post-rollback
-//! retry wave pays for the dead wave's operations exactly as a real store
-//! would keep serving requests whose clients died (pinned by
-//! `aborted_wave_work_still_occupies_fifo_horizons`).
-//!
-//! The backing implementation is sharded ([`ShardedStateStore`]): instances
-//! hash to shards by index, and every shard keeps its own put/get/byte
-//! counters. Checkpoint COMMIT waves can therefore be priced per shard —
-//! the precondition for parallelizing persist waves across store replicas.
-//! [`StateStore`] remains the single-logical-store facade over one sharded
-//! backend.
+//! [`ShardedStateStore`] partitions the blobs over shards by instance
+//! index, each shard with its own counters, and owns its service model: the
+//! [`StoreServiceModel`] and [`StoreReplication`] are fixed at construction
+//! and every operation is priced by [`ShardedStateStore::admit`] —
+//! zero-queueing, a FIFO queue per shard replica, or M/M/1-style soft
+//! degradation, with quorum persists over replicas that can be failed
+//! mid-run. FIFO busy horizons are **not** reset when a migration wave
+//! aborts: the store already accepted that work, so a post-rollback retry
+//! pays for it, exactly as a real store keeps serving requests whose
+//! clients died (pinned by `aborted_wave_work_still_occupies_fifo_horizons`).
 
 use crate::config::{StoreReplication, StoreServiceModel};
 use crate::event::DataEvent;
@@ -44,8 +26,8 @@ use flowmig_sim::{SimDuration, SimTime};
 use flowmig_topology::{InstanceId, KeyRange};
 use serde::{Deserialize, Serialize};
 
-/// A checkpointed snapshot of one task instance — or, for a key-range
-/// migration, of one contiguous slice of its key space.
+/// A checkpointed snapshot of one key range of a task instance; a
+/// whole-instance checkpoint covers [`KeyRange::whole`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StateBlob {
     /// The user state: for the paper's dummy tasks, a running count of
@@ -54,9 +36,8 @@ pub struct StateBlob {
     /// Captured in-flight events (CCR only; empty for DCR/DSM).
     pub pending: Vec<DataEvent>,
     /// Per-key-partition processed counters, in partition order for the
-    /// partitions this blob covers. Empty for unkeyed tasks and whole-
-    /// instance checkpoints of unkeyed state — in which case the byte size
-    /// is unchanged from the pre-keyed format.
+    /// partitions this blob covers. Empty for unkeyed tasks, whose byte
+    /// size is unchanged from the pre-keyed format.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub key_counts: Vec<u64>,
 }
@@ -86,23 +67,16 @@ impl StateBlob {
 /// operation and traffic counters plus the replicated service-queue state.
 #[derive(Debug, Clone, Default)]
 struct StoreShard {
-    blobs: FastHashMap<InstanceId, StateBlob>,
-    /// Key-range-addressed blobs: one slice of an instance's key space per
-    /// entry. Separate namespace from whole-instance blobs — a range
-    /// persist never shadows a whole-instance checkpoint.
-    range_blobs: FastHashMap<(InstanceId, KeyRange), StateBlob>,
+    blobs: FastHashMap<(InstanceId, KeyRange), StateBlob>,
     puts: u64,
     gets: u64,
     misses: u64,
     bytes_written: u64,
     bytes_read: u64,
     /// Per-replica FIFO busy horizons (FIFO queue model); index 0 is the
-    /// primary (the legacy single `busy_until`). Lazily grown to the
-    /// configured replica count on first replicated admission. Horizons
-    /// deliberately survive aborted migrations: a real store keeps
-    /// serving enqueued work whose clients died, so a post-rollback
-    /// retry wave pays for the dead wave's queued operations (pinned by
-    /// `aborted_wave_work_still_occupies_fifo_horizons`).
+    /// primary. Lazily grown to the replica count on first admission.
+    /// Horizons deliberately survive aborted migrations (see the module
+    /// docs).
     replica_busy: Vec<SimTime>,
     /// Replicas currently failed on this shard (replicas `0..down` are
     /// down, the fastest first — a degraded quorum pays the lag ladder).
@@ -180,8 +154,7 @@ pub enum StoreOpKind {
     Fetch,
 }
 
-/// Result of admitting one operation through
-/// [`ShardedStateStore::admit_op`].
+/// Result of admitting one operation through [`ShardedStateStore::admit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitOutcome {
     /// The operation was accepted and completes `delay` after admission.
@@ -202,22 +175,34 @@ pub enum AdmitOutcome {
     Failed,
 }
 
+impl AdmitOutcome {
+    /// Total delay of a served operation; `None` if it failed.
+    pub fn delay(self) -> Option<SimDuration> {
+        match self {
+            AdmitOutcome::Served { delay, .. } => Some(delay),
+            AdmitOutcome::Failed => None,
+        }
+    }
+}
+
 /// A key-value checkpoint store partitioned over `N` shards by instance
-/// index.
+/// index, with one service model and one replication scheme fixed at
+/// construction.
 ///
-/// Same durability semantics as [`StateStore`] (which delegates here), plus
-/// per-shard put/get/byte counters so a checkpoint COMMIT wave's load can
-/// be priced shard by shard.
+/// Blobs are addressed by `(instance, key range)`; every shard keeps its
+/// own put/get/byte counters so a checkpoint COMMIT wave's load can be
+/// priced shard by shard.
 ///
 /// # Examples
 ///
 /// ```
 /// use flowmig_engine::{ShardedStateStore, StateBlob};
-/// use flowmig_topology::InstanceId;
+/// use flowmig_topology::{InstanceId, KeyRange};
 ///
 /// let mut store = ShardedStateStore::with_shards(4);
+/// let whole = KeyRange::whole(1); // an unkeyed instance's whole state
 /// for i in 0..8 {
-///     store.put(InstanceId::from_index(i), StateBlob::of_count(i as u64));
+///     store.put(InstanceId::from_index(i), whole, StateBlob::of_count(i as u64));
 /// }
 /// assert_eq!(store.len(), 8);
 /// assert_eq!(store.puts(), 8);
@@ -228,13 +213,11 @@ pub enum AdmitOutcome {
 #[derive(Debug, Clone)]
 pub struct ShardedStateStore {
     shards: Vec<StoreShard>,
+    service: StoreServiceModel,
+    replication: StoreReplication,
     /// Latest admission instant (debug-build misuse guard: admissions
     /// must arrive in time order or the queue accounting silently skews).
     last_admitted_at: SimTime,
-    /// Service model of the first admission (debug-build misuse guard:
-    /// mixing models on one store would let Unqueued ops bypass a FIFO
-    /// horizon they notionally occupy).
-    admitted_model: Option<StoreServiceModel>,
 }
 
 impl Default for ShardedStateStore {
@@ -248,22 +231,46 @@ impl ShardedStateStore {
     /// 21-instance deployments without fragmenting small stores.
     pub const DEFAULT_SHARDS: usize = 8;
 
-    /// Creates an empty store with [`Self::DEFAULT_SHARDS`] shards.
+    /// Creates an empty store with [`Self::DEFAULT_SHARDS`] unreplicated,
+    /// zero-queueing shards.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty store with `shards` shards.
+    /// Creates an empty store with `shards` unreplicated, zero-queueing
+    /// shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
+        Self::with_config(shards, StoreServiceModel::default(), StoreReplication::default())
+    }
+
+    /// Creates an empty store with `shards` shards, each replicated per
+    /// `replication` and serving concurrent load under `service` — the
+    /// engine builds its store from [`EngineConfig::store_shards`],
+    /// [`EngineConfig::store_service`] and
+    /// [`EngineConfig::store_replication`].
+    ///
+    /// [`EngineConfig::store_shards`]: crate::EngineConfig::store_shards
+    /// [`EngineConfig::store_service`]: crate::EngineConfig::store_service
+    /// [`EngineConfig::store_replication`]: crate::EngineConfig::store_replication
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn with_config(
+        shards: usize,
+        service: StoreServiceModel,
+        replication: StoreReplication,
+    ) -> Self {
         assert!(shards > 0, "a sharded store needs at least one shard");
         ShardedStateStore {
             shards: vec![StoreShard::default(); shards],
+            service,
+            replication,
             last_admitted_at: SimTime::ZERO,
-            admitted_model: None,
         }
     }
 
@@ -290,7 +297,7 @@ impl ShardedStateStore {
             misses: s.misses,
             bytes_written: s.bytes_written,
             bytes_read: s.bytes_read,
-            blobs: s.blobs.len() + s.range_blobs.len(),
+            blobs: s.blobs.len(),
             max_queue_depth: s.max_queue_depth,
             queued_ops: s.queued_ops,
             queued_wait: s.queued_wait,
@@ -301,58 +308,16 @@ impl ShardedStateStore {
         }
     }
 
-    /// Admits one persist/fetch for `instance` through its shard's service
-    /// queue and returns the total delay until the operation completes —
-    /// queue wait (under [`StoreServiceModel::FifoPerShard`]) plus
-    /// `service`.
-    ///
-    /// Under the zero-queueing compatibility model the returned delay is
-    /// exactly `service` — byte-identical to charging the latency model
-    /// directly — but the shard still tracks its observed in-flight window
-    /// ([`ShardStats::max_queue_depth`]), so a run can report how much
-    /// concurrency the flat pricing absorbed. Under the FIFO model the
-    /// operation starts at `max(now, busy_until)`; the wait is accumulated
-    /// in [`ShardStats::queued_wait`] and the shard's horizon advances to
-    /// the new completion, so per-shard completion instants are
-    /// non-decreasing in admission order.
-    ///
-    /// Admissions must be made in non-decreasing `now` order with one
-    /// service model per store (the engine's event loop and per-run
-    /// config guarantee both); debug builds panic on a violation rather
-    /// than let the accounting silently skew.
-    pub fn admit(
-        &mut self,
-        instance: InstanceId,
-        now: SimTime,
-        service: SimDuration,
-        model: StoreServiceModel,
-    ) -> SimDuration {
-        match self.admit_op(
-            instance,
-            now,
-            service,
-            model,
-            StoreReplication::default(),
-            StoreOpKind::Persist,
-        ) {
-            AdmitOutcome::Served { delay, .. } => delay,
-            AdmitOutcome::Failed => {
-                unreachable!("an unreplicated store only fails when its primary is failed; use admit_op for failure-aware admission")
-            }
-        }
-    }
-
-    /// Admits one operation through its shard's replicated service queue.
-    ///
-    /// Generalizes [`Self::admit`] with replication and failure semantics:
+    /// Admits one operation of `kind` for `instance` through its shard's
+    /// replicated service queue; `service` is the primary replica's idle
+    /// service time.
     ///
     /// * **Replication** — a [`StoreOpKind::Persist`] runs on every live
-    ///   replica and completes when `replication.write_quorum` of them
-    ///   have (the k-th fastest completion); a [`StoreOpKind::Fetch`] is
-    ///   served by the fastest live replica alone. Replica `i` serves
-    ///   `25 % × i` slower than the primary
-    ///   ([`StoreReplication::replica_service`]), so a 2-of-3 quorum is
-    ///   strictly cheaper than waiting on all 3.
+    ///   replica and completes when `write_quorum` of them have (the k-th
+    ///   fastest completion); a [`StoreOpKind::Fetch`] is served by the
+    ///   fastest live replica alone. Replica `i` serves `25 % × i` slower
+    ///   than the primary ([`StoreReplication::replica_service`]), so a
+    ///   2-of-3 quorum is strictly cheaper than waiting on all 3.
     /// * **Failure** — replicas `0..down` of a shard can be marked down
     ///   ([`Self::fail_shard_replicas`]). A persist with fewer live
     ///   replicas than its quorum, or a fetch with none, returns
@@ -361,36 +326,30 @@ impl ShardedStateStore {
     ///   the operation *degraded*. The fastest replicas go down first, so
     ///   degraded quorums pay the lag ladder.
     /// * **Service models** — zero-queueing prices each replica at its
-    ///   idle service time; FIFO keeps one busy horizon per replica (a
-    ///   persist advances every live replica's horizon, a fetch only the
-    ///   serving one); [`StoreServiceModel::SoftDegrade`] inflates every
-    ///   replica's service by `1 + n` for `n` operations still in flight
-    ///   on the shard.
+    ///   idle service time, so an unreplicated store's delay is exactly
+    ///   `service`, while the shard still records its observed in-flight
+    ///   window ([`ShardStats::max_queue_depth`]). FIFO keeps one busy
+    ///   horizon per replica: an operation starts at `max(now, horizon)`,
+    ///   the wait accumulates in [`ShardStats::queued_wait`], a persist
+    ///   advances every live replica's horizon and a fetch only the
+    ///   serving one, so per-shard completion instants are non-decreasing
+    ///   in admission order. [`StoreServiceModel::SoftDegrade`] inflates
+    ///   every replica's service by `1 + n` for `n` operations still in
+    ///   flight on the shard.
     ///
-    /// Under the default replication (1 replica, quorum 1, nothing down)
-    /// every path prices byte-identically to [`Self::admit`]'s historical
-    /// behaviour. FIFO horizons deliberately persist across aborted
-    /// migration waves: the store already accepted that work, so a
-    /// post-rollback retry queues behind it (see the module docs).
-    ///
-    /// Admissions must be made in non-decreasing `now` order with one
-    /// service model per store (the engine's event loop and per-run
-    /// config guarantee both); debug builds panic on a violation rather
+    /// Admissions must be made in non-decreasing `now` order (the engine's
+    /// event loop guarantees it); debug builds panic on a violation rather
     /// than let the accounting silently skew.
-    pub fn admit_op(
+    pub fn admit(
         &mut self,
         instance: InstanceId,
         now: SimTime,
         service: SimDuration,
-        model: StoreServiceModel,
-        replication: StoreReplication,
         kind: StoreOpKind,
     ) -> AdmitOutcome {
         debug_assert!(now >= self.last_admitted_at, "store admissions must be in time order");
         self.last_admitted_at = now;
-        let first_model = *self.admitted_model.get_or_insert(model);
-        debug_assert!(first_model == model, "one store must be priced under one service model");
-        let _ = first_model;
+        let (model, replication) = (self.service, self.replication);
         let replicas = replication.replicas.max(1);
         let shard = self.shard_of(instance);
         let s = &mut self.shards[shard];
@@ -481,24 +440,25 @@ impl ShardedStateStore {
         self.shards[shard].down_replicas = 0;
     }
 
-    /// Persists (overwrites) the blob for `instance`.
-    pub fn put(&mut self, instance: InstanceId, blob: StateBlob) {
+    /// Persists (overwrites) the blob for key range `range` of `instance`.
+    pub fn put(&mut self, instance: InstanceId, range: KeyRange, blob: StateBlob) {
         let shard = self.shard_of(instance);
         let s = &mut self.shards[shard];
         s.puts += 1;
         s.bytes_written += blob.byte_size();
-        s.blobs.insert(instance, blob);
+        s.blobs.insert((instance, range), blob);
     }
 
-    /// Fetches the last committed blob for `instance`, if any.
+    /// Fetches the last committed blob for key range `range` of
+    /// `instance`, if any.
     ///
     /// Returns a clone: the store keeps its copy (restores may repeat, e.g.
     /// duplicate INITs).
-    pub fn get(&mut self, instance: InstanceId) -> Option<StateBlob> {
+    pub fn get(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
         let shard = self.shard_of(instance);
         let s = &mut self.shards[shard];
         s.gets += 1;
-        let blob = s.blobs.get(&instance).cloned();
+        let blob = s.blobs.get(&(instance, range)).cloned();
         match &blob {
             Some(b) => s.bytes_read += b.byte_size(),
             None => s.misses += 1,
@@ -506,76 +466,30 @@ impl ShardedStateStore {
         blob
     }
 
-    /// Whether a blob exists for `instance` (no latency charged — used by
-    /// tests and invariant checks, not the data path).
-    pub fn contains(&self, instance: InstanceId) -> bool {
-        self.shards[self.shard_of(instance)].blobs.contains_key(&instance)
+    /// Whether a blob exists for key range `range` of `instance` (no
+    /// latency charged — used by tests and invariant checks, not the data
+    /// path).
+    pub fn contains(&self, instance: InstanceId, range: KeyRange) -> bool {
+        self.shards[self.shard_of(instance)].blobs.contains_key(&(instance, range))
     }
 
-    /// Size of the stored pending list for `instance` without counting as a
-    /// fetch — the engine uses this to price the restore round-trip before
-    /// performing it.
-    pub fn peek_pending_len(&self, instance: InstanceId) -> Option<usize> {
-        self.shards[self.shard_of(instance)].blobs.get(&instance).map(|b| b.pending.len())
-    }
-
-    /// Persists (overwrites) the blob for one key range of `instance`.
-    /// Range blobs live in their own namespace: a range persist never
-    /// shadows a whole-instance checkpoint of the same instance.
-    pub fn put_range(&mut self, instance: InstanceId, range: KeyRange, blob: StateBlob) {
-        let shard = self.shard_of(instance);
-        let s = &mut self.shards[shard];
-        s.puts += 1;
-        s.bytes_written += blob.byte_size();
-        s.range_blobs.insert((instance, range), blob);
-    }
-
-    /// Fetches the last committed blob for `(instance, range)`, if any.
-    pub fn get_range(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
-        let shard = self.shard_of(instance);
-        let s = &mut self.shards[shard];
-        s.gets += 1;
-        let blob = s.range_blobs.get(&(instance, range)).cloned();
-        match &blob {
-            Some(b) => s.bytes_read += b.byte_size(),
-            None => s.misses += 1,
-        }
-        blob
-    }
-
-    /// Whether a range blob exists for `(instance, range)` (no latency
-    /// charged — used by tests and invariant checks, not the data path).
-    pub fn contains_range(&self, instance: InstanceId, range: KeyRange) -> bool {
-        self.shards[self.shard_of(instance)].range_blobs.contains_key(&(instance, range))
-    }
-
-    /// Total pending events stored across the given ranges of `instance`,
-    /// without counting as fetches — the engine uses this to price a
-    /// key-range restore before performing it. Absent ranges contribute 0.
-    pub fn peek_ranges_pending_len(&self, instance: InstanceId, ranges: &[KeyRange]) -> usize {
+    /// Total pending events stored across `ranges` of `instance`, without
+    /// counting as fetches — the engine uses this to price a restore before
+    /// performing it. Absent ranges contribute 0.
+    pub fn peek_pending_len(&self, instance: InstanceId, ranges: &[KeyRange]) -> usize {
         let s = &self.shards[self.shard_of(instance)];
-        ranges
-            .iter()
-            .filter_map(|&r| s.range_blobs.get(&(instance, r)))
-            .map(|b| b.pending.len())
-            .sum()
+        ranges.iter().filter_map(|&r| s.blobs.get(&(instance, r))).map(|b| b.pending.len()).sum()
     }
 
-    /// Number of committed range blobs across all shards.
-    pub fn range_len(&self) -> usize {
-        self.shards.iter().map(|s| s.range_blobs.len()).sum()
-    }
-
-    /// Number of committed whole-instance blobs across all shards (range
-    /// blobs are counted separately by [`Self::range_len`]).
+    /// Number of committed blobs (whole-instance and key-range) across all
+    /// shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.blobs.len()).sum()
     }
 
-    /// Returns true if nothing has been committed (neither whole-instance
-    /// nor range blobs).
+    /// Returns true if nothing has been committed.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.blobs.is_empty() && s.range_blobs.is_empty())
+        self.shards.iter().all(|s| s.blobs.is_empty())
     }
 
     /// Total persist operations performed, across all shards.
@@ -645,104 +559,33 @@ impl ShardedStateStore {
     }
 }
 
-/// The key-value checkpoint store: the single-logical-store facade over a
-/// [`ShardedStateStore`].
-///
-/// # Examples
-///
-/// ```
-/// use flowmig_engine::{StateBlob, StateStore};
-/// use flowmig_topology::InstanceId;
-///
-/// let mut store = StateStore::new();
-/// let i = InstanceId::from_index(0);
-/// store.put(i, StateBlob::of_count(42));
-/// assert_eq!(store.get(i).unwrap().processed, 42);
-/// assert_eq!(store.puts(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StateStore {
-    inner: ShardedStateStore,
-}
-
-impl StateStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Persists (overwrites) the blob for `instance`.
-    pub fn put(&mut self, instance: InstanceId, blob: StateBlob) {
-        self.inner.put(instance, blob);
-    }
-
-    /// Fetches the last committed blob for `instance`, if any.
-    ///
-    /// Returns a clone: the store keeps its copy (restores may repeat, e.g.
-    /// duplicate INITs).
-    pub fn get(&mut self, instance: InstanceId) -> Option<StateBlob> {
-        self.inner.get(instance)
-    }
-
-    /// Whether a blob exists for `instance` (no latency charged — used by
-    /// tests and invariant checks, not the data path).
-    pub fn contains(&self, instance: InstanceId) -> bool {
-        self.inner.contains(instance)
-    }
-
-    /// Size of the stored pending list for `instance` without counting as a
-    /// fetch — the engine uses this to price the restore round-trip before
-    /// performing it.
-    pub fn peek_pending_len(&self, instance: InstanceId) -> Option<usize> {
-        self.inner.peek_pending_len(instance)
-    }
-
-    /// Persists (overwrites) the blob for one key range of `instance`.
-    pub fn put_range(&mut self, instance: InstanceId, range: KeyRange, blob: StateBlob) {
-        self.inner.put_range(instance, range, blob);
-    }
-
-    /// Fetches the last committed blob for `(instance, range)`, if any.
-    pub fn get_range(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
-        self.inner.get_range(instance, range)
-    }
-
-    /// Total pending events stored across the given ranges of `instance`,
-    /// without counting as fetches. Absent ranges contribute 0.
-    pub fn peek_ranges_pending_len(&self, instance: InstanceId, ranges: &[KeyRange]) -> usize {
-        self.inner.peek_ranges_pending_len(instance, ranges)
-    }
-
-    /// Number of committed blobs.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Returns true if nothing has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Total persist operations performed.
-    pub fn puts(&self) -> u64 {
-        self.inner.puts()
-    }
-
-    /// Total fetch operations performed.
-    pub fn gets(&self) -> u64 {
-        self.inner.gets()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowmig_metrics::RootId;
     use flowmig_sim::SimTime;
 
+    /// An unkeyed instance's whole state: the one range of its one-partition
+    /// key space.
+    const WHOLE: KeyRange = KeyRange { start: 0, end: 1 };
+
+    fn event(id: u64) -> DataEvent {
+        DataEvent { id, root: RootId(id), generated_at: SimTime::ZERO, replayed: false }
+    }
+
+    /// A store of `shards` unreplicated shards under `model`.
+    fn store_under(shards: usize, model: StoreServiceModel) -> ShardedStateStore {
+        ShardedStateStore::with_config(shards, model, StoreReplication::default())
+    }
+
+    /// The delay of an admission that must be served.
+    fn served(outcome: AdmitOutcome) -> SimDuration {
+        outcome.delay().expect("a healthy store serves every operation")
+    }
+
     #[test]
     fn put_get_round_trip_with_pending() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(3);
         let blob = StateBlob {
             processed: 7,
@@ -754,46 +597,80 @@ mod tests {
             }],
             key_counts: Vec::new(),
         };
-        store.put(i, blob.clone());
-        assert_eq!(store.get(i), Some(blob));
-        assert!(store.contains(i));
+        store.put(i, WHOLE, blob.clone());
+        assert_eq!(store.get(i, WHOLE), Some(blob));
+        assert!(store.contains(i, WHOLE));
         assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn missing_instance_returns_none() {
-        let mut store = StateStore::new();
-        assert_eq!(store.get(InstanceId::from_index(5)), None);
+        let mut store = ShardedStateStore::new();
+        assert_eq!(store.get(InstanceId::from_index(5), WHOLE), None);
         assert_eq!(store.gets(), 1);
         assert!(store.is_empty());
     }
 
     #[test]
     fn overwrite_keeps_latest() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(0);
-        store.put(i, StateBlob::of_count(1));
-        store.put(i, StateBlob::of_count(2));
-        assert_eq!(store.get(i).unwrap().processed, 2);
+        store.put(i, WHOLE, StateBlob::of_count(1));
+        store.put(i, WHOLE, StateBlob::of_count(2));
+        assert_eq!(store.get(i, WHOLE).unwrap().processed, 2);
         assert_eq!(store.puts(), 2);
         assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn repeated_get_is_idempotent() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(0);
-        store.put(i, StateBlob::of_count(5));
-        assert_eq!(store.get(i).unwrap().processed, 5);
-        assert_eq!(store.get(i).unwrap().processed, 5);
+        store.put(i, WHOLE, StateBlob::of_count(5));
+        assert_eq!(store.get(i, WHOLE).unwrap().processed, 5);
+        assert_eq!(store.get(i, WHOLE).unwrap().processed, 5);
         assert_eq!(store.gets(), 2);
+    }
+
+    #[test]
+    fn key_range_blobs_share_one_map_with_the_whole_instance_blob() {
+        // A keyed instance with 8 partitions: its whole-instance checkpoint
+        // is the `KeyRange::whole(8)` entry, and each hot range it moves is
+        // an entry of its own beside it.
+        let mut store = ShardedStateStore::with_shards(2);
+        let i = InstanceId::from_index(1);
+        let whole = KeyRange::whole(8);
+        let (hot, warm) = (KeyRange::new(0, 1), KeyRange::new(2, 4));
+        let blob = |processed, pending: usize| StateBlob {
+            processed,
+            pending: (0..pending as u64).map(event).collect(),
+            key_counts: vec![processed],
+        };
+        store.put(i, whole, blob(10, 1));
+        store.put(i, hot, blob(6, 2));
+        store.put(i, warm, blob(3, 4));
+        assert_eq!(store.len(), 3, "len counts whole-instance and range blobs alike");
+        assert_eq!(store.shard_stats(1).blobs, 3);
+        assert!(store.contains(i, whole) && store.contains(i, hot) && store.contains(i, warm));
+        assert!(!store.contains(i, KeyRange::new(1, 2)), "an unwritten range is absent");
+        assert!(!store.contains(InstanceId::from_index(3), hot), "ranges are per instance");
+        // A range persist never shadows the whole-instance blob.
+        assert_eq!(store.get(i, whole).unwrap().processed, 10);
+        assert_eq!(store.get(i, hot).unwrap().processed, 6);
+        // Pending lengths sum over the ranges present; absent ones are 0.
+        assert_eq!(store.peek_pending_len(i, &[whole]), 1);
+        assert_eq!(store.peek_pending_len(i, &[hot, warm]), 6);
+        assert_eq!(store.peek_pending_len(i, &[hot, KeyRange::new(4, 8)]), 2);
+        assert_eq!(store.peek_pending_len(i, &[]), 0);
+        assert_eq!(store.peek_pending_len(InstanceId::from_index(5), &[whole]), 0);
+        assert_eq!(store.gets(), 2, "peeking is not a fetch");
     }
 
     #[test]
     fn sharding_routes_by_instance_index() {
         let mut store = ShardedStateStore::with_shards(4);
         for idx in 0..12 {
-            store.put(InstanceId::from_index(idx), StateBlob::of_count(idx as u64));
+            store.put(InstanceId::from_index(idx), WHOLE, StateBlob::of_count(idx as u64));
         }
         assert_eq!(store.len(), 12);
         for shard in 0..4 {
@@ -801,7 +678,7 @@ mod tests {
             assert_eq!(store.shard_stats(shard).blobs, 3, "shard {shard}");
         }
         // Reads hit only the owning shard.
-        assert!(store.get(InstanceId::from_index(5)).is_some());
+        assert!(store.get(InstanceId::from_index(5), WHOLE).is_some());
         assert_eq!(store.shard_stats(1).gets, 1);
         assert_eq!(store.shard_stats(0).gets, 0);
     }
@@ -825,14 +702,14 @@ mod tests {
         };
         let expected = blob.byte_size();
         assert!(expected > 8, "pending events contribute bytes");
-        store.put(i, blob);
+        store.put(i, WHOLE, blob);
         assert_eq!(store.shard_stats(1).bytes_written, expected);
         assert_eq!(store.bytes_written(), expected);
         assert_eq!(store.bytes_read(), 0);
-        let _ = store.get(i);
+        let _ = store.get(i, WHOLE);
         assert_eq!(store.bytes_read(), expected);
         // A miss reads nothing.
-        let _ = store.get(InstanceId::from_index(3));
+        let _ = store.get(InstanceId::from_index(3), WHOLE);
         assert_eq!(store.bytes_read(), expected);
     }
 
@@ -845,17 +722,17 @@ mod tests {
         let present = InstanceId::from_index(1);
         let absent = InstanceId::from_index(5); // same shard (1) as `present`
         assert_eq!(store.shard_of(present), store.shard_of(absent));
-        store.put(present, StateBlob::of_count(9));
+        store.put(present, WHOLE, StateBlob::of_count(9));
         let written = store.shard_stats(1).bytes_written;
         assert!(written > 0);
 
-        assert!(store.get(absent).is_none());
+        assert!(store.get(absent, WHOLE).is_none());
         let stats = store.shard_stats(1);
         assert_eq!(stats.gets, 1, "a miss is still a served fetch");
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.bytes_read, 0, "misses read nothing");
 
-        assert!(store.get(present).is_some());
+        assert!(store.get(present, WHOLE).is_some());
         let stats = store.shard_stats(1);
         assert_eq!(stats.gets, 2);
         assert_eq!(stats.misses, 1, "hits don't count as misses");
@@ -870,7 +747,7 @@ mod tests {
     fn single_shard_store_degenerates_to_flat_map() {
         let mut store = ShardedStateStore::with_shards(1);
         for idx in 0..5 {
-            store.put(InstanceId::from_index(idx), StateBlob::of_count(idx as u64));
+            store.put(InstanceId::from_index(idx), WHOLE, StateBlob::of_count(idx as u64));
         }
         assert_eq!(store.shard_count(), 1);
         assert_eq!(store.shard_stats(0).puts, 5);
@@ -892,9 +769,13 @@ mod tests {
         let now = SimTime::from_secs(1);
         let service = SimDuration::from_millis(10);
         for idx in [0, 2, 4] {
-            let delay =
-                store.admit(InstanceId::from_index(idx), now, service, StoreServiceModel::Unqueued);
-            assert_eq!(delay, service, "instance {idx} pays service time only");
+            let outcome =
+                store.admit(InstanceId::from_index(idx), now, service, StoreOpKind::Persist);
+            assert_eq!(
+                outcome,
+                AdmitOutcome::Served { delay: service, wait: SimDuration::ZERO, degraded: false },
+                "instance {idx} pays service time only"
+            );
         }
         let stats = store.shard_stats(0);
         assert_eq!(stats.queued_ops, 0);
@@ -902,22 +783,24 @@ mod tests {
         // …but the observed concurrency is still recorded.
         assert_eq!(stats.max_queue_depth, 3, "flat pricing absorbed 3 concurrent ops");
         assert_eq!(store.max_queue_depth(), 3);
+        // The default unreplicated store prices no persist as a quorum.
+        assert_eq!(store.quorum_persists(), 0, "default replication never counts quorums");
     }
 
     #[test]
     fn fifo_admission_serializes_one_shard() {
-        let mut store = ShardedStateStore::with_shards(2);
+        let mut store = store_under(2, StoreServiceModel::FifoPerShard);
         let now = SimTime::from_secs(1);
         let service = SimDuration::from_millis(10);
-        let i = |idx| InstanceId::from_index(idx);
+        let mut admit = |idx| {
+            served(store.admit(InstanceId::from_index(idx), now, service, StoreOpKind::Persist))
+        };
         // Three same-instant ops on shard 0: delays 10, 20, 30 ms.
         for (k, idx) in [0usize, 2, 4].into_iter().enumerate() {
-            let delay = store.admit(i(idx), now, service, StoreServiceModel::FifoPerShard);
-            assert_eq!(delay, service.mul(k as u64 + 1), "op {k} waits behind {k} ops");
+            assert_eq!(admit(idx), service.mul(k as u64 + 1), "op {k} waits behind {k} ops");
         }
         // A different shard serves its op immediately.
-        let other = store.admit(i(1), now, service, StoreServiceModel::FifoPerShard);
-        assert_eq!(other, service, "shards queue independently");
+        assert_eq!(admit(1), service, "shards queue independently");
         let stats = store.shard_stats(0);
         assert_eq!(stats.queued_ops, 2, "first op never waits");
         assert_eq!(stats.queued_wait, SimDuration::from_millis(30), "10 + 20 ms of waiting");
@@ -925,6 +808,7 @@ mod tests {
         assert_eq!(store.shard_stats(1).queued_ops, 0);
         assert_eq!(store.queued_ops(), 2);
         assert_eq!(store.queued_wait(), SimDuration::from_millis(30));
+        assert_eq!(store.quorum_persists(), 0, "default replication never counts quorums");
     }
 
     #[test]
@@ -932,16 +816,12 @@ mod tests {
         // Without concurrent load the FIFO model degenerates to the
         // zero-queueing one: admission on an idle shard is a strict
         // extension, not a repricing.
-        let mut store = ShardedStateStore::with_shards(4);
+        let mut store = store_under(4, StoreServiceModel::FifoPerShard);
         let service = SimDuration::from_millis(7);
         for step in 0..5u64 {
             let now = SimTime::from_secs(step); // far past the previous completion
-            let delay = store.admit(
-                InstanceId::from_index(0),
-                now,
-                service,
-                StoreServiceModel::FifoPerShard,
-            );
+            let delay =
+                served(store.admit(InstanceId::from_index(0), now, service, StoreOpKind::Persist));
             assert_eq!(delay, service, "idle shard at step {step}");
         }
         assert_eq!(store.shard_stats(0).queued_ops, 0);
@@ -954,13 +834,13 @@ mod tests {
         let service = SimDuration::from_millis(10);
         let i = InstanceId::from_index(0);
         let t0 = SimTime::from_secs(1);
-        store.admit(i, t0, service, StoreServiceModel::Unqueued);
-        store.admit(i, t0, service, StoreServiceModel::Unqueued);
+        store.admit(i, t0, service, StoreOpKind::Persist);
+        store.admit(i, t0, service, StoreOpKind::Persist);
         assert_eq!(store.shard_stats(0).max_queue_depth, 2);
         // Both ops completed by t0+10ms; a later admission sees an empty
         // window and the high-water mark stays at 2.
         let later = t0 + SimDuration::from_millis(11);
-        store.admit(i, later, service, StoreServiceModel::Unqueued);
+        store.admit(i, later, service, StoreOpKind::Persist);
         assert_eq!(store.shard_stats(0).max_queue_depth, 2, "high-water mark, not current depth");
     }
 
@@ -968,122 +848,56 @@ mod tests {
     #[should_panic(expected = "time order")]
     #[cfg(debug_assertions)]
     fn out_of_order_admissions_are_caught() {
-        let mut store = ShardedStateStore::with_shards(2);
+        let mut store = store_under(2, StoreServiceModel::FifoPerShard);
         let service = SimDuration::from_millis(1);
         store.admit(
             InstanceId::from_index(0),
             SimTime::from_secs(2),
             service,
-            StoreServiceModel::FifoPerShard,
+            StoreOpKind::Persist,
         );
         store.admit(
             InstanceId::from_index(1),
             SimTime::from_secs(1),
             service,
-            StoreServiceModel::FifoPerShard,
+            StoreOpKind::Persist,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "one service model")]
-    #[cfg(debug_assertions)]
-    fn mixing_service_models_on_one_store_is_caught() {
-        // An Unqueued admission never advances busy_until, so a later
-        // FIFO admission against the same store would be priced as if
-        // the earlier load did not exist — rejected in debug builds.
-        let mut store = ShardedStateStore::with_shards(1);
-        let service = SimDuration::from_millis(1);
-        store.admit(InstanceId::from_index(0), SimTime::ZERO, service, StoreServiceModel::Unqueued);
-        store.admit(
-            InstanceId::from_index(0),
-            SimTime::ZERO,
-            service,
-            StoreServiceModel::FifoPerShard,
-        );
-    }
-
-    #[test]
-    fn unreplicated_admit_op_matches_the_legacy_admit_byte_for_byte() {
-        // Compatibility pin: under the default replication (1 replica,
-        // quorum 1) both service models must price admit_op exactly as the
-        // legacy admit priced them, including the wait accounting.
-        for model in [StoreServiceModel::Unqueued, StoreServiceModel::FifoPerShard] {
-            let mut legacy = ShardedStateStore::with_shards(2);
-            let mut new = ShardedStateStore::with_shards(2);
-            let service = SimDuration::from_millis(10);
-            for (step, idx) in [0usize, 2, 0, 1].into_iter().enumerate() {
-                let now = SimTime::from_millis(step as u64);
-                let old_delay = legacy.admit(InstanceId::from_index(idx), now, service, model);
-                let outcome = new.admit_op(
-                    InstanceId::from_index(idx),
-                    now,
-                    service,
-                    model,
-                    StoreReplication::default(),
-                    StoreOpKind::Persist,
-                );
-                let AdmitOutcome::Served { delay, wait, degraded } = outcome else {
-                    panic!("an unreplicated healthy store never fails");
-                };
-                assert_eq!(delay, old_delay, "{model:?} step {step}");
-                assert_eq!(wait, delay - service, "{model:?} step {step}");
-                assert!(!degraded);
-            }
-            for shard in 0..2 {
-                assert_eq!(legacy.shard_stats(shard), new.shard_stats(shard), "{model:?}");
-            }
-            assert_eq!(new.quorum_persists(), 0, "default replication never counts quorums");
-        }
     }
 
     #[test]
     fn quorum_persist_completes_at_the_kth_fastest_replica() {
         // 3 replicas, lag ladder 1.0×/1.25×/1.5×: a 2-of-3 quorum returns
         // at the second replica (1.25×), strictly cheaper than all-3.
-        let mut store = ShardedStateStore::with_shards(1);
         let i = InstanceId::from_index(0);
         let service = SimDuration::from_micros(1000);
-        let AdmitOutcome::Served { delay: q2, .. } = store.admit_op(
-            i,
-            SimTime::from_secs(1),
-            service,
-            StoreServiceModel::Unqueued,
-            StoreReplication::new(3, 2),
-            StoreOpKind::Persist,
-        ) else {
-            panic!("healthy quorum persist must serve");
+        let persist = |quorum| {
+            let replication = StoreReplication::new(3, quorum);
+            let mut store =
+                ShardedStateStore::with_config(1, StoreServiceModel::Unqueued, replication);
+            let delay =
+                store.admit(i, SimTime::from_secs(1), service, StoreOpKind::Persist).delay();
+            let stats = store.shard_stats(0);
+            assert_eq!((stats.quorum_persists, stats.degraded_persists), (1, 0));
+            delay.expect("a healthy quorum persist must serve")
         };
+        let (q2, q3) = (persist(2), persist(3));
         assert_eq!(q2, SimDuration::from_micros(1250), "2-of-3 waits for replica 1");
-        let AdmitOutcome::Served { delay: q3, .. } = store.admit_op(
-            i,
-            SimTime::from_secs(2),
-            service,
-            StoreServiceModel::Unqueued,
-            StoreReplication::new(3, 3),
-            StoreOpKind::Persist,
-        ) else {
-            panic!("healthy full-replica persist must serve");
-        };
         assert_eq!(q3, SimDuration::from_micros(1500), "all-3 waits for replica 2");
         assert!(q2 < q3, "quorum persist must beat the full-replica wait");
-        assert_eq!(store.shard_stats(0).quorum_persists, 2);
-        assert_eq!(store.shard_stats(0).degraded_persists, 0);
     }
 
     #[test]
     fn fetch_is_served_by_the_fastest_live_replica() {
-        let mut store = ShardedStateStore::with_shards(1);
+        let mut store = ShardedStateStore::with_config(
+            1,
+            StoreServiceModel::Unqueued,
+            StoreReplication::new(3, 2),
+        );
         let i = InstanceId::from_index(0);
         let service = SimDuration::from_micros(1000);
-        let rep = StoreReplication::new(3, 2);
-        let AdmitOutcome::Served { delay, degraded, .. } = store.admit_op(
-            i,
-            SimTime::from_secs(1),
-            service,
-            StoreServiceModel::Unqueued,
-            rep,
-            StoreOpKind::Fetch,
-        ) else {
+        let AdmitOutcome::Served { delay, degraded, .. } =
+            store.admit(i, SimTime::from_secs(1), service, StoreOpKind::Fetch)
+        else {
             panic!("healthy fetch must serve");
         };
         assert_eq!(delay, service, "healthy fetch pays the primary's service time");
@@ -1091,14 +905,9 @@ mod tests {
         // With the primary down the fetch falls to replica 1 and pays its
         // lag — degraded but alive.
         store.fail_shard_replicas(0, 1);
-        let AdmitOutcome::Served { delay, degraded, .. } = store.admit_op(
-            i,
-            SimTime::from_secs(2),
-            service,
-            StoreServiceModel::Unqueued,
-            rep,
-            StoreOpKind::Fetch,
-        ) else {
+        let AdmitOutcome::Served { delay, degraded, .. } =
+            store.admit(i, SimTime::from_secs(2), service, StoreOpKind::Fetch)
+        else {
             panic!("a 1-down fetch must still serve");
         };
         assert_eq!(delay, SimDuration::from_micros(1250), "degraded fetch pays replica 1's lag");
@@ -1108,54 +917,30 @@ mod tests {
 
     #[test]
     fn persist_below_quorum_fails_and_is_counted() {
-        let mut store = ShardedStateStore::with_shards(1);
+        let mut store = ShardedStateStore::with_config(
+            1,
+            StoreServiceModel::Unqueued,
+            StoreReplication::new(3, 2),
+        );
         let i = InstanceId::from_index(0);
         let service = SimDuration::from_micros(1000);
-        let rep = StoreReplication::new(3, 2);
         // 2 of 3 down leaves 1 live replica < quorum 2: the persist fails.
         store.fail_shard_replicas(0, 2);
-        let outcome = store.admit_op(
-            i,
-            SimTime::from_secs(1),
-            service,
-            StoreServiceModel::Unqueued,
-            rep,
-            StoreOpKind::Persist,
-        );
+        let outcome = store.admit(i, SimTime::from_secs(1), service, StoreOpKind::Persist);
         assert_eq!(outcome, AdmitOutcome::Failed);
+        assert_eq!(outcome.delay(), None);
         // A fetch only needs one live replica, so it still serves.
-        let fetched = store.admit_op(
-            i,
-            SimTime::from_secs(2),
-            service,
-            StoreServiceModel::Unqueued,
-            rep,
-            StoreOpKind::Fetch,
-        );
+        let fetched = store.admit(i, SimTime::from_secs(2), service, StoreOpKind::Fetch);
         assert!(matches!(fetched, AdmitOutcome::Served { degraded: true, .. }));
         // A full outage fails fetches too.
         store.fail_shard_replicas(0, usize::MAX);
-        let outcome = store.admit_op(
-            i,
-            SimTime::from_secs(3),
-            service,
-            StoreServiceModel::Unqueued,
-            rep,
-            StoreOpKind::Fetch,
-        );
+        let outcome = store.admit(i, SimTime::from_secs(3), service, StoreOpKind::Fetch);
         assert_eq!(outcome, AdmitOutcome::Failed);
         assert_eq!(store.failed_ops(), 2);
         assert_eq!(store.shard_stats(0).failed_ops, 2);
         // Restoring the shard brings the persist path back.
         store.restore_shard_replicas(0);
-        let outcome = store.admit_op(
-            i,
-            SimTime::from_secs(4),
-            service,
-            StoreServiceModel::Unqueued,
-            rep,
-            StoreOpKind::Persist,
-        );
+        let outcome = store.admit(i, SimTime::from_secs(4), service, StoreOpKind::Persist);
         assert!(matches!(outcome, AdmitOutcome::Served { degraded: false, .. }));
     }
 
@@ -1164,14 +949,16 @@ mod tests {
         // With the fastest replica down, a 2-of-3 persist is served by
         // replicas 1 and 2 and returns at replica 2 (1.5×): degraded
         // quorums cost more than healthy ones.
-        let mut store = ShardedStateStore::with_shards(1);
+        let mut store = ShardedStateStore::with_config(
+            1,
+            StoreServiceModel::Unqueued,
+            StoreReplication::new(3, 2),
+        );
         store.fail_shard_replicas(0, 1);
-        let AdmitOutcome::Served { delay, degraded, .. } = store.admit_op(
+        let AdmitOutcome::Served { delay, degraded, .. } = store.admit(
             InstanceId::from_index(0),
             SimTime::from_secs(1),
             SimDuration::from_micros(1000),
-            StoreServiceModel::Unqueued,
-            StoreReplication::new(3, 2),
             StoreOpKind::Persist,
         ) else {
             panic!("a 1-down quorum persist must serve");
@@ -1188,19 +975,14 @@ mod tests {
     fn soft_degrade_inflates_service_with_instantaneous_load() {
         // M/M/1-style: the n-th same-instant op on a shard is served in
         // (1 + n) × service, and the inflation is surfaced as wait.
-        let mut store = ShardedStateStore::with_shards(1);
+        let mut store = store_under(1, StoreServiceModel::SoftDegrade);
         let now = SimTime::from_secs(1);
         let service = SimDuration::from_millis(10);
         let i = InstanceId::from_index(0);
         for n in 0..3u64 {
-            let AdmitOutcome::Served { delay, wait, .. } = store.admit_op(
-                i,
-                now,
-                service,
-                StoreServiceModel::SoftDegrade,
-                StoreReplication::default(),
-                StoreOpKind::Persist,
-            ) else {
+            let AdmitOutcome::Served { delay, wait, .. } =
+                store.admit(i, now, service, StoreOpKind::Persist)
+            else {
                 panic!("healthy soft-degrade persist must serve");
             };
             assert_eq!(delay, service.mul(1 + n), "op {n} sees load {n}");
@@ -1211,16 +993,7 @@ mod tests {
         assert_eq!(stats.queued_wait, SimDuration::from_millis(30));
         // Once the window drains, service returns to the idle price.
         let later = now + SimDuration::from_secs(1);
-        let AdmitOutcome::Served { delay, .. } = store.admit_op(
-            i,
-            later,
-            service,
-            StoreServiceModel::SoftDegrade,
-            StoreReplication::default(),
-            StoreOpKind::Persist,
-        ) else {
-            panic!("healthy soft-degrade persist must serve");
-        };
+        let delay = served(store.admit(i, later, service, StoreOpKind::Persist));
         assert_eq!(delay, service, "an idle shard is back to flat pricing");
     }
 
@@ -1229,30 +1002,19 @@ mod tests {
         // The write lands on all live replicas even though the client
         // returns at quorum: a back-to-back persist queues on every
         // replica, while a fetch occupies only its serving replica.
-        let mut store = ShardedStateStore::with_shards(1);
+        let mut store = ShardedStateStore::with_config(
+            1,
+            StoreServiceModel::FifoPerShard,
+            StoreReplication::new(2, 2),
+        );
         let i = InstanceId::from_index(0);
         let now = SimTime::from_secs(1);
         let service = SimDuration::from_micros(1000);
-        let rep = StoreReplication::new(2, 2);
-        let AdmitOutcome::Served { delay: first, .. } = store.admit_op(
-            i,
-            now,
-            service,
-            StoreServiceModel::FifoPerShard,
-            rep,
-            StoreOpKind::Persist,
-        ) else {
-            panic!("persist must serve");
-        };
+        let first = served(store.admit(i, now, service, StoreOpKind::Persist));
         assert_eq!(first, SimDuration::from_micros(1250), "idle 2-of-2 waits for replica 1");
-        let AdmitOutcome::Served { delay: second, wait, .. } = store.admit_op(
-            i,
-            now,
-            service,
-            StoreServiceModel::FifoPerShard,
-            rep,
-            StoreOpKind::Persist,
-        ) else {
+        let AdmitOutcome::Served { delay: second, wait, .. } =
+            store.admit(i, now, service, StoreOpKind::Persist)
+        else {
             panic!("persist must serve");
         };
         // Replica 0 free at 1000, replica 1 at 1250; the second persist
@@ -1261,38 +1023,29 @@ mod tests {
         assert_eq!(wait, SimDuration::from_micros(1250), "the horizon wait is accounted");
         // A fetch now runs on replica 0 (free at 1000), not replica 1
         // (busy until 2500): fetches only pay the fastest live horizon.
-        let AdmitOutcome::Served { delay: fetch, .. } = store.admit_op(
-            i,
-            now,
-            service,
-            StoreServiceModel::FifoPerShard,
-            rep,
-            StoreOpKind::Fetch,
-        ) else {
-            panic!("fetch must serve");
-        };
+        let fetch = served(store.admit(i, now, service, StoreOpKind::Fetch));
         assert_eq!(fetch, SimDuration::from_micros(3000), "fetch queues on replica 0 only");
     }
 
     #[test]
     fn aborted_wave_work_still_occupies_fifo_horizons() {
-        // The satellite-3 decision, pinned: horizons survive an aborted
-        // migration. A wave queues 3 ops on one shard, the wave dies (the
-        // engine simply stops scheduling their completions), and a
-        // post-rollback retry admitted before the horizon clears still
-        // waits behind the dead wave's queued work — the store accepted
-        // that work and a real one would keep serving it.
-        let mut store = ShardedStateStore::with_shards(1);
+        // The decision, pinned: horizons survive an aborted migration. A
+        // wave queues 3 ops on one shard, the wave dies (the engine simply
+        // stops scheduling their completions), and a post-rollback retry
+        // admitted before the horizon clears still waits behind the dead
+        // wave's queued work — the store accepted that work and a real one
+        // would keep serving it.
+        let mut store = store_under(1, StoreServiceModel::FifoPerShard);
         let i = InstanceId::from_index(0);
         let t0 = SimTime::from_secs(1);
         let service = SimDuration::from_millis(10);
         for _ in 0..3 {
-            store.admit(i, t0, service, StoreServiceModel::FifoPerShard);
+            store.admit(i, t0, service, StoreOpKind::Persist);
         }
         // The migration aborts here; nothing resets the store. A retry
         // 5 ms later still queues behind the dead wave's 30 ms horizon.
         let retry_at = t0 + SimDuration::from_millis(5);
-        let delay = store.admit(i, retry_at, service, StoreServiceModel::FifoPerShard);
+        let delay = served(store.admit(i, retry_at, service, StoreOpKind::Persist));
         assert_eq!(
             delay,
             SimDuration::from_millis(35),
@@ -1302,7 +1055,7 @@ mod tests {
         // Once the horizon drains, pricing is back to idle — the penalty
         // is bounded by the aborted wave's accepted work, not permanent.
         let much_later = t0 + SimDuration::from_secs(1);
-        let delay = store.admit(i, much_later, service, StoreServiceModel::FifoPerShard);
+        let delay = served(store.admit(i, much_later, service, StoreOpKind::Persist));
         assert_eq!(delay, service, "the dead wave's horizon drains out");
     }
 
@@ -1311,7 +1064,7 @@ mod tests {
         // The queue invariant the proptest suite fuzzes, pinned here on a
         // hand-written interleaving: completions never reorder within a
         // shard even when later ops are shorter.
-        let mut store = ShardedStateStore::with_shards(1);
+        let mut store = store_under(1, StoreServiceModel::FifoPerShard);
         let i = InstanceId::from_index(0);
         let mut last_completion = SimTime::ZERO;
         let ops = [
@@ -1321,8 +1074,7 @@ mod tests {
             (SimTime::from_millis(90), SimDuration::from_millis(1)),
         ];
         for (now, service) in ops {
-            let delay = store.admit(i, now, service, StoreServiceModel::FifoPerShard);
-            let completion = now + delay;
+            let completion = now + served(store.admit(i, now, service, StoreOpKind::Persist));
             assert!(completion >= last_completion, "FIFO must not reorder completions");
             last_completion = completion;
         }

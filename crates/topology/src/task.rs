@@ -253,7 +253,8 @@ impl TaskSpec {
     /// uniform; exponent 1 is the classic harmonic skew; higher exponents
     /// concentrate traffic further. Integer exponents keep the weights
     /// free of `powf`, so skewed traces hash identically across libm
-    /// implementations.
+    /// implementations. A rank whose power overflows `u64` gets weight 0:
+    /// its true weight is below 2⁻⁶⁴ of partition 0's.
     ///
     /// # Panics
     ///
@@ -263,7 +264,7 @@ impl TaskSpec {
         let weights = (0..partitions)
             .map(|i| {
                 let rank = u64::from(i) + 1;
-                1.0 / rank.pow(exponent) as f64
+                rank.checked_pow(exponent).map_or(0.0, |power| 1.0 / power as f64)
             })
             .collect();
         self.with_key_weights(weights)
@@ -503,6 +504,26 @@ mod tests {
         assert!(t.key_weight(6) > t.key_weight(7));
         let total: f64 = (0..8).map(|p| t.key_weight(p)).sum();
         assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zipf_ranks_whose_power_overflows_get_zero_weight() {
+        // 16^16 = 2^64 is the first power past u64::MAX: rank 16 (partition
+        // 15) gets weight 0; every lower rank keeps its exact 1/rank^16.
+        let t = TaskSpec::operator("t").with_zipf_keys(16, 16);
+        assert_eq!(t.key_partitions(), 16);
+        assert_eq!(t.key_weight(15), 0.0);
+        let raw: Vec<f64> = (1..16u64).map(|r| 1.0 / r.pow(16) as f64).collect();
+        let total: f64 = raw.iter().sum();
+        for (p, w) in raw.iter().enumerate() {
+            assert_eq!(t.key_weight(p as u32), w / total, "partition {p}");
+        }
+        // Past the overflow every rank but the first weighs 0, and the
+        // key space still partitions every hash.
+        let steep = TaskSpec::operator("t").with_zipf_keys(8, 200);
+        assert_eq!(steep.key_weight(0), 1.0);
+        assert!((1..8).all(|p| steep.key_weight(p) == 0.0));
+        assert_eq!(steep.partition_of(u64::MAX), 0);
     }
 
     #[test]

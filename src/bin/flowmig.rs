@@ -251,12 +251,14 @@ fn main() -> ExitCode {
         .with_request_at(SimTime::from_secs(args.request_secs))
         .with_horizon(SimTime::from_secs(args.horizon_secs))
         .with_seed(args.seed);
-    if let Some(shards) = args.shards {
-        controller = controller.with_store_shards(shards);
-    }
+    // A whole engine config replaces every engine setting, so it goes
+    // first and the flags below refine it.
     if let Some(slots) = args.transport_buffer {
         let config = EngineConfig { transport_buffer: slots, ..EngineConfig::default() };
         controller = controller.with_engine_config(config);
+    }
+    if let Some(shards) = args.shards {
+        controller = controller.with_store_shards(shards);
     }
     if let Some(backend) = args.queue_backend {
         controller = controller.with_queue_backend(backend);
@@ -279,6 +281,17 @@ fn main() -> ExitCode {
             return usage();
         }
         controller = controller.with_store_replication(replicas, quorum);
+    }
+    // The run would panic on an outage of a shard the store does not have;
+    // reject it here like any other bad flag.
+    let shards = controller.store_shards();
+    if let Some(&(shard, ..)) = args.shard_outages.iter().find(|&&(shard, ..)| shard >= shards) {
+        eprintln!(
+            "error: --shard-outage names shard {shard}, but the store has {shards} shards \
+             (0..={})",
+            shards - 1
+        );
+        return usage();
     }
     for &(shard, at, down) in &args.shard_outages {
         controller = controller.with_shard_outage(

@@ -6,6 +6,7 @@
 //! no event is processed partly by old and partly by new logic.
 
 use flowmig::prelude::*;
+use flowmig::topology::{InstanceId, KeyRange};
 
 #[test]
 fn dcr_migration_swaps_task_logic_with_clean_boundary() {
@@ -99,4 +100,67 @@ fn logic_update_rejects_kind_change() {
         23,
     );
     engine.stage_logic_update(t1, TaskSpec::sink("nope"));
+}
+
+/// A staged logic update may change a task's key space between its COMMIT
+/// and its INIT. The restore still reads the blob the COMMIT wrote: each
+/// migrated instance comes back with the event count it committed and
+/// replays every event it captured.
+#[test]
+fn a_re_keyed_task_restores_the_state_it_committed() {
+    let dag = library::linear();
+    let t3 = dag.task_by_name("t3").expect("t3 exists");
+    let committed = KeyRange::whole(dag.spec(t3).key_partitions());
+    let instances = InstanceSet::plan(&dag);
+    let plan = ScalePlan::paper_scenario(&dag, &instances, ScaleDirection::In)
+        .expect("scenario placeable");
+    let strategies: [&dyn MigrationStrategy; 2] = [&Dcr::new(), &Ccr::new()];
+    for strategy in strategies {
+        let name = strategy.name();
+        let build = || {
+            let mut engine = Engine::new(
+                dag.clone(),
+                instances.clone(),
+                &plan,
+                EngineConfig::default(),
+                strategy.protocol(),
+                strategy.coordinator(),
+                24,
+            );
+            engine.stage_logic_update(t3, dag.spec(t3).clone().with_key_partitions(4));
+            engine.schedule_migration(SimTime::from_secs(60));
+            engine
+        };
+        // The run is deterministic: a first pass finds when each t3
+        // instance is restored, a second stops there and reads its state.
+        let mut probe = build();
+        probe.run_until(SimTime::from_secs(300));
+        assert!(probe.trace().migration_completed_at().is_some(), "{name}: completed");
+        assert_eq!(probe.stats().events_dropped, 0, "{name}: nothing dropped");
+        let restores: Vec<(SimTime, InstanceId, u32)> = probe
+            .trace()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::InstanceRestored { instance, at, pending_replayed } => {
+                    Some((at, instance, pending_replayed))
+                }
+                _ => None,
+            })
+            .filter(|&(_, i, _)| instances.task_of(i) == t3)
+            .collect();
+        assert_eq!(restores.len(), instances.of_task(t3).len(), "{name}: every t3 restored");
+
+        let mut engine = build();
+        for (at, i, replayed) in restores {
+            engine.run_until(at);
+            let blob = engine.store().clone().get(i, committed).expect("the instance committed");
+            assert!(blob.processed > 0, "{name}: {i} committed real state");
+            assert_eq!(engine.processed_count(i), blob.processed, "{name}: {i} count restored");
+            assert_eq!(
+                replayed as usize,
+                blob.pending.len(),
+                "{name}: {i} captured events replayed"
+            );
+        }
+    }
 }

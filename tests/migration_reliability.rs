@@ -2,7 +2,9 @@
 //! scaling directions — the paper's central claim: migration "without any
 //! loss of in-flight messages or their internal task states".
 
+use flowmig::core::{CcrPipelined, DcrParallelInit};
 use flowmig::prelude::*;
+use flowmig::topology::{InstanceId, KeyRange};
 use std::collections::HashMap;
 
 /// Expected sink arrivals per root for each paper dataflow (its end-to-end
@@ -197,4 +199,96 @@ fn phase_ordering_is_pause_drain_commit_rebalance_restore_resume() {
     }
     // Completion is recorded once the source resumes.
     assert!(outcome.trace.migration_completed_at().is_some());
+}
+
+/// Deploys `dag` under `strategy` on the paper's scale-in scenario, with
+/// the migration requested at 60 s.
+fn keyed_engine(dag: &Dataflow, strategy: &dyn MigrationStrategy, seed: u64) -> Engine {
+    let instances = InstanceSet::plan(dag);
+    let plan =
+        ScalePlan::paper_scenario(dag, &instances, ScaleDirection::In).expect("scenario placeable");
+    let mut engine = Engine::new(
+        dag.clone(),
+        instances,
+        &plan,
+        EngineConfig::default(),
+        strategy.protocol(),
+        strategy.coordinator(),
+        seed,
+    );
+    engine.schedule_migration(SimTime::from_secs(60));
+    engine
+}
+
+/// The whole-instance checkpoint range of every keyed instance of `dag`.
+fn keyed_instances(dag: &Dataflow) -> Vec<(InstanceId, KeyRange)> {
+    let instances = InstanceSet::plan(dag);
+    instances
+        .iter()
+        .filter(|&i| dag.spec(instances.task_of(i)).is_keyed())
+        .map(|i| (i, KeyRange::whole(dag.spec(instances.task_of(i)).key_partitions())))
+        .collect()
+}
+
+/// A checkpoint of keyed state holds one instant's state. DSM keeps its
+/// sources running between PREPARE and COMMIT, so a COMMIT that paired the
+/// PREPARE-time event count with COMMIT-time per-partition counters tore
+/// every keyed blob, and a restored instance then disagreed with itself.
+#[test]
+fn whole_instance_checkpoints_of_keyed_state_hold_one_instant() {
+    let strategies: [&dyn MigrationStrategy; 5] =
+        [&Dsm::new(), &Dcr::new(), &DcrParallelInit::new(), &Ccr::new(), &CcrPipelined::new()];
+    for dag in [library::zipf_keyed(&library::linear(), 4, 1), library::grid_zipf(3, 8, 1)] {
+        for strategy in strategies {
+            let label = format!("{} {}", dag.name(), strategy.name());
+            let mut engine = keyed_engine(&dag, strategy, 1);
+            engine.run_until(SimTime::from_secs(300));
+            assert!(engine.trace().migration_completed_at().is_some(), "{label}: completed");
+            let mut store = engine.store().clone();
+            let mut blobs = 0;
+            for (i, whole) in keyed_instances(&dag) {
+                let counts: u64 = engine.key_processed(i).iter().sum();
+                assert_eq!(engine.processed_count(i), counts, "{label}: {i} state is torn");
+                if let Some(blob) = store.get(i, whole) {
+                    let counts: u64 = blob.key_counts.iter().sum();
+                    assert_eq!(blob.processed, counts, "{label}: {i} checkpoint is torn");
+                    blobs += 1;
+                }
+            }
+            assert!(blobs > 0, "{label}: keyed state was checkpointed");
+        }
+    }
+}
+
+/// A whole-instance migration restores keyed state partition by
+/// partition: at the instant each migrated keyed instance is restored,
+/// its per-partition counters are exactly the ones it committed.
+#[test]
+fn ccr_pipelined_restores_committed_key_counters_exactly() {
+    let dag = library::grid_zipf(3, 8, 1);
+    let keyed = keyed_instances(&dag);
+    // The run is deterministic: a first pass finds the restore instants,
+    // a second stops at each one and reads the state it restored.
+    let restored_at = |engine: &Engine| -> Vec<(SimTime, InstanceId)> {
+        let restores = engine.trace().iter().filter_map(|e| match *e {
+            TraceEvent::InstanceRestored { instance, at, .. } => Some((at, instance)),
+            _ => None,
+        });
+        restores.filter(|(_, i)| keyed.iter().any(|(k, _)| k == i)).collect()
+    };
+    let mut probe = keyed_engine(&dag, &CcrPipelined::new(), 5);
+    probe.run_until(SimTime::from_secs(300));
+    assert!(probe.trace().migration_completed_at().is_some(), "the migration completed");
+    let restores = restored_at(&probe);
+    assert!(restores.len() >= 16, "keyed instances were migrated: {}", restores.len());
+
+    let mut engine = keyed_engine(&dag, &CcrPipelined::new(), 5);
+    for &(at, i) in &restores {
+        engine.run_until(at);
+        let whole = keyed.iter().find(|(k, _)| *k == i).expect("keyed").1;
+        let blob = engine.store().clone().get(i, whole).expect("the instance committed");
+        assert_eq!(engine.key_processed(i), &blob.key_counts[..], "{i} counters restored");
+        assert_eq!(engine.processed_count(i), blob.processed, "{i} count restored");
+        assert!(blob.processed > 0, "{i} restored real state");
+    }
 }

@@ -2,7 +2,7 @@
 
 use flowmig::cluster::{SlotId, VmId};
 use flowmig::core::CcrPipelined;
-use flowmig::engine::{AckOutcome, Acker, ShardedStateStore};
+use flowmig::engine::{AckOutcome, Acker, ShardedStateStore, StoreOpKind};
 use flowmig::metrics::RootId;
 use flowmig::prelude::*;
 use flowmig::sim::{Process, RunOutcome, Scheduler, Simulation};
@@ -124,8 +124,10 @@ proptest! {
             1..64,
         ),
     ) {
-        let mut store = ShardedStateStore::with_shards(shards);
-        let mut flat = ShardedStateStore::with_shards(shards);
+        let replication = StoreReplication::default();
+        let mut store =
+            ShardedStateStore::with_config(shards, StoreServiceModel::FifoPerShard, replication);
+        let mut flat = ShardedStateStore::with_config(shards, StoreServiceModel::Unqueued, replication);
         let mut now = SimTime::ZERO;
         let mut last_completion = vec![SimTime::ZERO; shards];
         let mut expected_wait = SimDuration::ZERO;
@@ -133,8 +135,8 @@ proptest! {
             now += SimDuration::from_micros(gap);
             let i = flowmig::topology::InstanceId::from_index(idx);
             let service = SimDuration::from_micros(service_us);
-            let delay = store.admit(i, now, service, StoreServiceModel::FifoPerShard);
-            let baseline = flat.admit(i, now, service, StoreServiceModel::Unqueued);
+            let delay = store.admit(i, now, service, StoreOpKind::Persist).delay().unwrap();
+            let baseline = flat.admit(i, now, service, StoreOpKind::Persist).delay().unwrap();
             // Queueing is a strict extension of the flat model…
             prop_assert_eq!(baseline, service);
             prop_assert!(delay >= service, "an op never beats its service time");
