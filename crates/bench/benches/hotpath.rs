@@ -1,6 +1,6 @@
 //! Hot-path micro-benchmarks: acker register/apply/expire, event-queue
 //! batch dispatch, and sharded state-store round-trips at 1k/10k/100k
-//! pending roots.
+//! pending roots, plus a 10,000-instance checkpoint wave through the store.
 //!
 //! The acker comparison pits the production bucketed expiry wheel
 //! ([`flowmig_engine::Acker`]) against `NaiveScanAcker`, a reimplementation
@@ -11,7 +11,7 @@
 //! `BENCH_hotpath.json` (see the criterion shim's `CRITERION_JSON`).
 
 use criterion::{criterion_group, BatchSize, Criterion};
-use flowmig_engine::{Acker, ShardedStateStore, StateBlob};
+use flowmig_engine::{Acker, ShardedStateStore, StateBlob, StoreOpKind};
 use flowmig_metrics::RootId;
 use flowmig_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use flowmig_topology::{InstanceId, KeyRange};
@@ -274,6 +274,33 @@ fn bench_sharded_store(c: &mut Criterion) {
             )
         });
     }
+    // scale-10k's COMMIT/INIT shape: every one of 10,000 instances is
+    // admitted and persisted at one instant over 32 flat shards, then
+    // peeked, admitted and fetched at a later one, so each shard's
+    // in-flight window grows to 313 in both waves.
+    group.bench_function("commit_init_wave_10k_instances_32_shards", |b| {
+        let (commit, init) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        let (service, whole) = (SimDuration::from_millis(1), KeyRange::whole(1));
+        b.iter_batched(
+            || ShardedStateStore::with_shards(32),
+            |mut store| {
+                for idx in 0..10_000 {
+                    let i = InstanceId::from_index(idx);
+                    store.admit(i, commit, service, StoreOpKind::Persist);
+                    store.put(i, whole, StateBlob::of_count(idx as u64));
+                }
+                let mut restored = 0u64;
+                for idx in 0..10_000 {
+                    let i = InstanceId::from_index(idx);
+                    let pending = store.peek_pending_len(i, &[whole]) as u64;
+                    store.admit(i, init, service, StoreOpKind::Fetch);
+                    restored += pending + store.get(i, whole).map_or(0, |b| b.processed);
+                }
+                black_box((restored, store.max_queue_depth()))
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

@@ -981,8 +981,12 @@ impl EngineModel {
         if !keyed {
             return 0;
         }
-        let partitions: usize = ranges.iter().map(|r| r.len() as usize).sum();
-        (std::mem::size_of::<u64>() * partitions).div_ceil(std::mem::size_of::<DataEvent>())
+        Self::counters_event_equiv(ranges.iter().map(|r| r.len() as usize).sum())
+    }
+
+    /// `counters` per-partition counters in pending-event equivalents.
+    fn counters_event_equiv(counters: usize) -> usize {
+        (std::mem::size_of::<u64>() * counters).div_ceil(std::mem::size_of::<DataEvent>())
     }
 
     fn start_wave(
@@ -1357,17 +1361,27 @@ impl EngineModel {
                 // The round-trip is priced by the pending events stored in
                 // the blobs it reads and the counters of the ranges the
                 // wave moves: a key-range INIT fetches only the hot range
-                // blobs, a whole-instance INIT the blob its COMMIT wrote.
+                // blobs, a whole-instance INIT the blob its COMMIT wrote,
+                // counters and all — a staged logic update may have
+                // re-keyed the task since, so that blob's counters, not
+                // the current key space's, are what moves.
                 let iid = InstanceId::from_index(instance);
                 let meta = self.tables.meta(instance);
-                let whole = [KeyRange::whole(meta.key_partitions)];
-                let committed = [self.committed_range(instance)];
-                let (read, moved) = match self.scoped_ranges(ControlKind::Init, instance) {
-                    Some(ranges) => (ranges.as_slice(), ranges.as_slice()),
-                    None => (&committed[..], &whole[..]),
+                let payload = match self.scoped_ranges(ControlKind::Init, instance) {
+                    Some(ranges) => {
+                        self.store.peek_pending_len(iid, ranges)
+                            + Self::counter_event_equiv(meta.keyed, ranges)
+                    }
+                    None => match self.store.peek(iid, self.committed_range(instance)) {
+                        Some(blob) => {
+                            blob.pending.len() + Self::counters_event_equiv(blob.key_counts.len())
+                        }
+                        None => Self::counter_event_equiv(
+                            meta.keyed,
+                            &[KeyRange::whole(meta.key_partitions)],
+                        ),
+                    },
                 };
-                let payload = self.store.peek_pending_len(iid, read)
-                    + Self::counter_event_equiv(meta.keyed, moved);
                 let Some(cost) = self.store_admit(instance, payload, StoreOpKind::Fetch, sched)
                 else {
                     return; // shard down: INIT resends retry after recovery

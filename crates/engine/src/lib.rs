@@ -20,10 +20,10 @@
 //!   resumed);
 //! * a latency-modelled, sharded **state store** ([`ShardedStateStore`] —
 //!   the paper's Redis, partitioned for per-shard COMMIT-wave accounting)
-//!   whose checkpoints are `(instance, key range)` blobs: one persist path
-//!   and one restore path move a whole instance (its single
-//!   [`flowmig_topology::KeyRange::whole`] range) or a key-range scope's
-//!   hot ranges. The store owns its service model
+//!   whose checkpoints are `(instance, key range)` blobs, kept in a dense
+//!   slot per instance: one persist path and one restore path move a whole
+//!   instance (its single [`flowmig_topology::KeyRange::whole`] range) or
+//!   a key-range scope's hot ranges. The store owns its service model
 //!   ([`StoreServiceModel`]): zero-queueing compatibility pricing,
 //!   per-shard FIFO queues under which a saturated shard makes
 //!   concurrent operations wait, or M/M/1-style soft degradation —
@@ -77,12 +77,12 @@
 //! O(1) and waves visit their targets in index order without a sort.
 //!
 //! **Hashing policy.** Bookkeeping keyed by dense instance indices lives
-//! in `Vec`s or bitsets, not hash maps. The maps that remain are keyed by
-//! sparse ids (acker ledgers and the root replay cache, by root id) or
-//! model the checkpoint store's key space (store blob maps), and use the
-//! in-tree [`FxHasher`] — see [`fasthash`] for the rule on when a map may
-//! adopt it (no observable iteration-order dependence; the determinism
-//! pins are the regression proof).
+//! in `Vec`s or bitsets, not hash maps — the state store's blobs included,
+//! in one slot per instance on its shard. The maps that remain are keyed
+//! by sparse ids (acker ledgers and the root replay cache, by root id) and
+//! use the in-tree [`FxHasher`] — see [`fasthash`] for the rule on when a
+//! map may adopt it (no observable iteration-order dependence; the
+//! determinism pins are the regression proof).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,9 @@
 //! range [`KeyRange::whole`] over the task's key space at COMMIT (an
 //! unkeyed task has one partition), and the engine restores it from that
 //! range even if a staged logic update has re-keyed the task since; a
-//! key-range migration persists one blob per hot range it moves. Both live in one blob map, so one persist path and one restore
-//! path serve every wave scope.
+//! key-range migration persists one blob per hot range it moves. Both live
+//! in one per-instance slot, so one persist path and one restore path
+//! serve every wave scope.
 //!
 //! [`ShardedStateStore`] partitions the blobs over shards by instance
 //! index, each shard with its own counters, and owns its service model: the
@@ -18,13 +19,22 @@
 //! aborts: the store already accepted that work, so a post-rollback retry
 //! pays for it, exactly as a real store keeps serving requests whose
 //! clients died (pinned by `aborted_wave_work_still_occupies_fifo_horizons`).
+//!
+//! No operation's cost grows with the wave around it: a shard finds an
+//! instance's blobs by indexing a `Vec` of per-instance slots (no key is
+//! hashed), keeps its in-flight completions in a min-heap so an admission
+//! pops only what finished since the last one, and prices the serving
+//! replicas in a buffer the store reuses. A 10,000-instance COMMIT wave on
+//! 32 shards therefore costs each admission `O(log 313)`, not a rescan of
+//! its shard's 313-deep window.
 
 use crate::config::{StoreReplication, StoreServiceModel};
 use crate::event::DataEvent;
-use crate::fasthash::FastHashMap;
 use flowmig_sim::{SimDuration, SimTime};
 use flowmig_topology::{InstanceId, KeyRange};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A checkpointed snapshot of one key range of a task instance; a
 /// whole-instance checkpoint covers [`KeyRange::whole`].
@@ -63,11 +73,51 @@ impl StateBlob {
     }
 }
 
-/// One shard of the checkpoint store: a key-value map with its own
-/// operation and traffic counters plus the replicated service-queue state.
+/// One instance's committed blobs: the first range it persisted inline (a
+/// whole-instance checkpoint is the only blob most instances ever have),
+/// any further key ranges beside it.
+#[derive(Debug, Clone, Default)]
+struct BlobSlot {
+    first: Option<(KeyRange, StateBlob)>,
+    more: Vec<(KeyRange, StateBlob)>,
+}
+
+impl BlobSlot {
+    fn get(&self, range: KeyRange) -> Option<&StateBlob> {
+        self.first.iter().chain(&self.more).find(|(r, _)| *r == range).map(|(_, blob)| blob)
+    }
+
+    /// Stores (overwrites) the blob of `range`; returns whether the range
+    /// is new to this instance.
+    fn put(&mut self, range: KeyRange, blob: StateBlob) -> bool {
+        let stored = match &mut self.first {
+            None => {
+                self.first = Some((range, blob));
+                return true;
+            }
+            Some((r, stored)) if *r == range => stored,
+            Some(_) => match self.more.iter_mut().find(|(r, _)| *r == range) {
+                Some((_, stored)) => stored,
+                None => {
+                    self.more.push((range, blob));
+                    return true;
+                }
+            },
+        };
+        *stored = blob;
+        false
+    }
+}
+
+/// One shard of the checkpoint store: the blob slots of its instances with
+/// its own operation and traffic counters, plus the replicated
+/// service-queue state.
 #[derive(Debug, Clone, Default)]
 struct StoreShard {
-    blobs: FastHashMap<(InstanceId, KeyRange), StateBlob>,
+    /// Committed blobs by instance: instance `i` owns slot `i / shards`.
+    slots: Vec<BlobSlot>,
+    /// Blobs committed on this shard, one per `(instance, range)`.
+    blobs: usize,
     puts: u64,
     gets: u64,
     misses: u64,
@@ -82,10 +132,10 @@ struct StoreShard {
     /// down, the fastest first — a degraded quorum pays the lag ladder).
     down_replicas: usize,
     /// Completion instants of operations still in flight at the last
-    /// admission — the observed concurrency window (pure accounting; the
-    /// timing authority is `replica_busy`), and the instantaneous load
-    /// that inflates `SoftDegrade` service times.
-    in_flight: Vec<SimTime>,
+    /// admission, earliest on top — the observed concurrency window (pure
+    /// accounting; the timing authority is `replica_busy`), and the
+    /// instantaneous load that inflates `SoftDegrade` service times.
+    in_flight: BinaryHeap<Reverse<SimTime>>,
     /// Deepest observed in-flight window, including the op being admitted.
     max_queue_depth: usize,
     /// Operations that had to wait behind a busy shard.
@@ -189,9 +239,12 @@ impl AdmitOutcome {
 /// index, with one service model and one replication scheme fixed at
 /// construction.
 ///
-/// Blobs are addressed by `(instance, key range)`; every shard keeps its
-/// own put/get/byte counters so a checkpoint COMMIT wave's load can be
-/// priced shard by shard.
+/// Blobs are addressed by `(instance, key range)`. Instance `i` lives on
+/// shard `i % N` in slot `i / N` of that shard's dense slot `Vec`, which
+/// holds its first blob inline and any further key ranges beside it, so a
+/// persist or fetch indexes rather than hashes. Every shard keeps its own
+/// put/get/byte counters and blob count so a checkpoint COMMIT wave's load
+/// can be priced shard by shard.
 ///
 /// # Examples
 ///
@@ -218,6 +271,9 @@ pub struct ShardedStateStore {
     /// Latest admission instant (debug-build misuse guard: admissions
     /// must arrive in time order or the queue accounting silently skews).
     last_admitted_at: SimTime,
+    /// `(completion, replica)` of each replica serving the admission being
+    /// priced; kept between calls so admitting allocates nothing.
+    completions: Vec<(SimTime, usize)>,
 }
 
 impl Default for ShardedStateStore {
@@ -271,6 +327,7 @@ impl ShardedStateStore {
             service,
             replication,
             last_admitted_at: SimTime::ZERO,
+            completions: Vec::new(),
         }
     }
 
@@ -282,6 +339,18 @@ impl ShardedStateStore {
     /// The shard serving `instance` (instance index modulo shard count).
     pub fn shard_of(&self, instance: InstanceId) -> usize {
         instance.index() % self.shards.len()
+    }
+
+    /// The shard of `instance` and its slot on that shard.
+    fn locate(&self, instance: InstanceId) -> (usize, usize) {
+        let n = self.shards.len();
+        (instance.index() % n, instance.index() / n)
+    }
+
+    /// The blob slot of `instance`, if it ever persisted.
+    fn slot(&self, instance: InstanceId) -> Option<&BlobSlot> {
+        let (shard, slot) = self.locate(instance);
+        self.shards[shard].slots.get(slot)
     }
 
     /// Counter snapshot for shard `shard`.
@@ -297,7 +366,7 @@ impl ShardedStateStore {
             misses: s.misses,
             bytes_written: s.bytes_written,
             bytes_read: s.bytes_read,
-            blobs: s.blobs.len(),
+            blobs: s.blobs,
             max_queue_depth: s.max_queue_depth,
             queued_ops: s.queued_ops,
             queued_wait: s.queued_wait,
@@ -366,36 +435,40 @@ impl ShardedStateStore {
         if s.replica_busy.len() < replicas {
             s.replica_busy.resize(replicas, SimTime::ZERO);
         }
-        s.in_flight.retain(|&done| done > now);
+        // Admissions arrive in time order, so an operation done by `now`
+        // never counts toward a later window either.
+        while s.in_flight.peek().is_some_and(|&Reverse(done)| done <= now) {
+            s.in_flight.pop();
+        }
         let load = s.in_flight.len() as u64;
-        // Completion instant of each live replica (indices `down..replicas`;
-        // the fastest replicas fail first, so a degraded shard serves from
-        // further down the lag ladder).
-        let serving: Vec<usize> = match kind {
-            StoreOpKind::Persist => (down..replicas).collect(),
-            StoreOpKind::Fetch => vec![down],
+        // Completion instant of each serving replica: a persist runs on
+        // every live one (indices `down..replicas`; the fastest replicas
+        // fail first, so a degraded shard serves from further down the lag
+        // ladder), a fetch on the fastest live one alone.
+        let serving = match kind {
+            StoreOpKind::Persist => down..replicas,
+            StoreOpKind::Fetch => down..down + 1,
         };
-        let mut completions: Vec<(SimTime, usize)> = serving
-            .iter()
-            .map(|&r| {
-                let idle = replication.replica_service(service, r);
-                let inflated = match model {
-                    StoreServiceModel::SoftDegrade => {
-                        SimDuration::from_micros(idle.as_micros() * (1 + load))
-                    }
-                    _ => idle,
-                };
-                let start = match model {
-                    StoreServiceModel::FifoPerShard => s.replica_busy[r].max(now),
-                    _ => now,
-                };
-                (start + inflated, r)
-            })
-            .collect();
+        let completions = &mut self.completions;
+        completions.clear();
+        completions.extend(serving.map(|r| {
+            let idle = replication.replica_service(service, r);
+            let inflated = match model {
+                StoreServiceModel::SoftDegrade => {
+                    SimDuration::from_micros(idle.as_micros() * (1 + load))
+                }
+                _ => idle,
+            };
+            let start = match model {
+                StoreServiceModel::FifoPerShard => s.replica_busy[r].max(now),
+                _ => now,
+            };
+            (start + inflated, r)
+        }));
         if model == StoreServiceModel::FifoPerShard {
             // The write lands on every live replica; each horizon advances
             // even though the client returns at quorum.
-            for &(done, r) in &completions {
+            for &(done, r) in completions.iter() {
                 s.replica_busy[r] = done;
             }
         }
@@ -414,7 +487,7 @@ impl ShardedStateStore {
                 s.degraded_persists += 1;
             }
         }
-        s.in_flight.push(completion);
+        s.in_flight.push(Reverse(completion));
         s.max_queue_depth = s.max_queue_depth.max(s.in_flight.len());
         AdmitOutcome::Served { delay, wait, degraded }
     }
@@ -442,11 +515,16 @@ impl ShardedStateStore {
 
     /// Persists (overwrites) the blob for key range `range` of `instance`.
     pub fn put(&mut self, instance: InstanceId, range: KeyRange, blob: StateBlob) {
-        let shard = self.shard_of(instance);
+        let (shard, slot) = self.locate(instance);
         let s = &mut self.shards[shard];
         s.puts += 1;
         s.bytes_written += blob.byte_size();
-        s.blobs.insert((instance, range), blob);
+        if s.slots.len() <= slot {
+            s.slots.resize_with(slot + 1, BlobSlot::default);
+        }
+        if s.slots[slot].put(range, blob) {
+            s.blobs += 1;
+        }
     }
 
     /// Fetches the last committed blob for key range `range` of
@@ -455,10 +533,10 @@ impl ShardedStateStore {
     /// Returns a clone: the store keeps its copy (restores may repeat, e.g.
     /// duplicate INITs).
     pub fn get(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
-        let shard = self.shard_of(instance);
+        let (shard, slot) = self.locate(instance);
         let s = &mut self.shards[shard];
         s.gets += 1;
-        let blob = s.blobs.get(&(instance, range)).cloned();
+        let blob = s.slots.get(slot).and_then(|b| b.get(range)).cloned();
         match &blob {
             Some(b) => s.bytes_read += b.byte_size(),
             None => s.misses += 1,
@@ -466,30 +544,39 @@ impl ShardedStateStore {
         blob
     }
 
+    /// The committed blob for key range `range` of `instance`, read without
+    /// counting as a fetch — the engine prices a restore by what it will
+    /// read.
+    pub(crate) fn peek(&self, instance: InstanceId, range: KeyRange) -> Option<&StateBlob> {
+        self.slot(instance)?.get(range)
+    }
+
     /// Whether a blob exists for key range `range` of `instance` (no
     /// latency charged — used by tests and invariant checks, not the data
     /// path).
     pub fn contains(&self, instance: InstanceId, range: KeyRange) -> bool {
-        self.shards[self.shard_of(instance)].blobs.contains_key(&(instance, range))
+        self.peek(instance, range).is_some()
     }
 
     /// Total pending events stored across `ranges` of `instance`, without
     /// counting as fetches — the engine uses this to price a restore before
     /// performing it. Absent ranges contribute 0.
     pub fn peek_pending_len(&self, instance: InstanceId, ranges: &[KeyRange]) -> usize {
-        let s = &self.shards[self.shard_of(instance)];
-        ranges.iter().filter_map(|&r| s.blobs.get(&(instance, r))).map(|b| b.pending.len()).sum()
+        let Some(slot) = self.slot(instance) else {
+            return 0;
+        };
+        ranges.iter().filter_map(|&r| slot.get(r)).map(|b| b.pending.len()).sum()
     }
 
     /// Number of committed blobs (whole-instance and key-range) across all
     /// shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.blobs.len()).sum()
+        self.shards.iter().map(|s| s.blobs).sum()
     }
 
     /// Returns true if nothing has been committed.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.blobs.is_empty())
+        self.shards.iter().all(|s| s.blobs == 0)
     }
 
     /// Total persist operations performed, across all shards.

@@ -2,18 +2,19 @@
 //!
 //! `std`'s default `SipHash13` is DoS-resistant but costs tens of
 //! nanoseconds per lookup; the hot maps (the event queue's run table,
-//! and the engine's `Acker` ledgers, root replay cache and store blob
-//! maps) are keyed by trusted in-process ids, so a multiply-and-rotate
-//! hash is safe and several times faster.
+//! and the engine's `Acker` ledgers and root replay cache) are keyed by
+//! trusted in-process ids, so a multiply-and-rotate hash is safe and
+//! several times faster.
 //! Written in-tree (like the serde/rand shims) because the container has
 //! no registry access.
 //!
 //! **Hashing policy.** State keyed by dense instance indices lives in
 //! `Vec`s or bitsets, not hash maps: assignments, wave participants,
-//! scope members and per-wave ack sets are indexed by the instance number
-//! directly, which costs neither a hash nor a sort to iterate in order.
-//! Hash maps are for sparse keys (root ids, the queue's run keys) and for
-//! the checkpoint store's key space. A map may adopt
+//! scope members, per-wave ack sets and the checkpoint store's blobs
+//! (one slot per instance on its shard, holding that instance's key-range
+//! blobs) are indexed by the instance number directly, which costs
+//! neither a hash nor a sort to iterate in order. Hash maps are for
+//! sparse keys only: root ids and the queue's run keys. A map may adopt
 //! [`FastHashMap`]/[`FastHashSet`] only if no observable behavior depends
 //! on its iteration order: every current user either accesses entries
 //! purely by key or sorts whatever it iterates (e.g. `Acker::expire`

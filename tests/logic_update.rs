@@ -164,3 +164,51 @@ fn a_re_keyed_task_restores_the_state_it_committed() {
         }
     }
 }
+
+/// A whole-instance INIT is priced by the blob it reads. `linear`'s `t3`
+/// commits under one partition, so its blob carries no per-partition
+/// counters; staging a re-key to 4 partitions before the INIT must not
+/// charge the fetch for 4. Each `t3` instance therefore restores at the
+/// same instant with and without the staged re-key.
+#[test]
+fn a_re_keyed_restore_is_priced_by_the_blob_it_reads() {
+    let dag = library::linear();
+    let t3 = dag.task_by_name("t3").expect("t3 exists");
+    assert_eq!(dag.spec(t3).key_partitions(), 1, "t3 commits unkeyed");
+    let instances = InstanceSet::plan(&dag);
+    let plan = ScalePlan::paper_scenario(&dag, &instances, ScaleDirection::In)
+        .expect("scenario placeable");
+    let strategies: [&dyn MigrationStrategy; 2] = [&Dcr::new(), &Ccr::new()];
+    for strategy in strategies {
+        let name = strategy.name();
+        let t3_restores = |re_key: bool| {
+            let mut engine = Engine::new(
+                dag.clone(),
+                instances.clone(),
+                &plan,
+                EngineConfig::default(),
+                strategy.protocol(),
+                strategy.coordinator(),
+                24,
+            );
+            if re_key {
+                engine.stage_logic_update(t3, dag.spec(t3).clone().with_key_partitions(4));
+            }
+            engine.schedule_migration(SimTime::from_secs(60));
+            engine.run_until(SimTime::from_secs(300));
+            assert!(engine.trace().migration_completed_at().is_some(), "{name}: completed");
+            engine
+                .trace()
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::InstanceRestored { instance, at, .. } => Some((instance, at)),
+                    _ => None,
+                })
+                .filter(|&(i, _)| instances.task_of(i) == t3)
+                .collect::<Vec<_>>()
+        };
+        let plain = t3_restores(false);
+        assert_eq!(plain.len(), instances.of_task(t3).len(), "{name}: every t3 restored");
+        assert_eq!(t3_restores(true), plain, "{name}: the re-key moved a t3 restore");
+    }
+}

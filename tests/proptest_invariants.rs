@@ -2,11 +2,14 @@
 
 use flowmig::cluster::{SlotId, VmId};
 use flowmig::core::CcrPipelined;
-use flowmig::engine::{AckOutcome, Acker, ShardedStateStore, StoreOpKind};
+use flowmig::engine::{
+    AckOutcome, Acker, AdmitOutcome, DataEvent, ShardStats, ShardedStateStore, StateBlob,
+    StoreOpKind,
+};
 use flowmig::metrics::RootId;
 use flowmig::prelude::*;
 use flowmig::sim::{Process, RunOutcome, Scheduler, Simulation};
-use flowmig::topology::InstanceId;
+use flowmig::topology::{InstanceId, KeyRange};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -201,6 +204,253 @@ proptest! {
         // Reliability must not depend on the pricing model.
         prop_assert_eq!(fifo.stats.events_dropped, 0);
         prop_assert_eq!(fifo.stats.replayed_roots, 0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dense checkpoint store oracles
+// ---------------------------------------------------------------------
+
+/// The key ranges the store oracle addresses: an unkeyed instance's whole
+/// range, a keyed one's, and nested or adjacent sub-ranges, so an
+/// instance holds several blobs and a lookup must match its range exactly.
+const ORACLE_RANGES: [KeyRange; 5] = [
+    KeyRange { start: 0, end: 1 },
+    KeyRange { start: 0, end: 8 },
+    KeyRange { start: 0, end: 2 },
+    KeyRange { start: 2, end: 4 },
+    KeyRange { start: 4, end: 8 },
+];
+
+/// A blob whose counter, pending events and per-partition counters all
+/// derive from `seed`, so overwrites change its bytes.
+fn oracle_blob(seed: u64) -> StateBlob {
+    StateBlob {
+        processed: seed,
+        pending: (0..seed % 4)
+            .map(|k| DataEvent {
+                id: seed * 4 + k,
+                root: RootId(seed * 4 + k),
+                generated_at: SimTime::ZERO,
+                replayed: false,
+            })
+            .collect(),
+        key_counts: (0..seed % 3).map(|p| seed + p).collect(),
+    }
+}
+
+proptest! {
+    /// The dense store answers every blob query like a plain `HashMap`
+    /// keyed by `(instance, key range)` fed the same calls — several ranges
+    /// per instance, overwrites, misses, instances past any slot it has
+    /// grown — and keeps each shard's traffic counters and blob count.
+    #[test]
+    fn dense_store_matches_a_hash_map_model(
+        shards in 1usize..9,
+        // (call, instance index, range, blob seed)
+        calls in proptest::collection::vec((0u8..6, 0usize..40, 0usize..5, 0u64..1_000), 0..96),
+    ) {
+        let mut store = ShardedStateStore::with_shards(shards);
+        let mut model: HashMap<(InstanceId, KeyRange), StateBlob> = HashMap::new();
+        let mut expected = vec![ShardStats::default(); shards];
+        for &(call, idx, r, seed) in &calls {
+            let (i, range) = (InstanceId::from_index(idx), ORACLE_RANGES[r]);
+            let counters = &mut expected[idx % shards];
+            match call {
+                0 | 1 => {
+                    let blob = oracle_blob(seed);
+                    counters.puts += 1;
+                    counters.bytes_written += blob.byte_size();
+                    store.put(i, range, blob.clone());
+                    model.insert((i, range), blob);
+                }
+                2 | 3 => {
+                    let want = model.get(&(i, range)).cloned();
+                    counters.gets += 1;
+                    match &want {
+                        Some(blob) => counters.bytes_read += blob.byte_size(),
+                        None => counters.misses += 1,
+                    }
+                    prop_assert_eq!(store.get(i, range), want, "get({}, {:?})", i, range);
+                }
+                4 => prop_assert_eq!(store.contains(i, range), model.contains_key(&(i, range))),
+                _ => {
+                    // Two ranges, the same one twice when `seed % 5 == 0`.
+                    let ranges = [range, ORACLE_RANGES[(r + seed as usize) % ORACLE_RANGES.len()]];
+                    let want: usize = ranges
+                        .iter()
+                        .filter_map(|&q| model.get(&(i, q)))
+                        .map(|b| b.pending.len())
+                        .sum();
+                    prop_assert_eq!(store.peek_pending_len(i, &ranges), want);
+                }
+            }
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.is_empty(), model.is_empty());
+        }
+        for (shard, counters) in expected.iter_mut().enumerate() {
+            counters.blobs = model.keys().filter(|(i, _)| i.index() % shards == shard).count();
+            prop_assert_eq!(store.shard_stats(shard), *counters, "shard {}", shard);
+        }
+        for i in (0..48).map(InstanceId::from_index) {
+            for range in ORACLE_RANGES {
+                prop_assert_eq!(store.contains(i, range), model.contains_key(&(i, range)));
+            }
+            let pending: usize = ORACLE_RANGES
+                .iter()
+                .filter_map(|&q| model.get(&(i, q)))
+                .map(|b| b.pending.len())
+                .sum();
+            prop_assert_eq!(store.peek_pending_len(i, &ORACLE_RANGES), pending);
+        }
+    }
+}
+
+/// A shard of [`RescanStore`].
+#[derive(Debug, Clone, Default)]
+struct RescanShard {
+    replica_busy: Vec<SimTime>,
+    in_flight: Vec<SimTime>,
+    stats: ShardStats,
+}
+
+/// Store admission as a rescanning window prices it: every admission
+/// drops the completed operations from its shard's whole in-flight list and
+/// collects the serving replicas' completions into fresh `Vec`s. The
+/// store's min-heap window and reused buffer must price exactly the same.
+struct RescanStore {
+    shards: Vec<RescanShard>,
+    model: StoreServiceModel,
+    replication: StoreReplication,
+}
+
+impl RescanStore {
+    fn admit(
+        &mut self,
+        instance: usize,
+        now: SimTime,
+        service: SimDuration,
+        kind: StoreOpKind,
+    ) -> AdmitOutcome {
+        let (model, replication) = (self.model, self.replication);
+        let replicas = replication.replicas.max(1);
+        let shard_count = self.shards.len();
+        let s = &mut self.shards[instance % shard_count];
+        let down = s.stats.down_replicas.min(replicas);
+        let needed = match kind {
+            StoreOpKind::Persist => replication.write_quorum.clamp(1, replicas),
+            StoreOpKind::Fetch => 1,
+        };
+        if replicas - down < needed {
+            s.stats.failed_ops += 1;
+            return AdmitOutcome::Failed;
+        }
+        if s.replica_busy.len() < replicas {
+            s.replica_busy.resize(replicas, SimTime::ZERO);
+        }
+        s.in_flight.retain(|&done| done > now);
+        let load = s.in_flight.len() as u64;
+        let serving: Vec<usize> = match kind {
+            StoreOpKind::Persist => (down..replicas).collect(),
+            StoreOpKind::Fetch => vec![down],
+        };
+        let mut completions: Vec<(SimTime, usize)> = serving
+            .iter()
+            .map(|&r| {
+                let idle = replication.replica_service(service, r);
+                let inflated = match model {
+                    StoreServiceModel::SoftDegrade => {
+                        SimDuration::from_micros(idle.as_micros() * (1 + load))
+                    }
+                    _ => idle,
+                };
+                let start = match model {
+                    StoreServiceModel::FifoPerShard => s.replica_busy[r].max(now),
+                    _ => now,
+                };
+                (start + inflated, r)
+            })
+            .collect();
+        if model == StoreServiceModel::FifoPerShard {
+            for &(done, r) in &completions {
+                s.replica_busy[r] = done;
+            }
+        }
+        completions.sort_unstable();
+        let (completion, decider) = completions[needed - 1];
+        let delay = completion - now;
+        let wait = delay - replication.replica_service(service, decider);
+        if !wait.is_zero() {
+            s.stats.queued_ops += 1;
+            s.stats.queued_wait += wait;
+        }
+        let degraded = down > 0;
+        if kind == StoreOpKind::Persist && replication.is_replicated() {
+            s.stats.quorum_persists += 1;
+            if degraded {
+                s.stats.degraded_persists += 1;
+            }
+        }
+        s.in_flight.push(completion);
+        s.stats.max_queue_depth = s.stats.max_queue_depth.max(s.in_flight.len());
+        AdmitOutcome::Served { delay, wait, degraded }
+    }
+}
+
+proptest! {
+    /// For any admission sequence — both op kinds, 1–3 replicas under every
+    /// write quorum, replica outages and recoveries, all three service
+    /// models, and instants that repeat or advance on a 250 µs grid so
+    /// completions often land exactly on a later admission — the store
+    /// returns the same outcome and keeps the same shard counters as the
+    /// rescanning reference.
+    #[test]
+    fn heap_admission_matches_a_rescanning_reference(
+        // (shards, service model, replicas, quorum pick)
+        config in (1usize..5, 0usize..3, 1usize..4, 0usize..3),
+        // (action, instance index, gap in 250 µs units, service units)
+        steps in proptest::collection::vec((0u8..12, 0usize..24, 0u64..8, 1u64..7), 1..96),
+    ) {
+        let (shards, model, replicas, quorum) = config;
+        let model = [
+            StoreServiceModel::Unqueued,
+            StoreServiceModel::FifoPerShard,
+            StoreServiceModel::SoftDegrade,
+        ][model];
+        let replication = StoreReplication::new(replicas, 1 + quorum % replicas);
+        let mut store = ShardedStateStore::with_config(shards, model, replication);
+        let mut reference = RescanStore {
+            shards: vec![RescanShard::default(); shards],
+            model,
+            replication,
+        };
+        let mut now = SimTime::ZERO;
+        for (step, &(action, idx, gap, units)) in steps.iter().enumerate() {
+            // Half the gaps are zero: same-instant admissions.
+            now += SimDuration::from_micros(250 * gap.saturating_sub(3));
+            let shard = idx % shards;
+            match action {
+                0 => {
+                    let down = if idx % 5 == 4 { usize::MAX } else { idx % 4 };
+                    store.fail_shard_replicas(shard, down);
+                    reference.shards[shard].stats.down_replicas = down;
+                }
+                1 => {
+                    store.restore_shard_replicas(shard);
+                    reference.shards[shard].stats.down_replicas = 0;
+                }
+                _ => {
+                    let kind = if action % 2 == 0 { StoreOpKind::Persist } else { StoreOpKind::Fetch };
+                    let service = SimDuration::from_micros(250 * units);
+                    let got = store.admit(InstanceId::from_index(idx), now, service, kind);
+                    let want = reference.admit(idx, now, service, kind);
+                    prop_assert_eq!(got, want, "step {} ({:?} on shard {})", step, kind, shard);
+                }
+            }
+            prop_assert_eq!(store.shard_stats(shard), reference.shards[shard].stats, "step {}", step);
+        }
+        let stats: Vec<ShardStats> = reference.shards.iter().map(|s| s.stats).collect();
+        prop_assert_eq!(store.all_shard_stats(), stats);
     }
 }
 
