@@ -71,7 +71,7 @@ use flowmig_core::{
 };
 use flowmig_engine::{EngineConfig, StoreLatencyModel, StoreServiceModel};
 use flowmig_metrics::{ControlKind, TraceEvent};
-use flowmig_sim::{QueueBackend, SimDuration, SimExecutor, SimTime};
+use flowmig_sim::{QueueBackend, SimDuration, SimTime};
 use flowmig_topology::library;
 use flowmig_workloads::TextTable;
 use std::fmt::Write as _;
@@ -101,10 +101,6 @@ struct Cell {
     scope: String,
     /// Future-event-list backend the row ran under.
     backend: &'static str,
-    /// Simulation executor the row ran under (`single` or `workers`).
-    executor: &'static str,
-    /// Worker-thread count (1 for the single-threaded executor).
-    workers: usize,
     /// Mean DES events dispatched by the simulation driver over the run.
     sim_events: f64,
     /// Mean durable state bytes persisted to the store (processed counter
@@ -143,10 +139,6 @@ fn backend_label(backend: QueueBackend) -> &'static str {
         QueueBackend::Calendar => "calendar",
     }
 }
-
-/// Default-executor labels for the rows that predate the multi-worker
-/// executor (everything except the scale matrix).
-const SINGLE: (&str, usize) = ("single", 1);
 
 fn store_label(service: StoreServiceModel) -> &'static str {
     match service {
@@ -224,8 +216,6 @@ fn measure_replicated(
         replication: replication.map_or_else(|| "-".to_owned(), |(n, k)| format!("{k}of{n}")),
         scope: "-".to_owned(),
         backend: backend_label(EngineConfig::default().queue_backend),
-        executor: SINGLE.0,
-        workers: SINGLE.1,
         sim_events: sim_events / n,
         moved_bytes: moved_bytes / n,
         commit_ms: commit / n,
@@ -303,8 +293,6 @@ fn measure_skew(strategy: &dyn MigrationStrategy, scope: &str) -> Cell {
         replication: "-".to_owned(),
         scope: scope.to_owned(),
         backend: backend_label(EngineConfig::default().queue_backend),
-        executor: SINGLE.0,
-        workers: SINGLE.1,
         sim_events: sim_events / n,
         moved_bytes: moved_bytes / n,
         commit_ms: commit / n,
@@ -318,16 +306,15 @@ fn measure_skew(strategy: &dyn MigrationStrategy, scope: &str) -> Cell {
 
 /// One 10k-instance scale cell: `grid_scaled(625)` widens every grid task
 /// to 625 instances — 10,000 wave participants — and runs the
-/// derived-window CCR-P plan under the given future-event-list backend and
-/// simulation executor. Store queueing is left at the zero-queueing
-/// compatibility model: the scale dimension measures the *simulator's*
-/// dispatch path (the wave fan-out floods the future-event list with tens
-/// of thousands of pending deliveries), not store contention, which the
-/// fifo rows already cover. One seed bounds bench time — the backend and
-/// executor comparisons are within-seed, so averaging would only add
-/// wall-clock, and the order-identity tripwires in `main` make any
-/// cross-backend or cross-executor divergence fatal anyway.
-fn measure_scale(backend: QueueBackend, executor: SimExecutor) -> Cell {
+/// derived-window CCR-P plan under the given future-event-list backend.
+/// Store queueing is left at the zero-queueing compatibility model: the
+/// scale dimension measures the *simulator's* dispatch path (the wave
+/// fan-out floods the future-event list with tens of thousands of pending
+/// deliveries), not store contention, which the fifo rows already cover.
+/// One seed bounds bench time — the backend comparison is within-seed, so
+/// averaging would only add wall-clock, and the order-identity tripwire in
+/// `main` makes any cross-backend divergence fatal anyway.
+fn measure_scale(backend: QueueBackend) -> Cell {
     const WIDTH: usize = 625;
     let dag = library::grid_scaled(WIDTH);
     let shards = 32;
@@ -335,24 +322,20 @@ fn measure_scale(backend: QueueBackend, executor: SimExecutor) -> Cell {
     let started = Instant::now();
     let out = controller(shards, seed, StoreServiceModel::Unqueued)
         .with_queue_backend(backend)
-        .with_sim_workers(executor)
         .run(&dag, &CcrPipelined::new(), ScaleDirection::In)
         .expect("10k-instance grid placeable");
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let label = backend_label(backend);
-    assert!(out.completed, "10k-instance migration completes ({label}/{executor})");
+    assert!(out.completed, "10k-instance migration completes ({label})");
     assert_eq!(out.stats.events_dropped, 0, "reliable migration drops nothing");
     println!(
-        "scale @ {} instances [{label}/{executor}]: {} sim events in {wall_ms:.0} ms \
-         ({:.2}M ev/s), peak {} pending, {} window rotations, \
-         {} frontier stalls, {} cross-shard events",
+        "scale @ {} instances [{label}]: {} sim events in {wall_ms:.0} ms \
+         ({:.2}M ev/s), peak {} pending, {} window rotations",
         16 * WIDTH,
         out.stats.sim_events,
         out.stats.sim_events as f64 / (wall_ms / 1e3) / 1e6,
         out.stats.queue_peak_pending,
         out.stats.queue_rotations,
-        out.stats.frontier_stalls,
-        out.stats.cross_shard_events,
     );
     Cell {
         dag: dag.name().to_owned(),
@@ -364,8 +347,6 @@ fn measure_scale(backend: QueueBackend, executor: SimExecutor) -> Cell {
         replication: "-".to_owned(),
         scope: "-".to_owned(),
         backend: label,
-        executor: executor.label(),
-        workers: executor.workers(),
         sim_events: out.stats.sim_events as f64,
         moved_bytes: out.stats.state_bytes_moved as f64,
         commit_ms: out.metrics.commit_wave.expect("commit span").as_millis_f64(),
@@ -379,10 +360,9 @@ fn measure_scale(backend: QueueBackend, executor: SimExecutor) -> Cell {
 }
 
 /// One JSON summary row. The `scope`, `moved_bytes`, `backend`,
-/// `sim_events`, `events_per_sec`, `executor`, and `workers` keys are
-/// additive (appended after the legacy keys) so existing consumers of
-/// `BENCH_migration.json` keep parsing; `assert_legacy_json_keys` in main
-/// pins the legacy schema.
+/// `sim_events` and `events_per_sec` keys are additive (appended after the
+/// legacy keys) so existing consumers of `BENCH_migration.json` keep
+/// parsing; `assert_legacy_json_keys` in main pins the legacy schema.
 fn json_row(c: &Cell) -> String {
     let mut row = String::new();
     let _ = write!(
@@ -393,8 +373,7 @@ fn json_row(c: &Cell) -> String {
          \"total_ms\": {:.3}, \"wall_ms\": {:.3}, \"queued_wait_ms\": {:.3}, \
          \"queued_ops\": {:.1}, \"max_queue_depth\": {:.1}, \
          \"scope\": \"{}\", \"moved_bytes\": {:.0}, \
-         \"backend\": \"{}\", \"sim_events\": {:.0}, \"events_per_sec\": {:.0}, \
-         \"executor\": \"{}\", \"workers\": {}}}",
+         \"backend\": \"{}\", \"sim_events\": {:.0}, \"events_per_sec\": {:.0}}}",
         c.dag,
         c.participants,
         c.shards,
@@ -414,8 +393,6 @@ fn json_row(c: &Cell) -> String {
         c.backend,
         c.sim_events,
         c.events_per_sec(),
-        c.executor,
-        c.workers,
     );
     row
 }
@@ -557,13 +534,10 @@ fn main() {
     // Zipf-keyed 96-instance grid under the FIFO store.
     cells.push(measure_skew(&CcrPipelined::new().without_wave_timeout(), "-"));
     cells.push(measure_skew(&CcrKeyRange::new().without_wave_timeout(), "hot:600"));
-    // Scale rows: the 10,000-participant grid, once per (future-event-list
-    // backend × simulation executor) on the same seed — order-identity and
-    // executor bit-identity checked below.
+    // Scale rows: the 10,000-participant grid, once per future-event-list
+    // backend on the same seed — order-identity checked below.
     for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        for executor in [SimExecutor::SingleThread, SimExecutor::Workers(4)] {
-            cells.push(measure_scale(backend, executor));
-        }
+        cells.push(measure_scale(backend));
     }
 
     let mut table = TextTable::new(&[
@@ -576,7 +550,6 @@ fn main() {
         "repl",
         "scope",
         "backend",
-        "exec",
         "commit (ms)",
         "restore (ms)",
         "commit+restore (ms)",
@@ -596,7 +569,6 @@ fn main() {
             c.replication.clone(),
             c.scope.clone(),
             c.backend.to_owned(),
-            if c.workers > 1 { format!("w{}", c.workers) } else { c.executor.to_owned() },
             format!("{:.2}", c.commit_ms),
             format!("{:.2}", c.restore_ms),
             format!("{:.2}", c.total_ms()),
@@ -796,16 +768,14 @@ fn main() {
     // *simulated* quantity must match exactly — a divergence means the
     // calendar queue reordered events and the backend guarantee is broken.
     {
-        let scale = |backend: &str, executor: &str| {
+        let scale = |backend: &str| {
             cells
                 .iter()
-                .find(|c| {
-                    c.participants == 10_000 && c.backend == backend && c.executor == executor
-                })
+                .find(|c| c.participants == 10_000 && c.backend == backend)
                 .expect("scale cell measured")
         };
-        let heap = scale("heap", "single");
-        let cal = scale("calendar", "single");
+        let heap = scale("heap");
+        let cal = scale("calendar");
         let identical = heap.commit_ms == cal.commit_ms
             && heap.restore_ms == cal.restore_ms
             && heap.sim_events == cal.sim_events
@@ -853,67 +823,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // Executor bit-identity tripwire: per backend, the 4-worker sharded
-        // executor ran the same seed on the same scenario, so every
-        // *simulated* quantity must match the single-threaded row exactly —
-        // a divergence means the conservative-lookahead barrier admitted an
-        // out-of-order execution and the executor guarantee is broken. The
-        // worker rows must also clear the same absolute dispatch-throughput
-        // floor as the single-threaded rows: model execution stays serial
-        // by design (it owns the RNG/acker/trace order that bit-identity
-        // pins), so the sharded executor parallelizes only the queue plane
-        // and is gated on not *losing* throughput, not on a multiple of it.
-        for single in [heap, cal] {
-            let sharded = scale(single.backend, "workers");
-            let identical = single.commit_ms == sharded.commit_ms
-                && single.restore_ms == sharded.restore_ms
-                && single.sim_events == sharded.sim_events
-                && single.moved_bytes == sharded.moved_bytes;
-            println!(
-                "scale @ 10000 instances [{}]: single wall {:.0} ms ({:.2}M ev/s) vs \
-                 {} workers wall {:.0} ms ({:.2}M ev/s, {:.2}x), simulated outcome \
-                 identical={identical}",
-                single.backend,
-                single.wall_ms,
-                single.events_per_sec() / 1e6,
-                sharded.workers,
-                sharded.wall_ms,
-                sharded.events_per_sec() / 1e6,
-                single.wall_ms / sharded.wall_ms,
-            );
-            if !identical {
-                eprintln!(
-                    "EXECUTOR REGRESSION: single-thread and {}-worker executors disagree on \
-                     the 10k-instance {} run (commit {:.3}/{:.3} ms, restore {:.3}/{:.3} ms, \
-                     sim events {:.0}/{:.0}, state bytes {:.0}/{:.0}) — the sharded executor \
-                     is no longer outcome-identical",
-                    sharded.workers,
-                    single.backend,
-                    single.commit_ms,
-                    sharded.commit_ms,
-                    single.restore_ms,
-                    sharded.restore_ms,
-                    single.sim_events,
-                    sharded.sim_events,
-                    single.moved_bytes,
-                    sharded.moved_bytes,
-                );
-                std::process::exit(1);
-            }
-            let eps = sharded.events_per_sec();
-            if eps < 2.0 * BASELINE_EPS {
-                eprintln!(
-                    "THROUGHPUT REGRESSION: {}-worker executor sustains {:.2}M ev/s at 10k \
-                     instances on the {} backend, below 2x the {:.2}M ev/s flat-dispatch \
-                     baseline",
-                    sharded.workers,
-                    single.backend,
-                    eps / 1e6,
-                    BASELINE_EPS / 1e6,
-                );
-                std::process::exit(1);
-            }
-        }
     }
     println!(
         "shape checks passed: parallel COMMIT beats sequential at {} instances, >=3x total \
@@ -921,8 +830,7 @@ fn main() {
          full-replica wait, a mid-COMMIT shard outage aborts through ROLLBACK, key-range \
          scope is >=2x faster while moving <25% of state bytes on the skewed grid, the \
          calendar backend reproduces the heap's 10k-instance run bit-for-bit at >=2x the \
-         pre-flattening host throughput, and the 4-worker sharded executor reproduces both \
-         backends' 10k-instance runs bit-for-bit above the same throughput floor",
+         pre-flattening host throughput",
         16 * widest
     );
 }

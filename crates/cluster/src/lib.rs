@@ -26,11 +26,9 @@
 mod assignment;
 mod plan;
 mod scheduler;
-mod shard;
 mod vm;
 
 pub use assignment::Assignment;
 pub use plan::{ScaleDirection, ScalePlan};
 pub use scheduler::{InstanceScheduler, PackingScheduler, RoundRobinScheduler, ScheduleError};
-pub use shard::ShardMap;
 pub use vm::{SlotId, VmId, VmPool, VmRole, VmSize};

@@ -6,7 +6,7 @@ use flowmig_engine::{
     Engine, EngineConfig, EngineStats, ShardStats, StoreReplication, StoreServiceModel,
 };
 use flowmig_metrics::{MigrationMetrics, StabilityCriteria, TraceLog};
-use flowmig_sim::{QueueBackend, SimDuration, SimExecutor, SimTime};
+use flowmig_sim::{QueueBackend, RunOutcome, SimDuration, SimTime};
 use flowmig_topology::{Dataflow, InstanceSet, RatePlan};
 
 /// Everything measured from one migration run.
@@ -20,6 +20,10 @@ pub struct MigrationOutcome {
     pub stats: EngineStats,
     /// Whether the migration reached completion before the horizon.
     pub completed: bool,
+    /// Whether the run stopped at [`EngineConfig::event_budget`] before
+    /// the horizon. The trace, stats and metrics then cover a truncated
+    /// timeline.
+    pub budget_exhausted: bool,
     /// The full trace, for timeline plots and custom analysis.
     pub trace: TraceLog,
     /// Final per-shard store counters, in shard order — put/get traffic
@@ -91,17 +95,6 @@ impl MigrationController {
     /// `Calendar` pays off at thousands of instances.
     pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
         self.engine_config.queue_backend = backend;
-        self
-    }
-
-    /// Selects the simulation executor: `SimExecutor::Workers(n)` shards
-    /// the future-event list by VM across `n` worker threads under a
-    /// conservative-lookahead barrier (see the `flowmig_sim` crate's
-    /// "Execution model" docs). Executors are provably outcome-identical
-    /// — like [`with_queue_backend`](Self::with_queue_backend), this is
-    /// purely a performance knob.
-    pub fn with_sim_workers(mut self, executor: SimExecutor) -> Self {
-        self.engine_config.sim_workers = executor;
         self
     }
 
@@ -263,7 +256,7 @@ impl MigrationController {
         for &(shard, down, at, downtime) in &self.shard_outages {
             engine.schedule_shard_degradation(shard, down, at, downtime);
         }
-        engine.run_until(self.horizon);
+        let budget_exhausted = engine.run_until(self.horizon) == RunOutcome::BudgetExhausted;
 
         let stats = *engine.stats();
         let shard_stats = engine.store().all_shard_stats();
@@ -276,6 +269,7 @@ impl MigrationController {
             metrics,
             stats,
             completed,
+            budget_exhausted,
             trace,
             shard_stats,
         }

@@ -269,20 +269,10 @@ pub struct EngineConfig {
     /// (`heap` | `calendar`), which is how CI runs the whole test suite
     /// under the calendar backend without touching any call site.
     pub queue_backend: QueueBackend,
-    /// Which simulation executor the engine runs on:
-    /// [`SimExecutor::SingleThread`] (the default) or
-    /// [`SimExecutor::Workers`], which shards the future-event list by VM
-    /// across worker threads under a conservative-lookahead barrier (see
-    /// the `flowmig_sim` crate's "Execution model" docs). Executors are
-    /// provably outcome-identical — the engine derives the barrier
-    /// lookahead as `min(net_latency_remote, control_latency)` and pins
-    /// the cross-shard merge order, so this too is purely a performance
-    /// knob, orthogonal to [`queue_backend`](Self::queue_backend).
-    ///
-    /// The default honors the `FLOWMIG_SIM_WORKERS` environment variable
-    /// (a positive worker count; `1` means single-threaded), which is how
-    /// CI runs the whole test suite under `Workers(4)` without touching
-    /// any call site.
+    /// The simulation executor. It has one value,
+    /// [`SimExecutor::SingleThread`], and selects nothing: the field stays
+    /// because run records print it (the `perfbench` record line reads
+    /// `sim_executor=single-thread`).
     pub sim_workers: SimExecutor,
 }
 
@@ -312,7 +302,7 @@ impl Default for EngineConfig {
             source_interval_jitter: 0.35,
             event_budget: 100_000_000,
             queue_backend: queue_backend_from_env(),
-            sim_workers: sim_workers_from_env(),
+            sim_workers: SimExecutor::SingleThread,
         }
     }
 }
@@ -326,18 +316,6 @@ fn queue_backend_from_env() -> QueueBackend {
             value.parse().unwrap_or_else(|err| panic!("invalid FLOWMIG_QUEUE_BACKEND: {err}"))
         }
         Err(_) => QueueBackend::Heap,
-    }
-}
-
-/// Default simulation executor: `FLOWMIG_SIM_WORKERS` if set (a typo or a
-/// zero panics loudly rather than silently running single-threaded in a
-/// CI matrix leg), otherwise [`SimExecutor::SingleThread`].
-fn sim_workers_from_env() -> SimExecutor {
-    match std::env::var("FLOWMIG_SIM_WORKERS") {
-        Ok(value) => {
-            value.parse().unwrap_or_else(|err| panic!("invalid FLOWMIG_SIM_WORKERS: {err}"))
-        }
-        Err(_) => SimExecutor::SingleThread,
     }
 }
 

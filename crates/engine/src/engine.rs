@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use crate::stats::EngineStats;
 use crate::store::{AdmitOutcome, ShardedStateStore, StateBlob, StoreOpKind};
-use flowmig_cluster::{Assignment, ScalePlan, ShardMap, VmId, VmRole};
+use flowmig_cluster::{Assignment, ScalePlan, VmId, VmRole};
 use flowmig_metrics::{ControlKind, MigrationPhase, RootId, TraceEvent, TraceLog};
 use flowmig_sim::{Process, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 use flowmig_topology::{Dataflow, InstanceId, InstanceSet, KeyRange, TaskId, TaskKind};
@@ -989,6 +989,17 @@ impl EngineModel {
         (std::mem::size_of::<u64>() * counters).div_ceil(std::mem::size_of::<DataEvent>())
     }
 
+    /// Fetch payload of `instance`'s whole-instance blob, the one
+    /// [`committed_range`](Self::committed_range) names: its captured
+    /// events plus its counters, in pending-event equivalents. `None` if
+    /// the store holds no such blob.
+    fn committed_blob_payload(&self, instance: usize) -> Option<usize> {
+        let iid = InstanceId::from_index(instance);
+        self.store
+            .peek(iid, self.committed_range(instance))
+            .map(|blob| blob.pending.len() + Self::counters_event_equiv(blob.key_counts.len()))
+    }
+
     fn start_wave(
         &mut self,
         kind: ControlKind,
@@ -1335,8 +1346,9 @@ impl EngineModel {
                 };
                 if needs_restore {
                     // Storm's rollback semantics: re-init from the last
-                    // committed state.
-                    let Some(cost) = self.store_admit(instance, 0, StoreOpKind::Fetch, sched)
+                    // committed state, priced by the blob it reads.
+                    let payload = self.committed_blob_payload(instance).unwrap_or(0);
+                    let Some(cost) = self.store_admit(instance, payload, StoreOpKind::Fetch, sched)
                     else {
                         return; // shard down: the resend timer retries later
                     };
@@ -1372,15 +1384,12 @@ impl EngineModel {
                         self.store.peek_pending_len(iid, ranges)
                             + Self::counter_event_equiv(meta.keyed, ranges)
                     }
-                    None => match self.store.peek(iid, self.committed_range(instance)) {
-                        Some(blob) => {
-                            blob.pending.len() + Self::counters_event_equiv(blob.key_counts.len())
-                        }
-                        None => Self::counter_event_equiv(
+                    None => self.committed_blob_payload(instance).unwrap_or_else(|| {
+                        Self::counter_event_equiv(
                             meta.keyed,
                             &[KeyRange::whole(meta.key_partitions)],
-                        ),
-                    },
+                        )
+                    }),
                 };
                 let Some(cost) = self.store_admit(instance, payload, StoreOpKind::Fetch, sched)
                 else {
@@ -1753,38 +1762,6 @@ impl Process<Ev> for EngineModel {
             Ev::ShardOutageEnd { shard } => self.on_shard_outage_end(shard as usize, sched),
         }
     }
-
-    /// Shard affinity for the multi-worker executor: instance-affine
-    /// events follow their instance's VM through the [`ShardMap`] (so
-    /// co-located instances — the dense intra-VM traffic — share a worker
-    /// and the map tracks rebalances via the dispatch tables); control and
-    /// acker events, which have no placement, pin to shard 0. Any map is
-    /// outcome-identical (the barrier guarantees it); this one just keeps
-    /// the hot paths together.
-    fn shard_of(&self, event: &Ev, shards: usize) -> usize {
-        let instance = match *event {
-            Ev::SourceTick { instance }
-            | Ev::SourceDrain { instance }
-            | Ev::Wake { instance }
-            | Ev::Finish { instance }
-            | Ev::WorkerReady { instance }
-            | Ev::OutageStart { instance }
-            | Ev::OutageEnd { instance } => instance,
-            Ev::Deliver { to, .. } => to,
-            Ev::AckerScan
-            | Ev::CheckpointTimer
-            | Ev::RebalanceDone
-            | Ev::ControlResend { .. }
-            | Ev::MigrationRequest
-            | Ev::StrategyTimer { .. }
-            | Ev::ShardOutageStart { .. }
-            | Ev::ShardOutageEnd { .. } => return 0,
-        };
-        match self.tables.vm(instance as usize) {
-            Some(vm) => ShardMap::new(shards).shard_of_vm(vm),
-            None => 0,
-        }
-    }
 }
 
 /// The simulated DSPS engine: a deployed dataflow plus its virtual-time
@@ -1844,11 +1821,6 @@ impl Engine {
         let model = EngineModel::new(dag, instances, plan, config, protocol, coordinator, seed);
         let mut sim = Simulation::with_backend(config.queue_backend);
         sim.set_budget(config.event_budget);
-        sim.set_executor(config.sim_workers);
-        // Conservative barrier lookahead = the engine's minimum
-        // cross-shard delivery latency (remote hop vs. control hop). A
-        // batching knob only — outcomes are lookahead-independent.
-        sim.set_lookahead(config.net_latency_remote.min(config.control_latency));
         for s in &model.sources {
             sim.schedule(
                 SimTime::ZERO + s.interval,
@@ -1944,9 +1916,6 @@ impl Engine {
         self.model.stats.queue_peak_pending = self.sim.queue_peak_pending() as u64;
         self.model.stats.queue_rotations = self.sim.queue_rotations();
         self.model.stats.sched_clamped_past = self.sim.clamped_past_schedules();
-        self.model.stats.frontier_stalls = self.sim.frontier_stalls();
-        self.model.stats.cross_shard_events = self.sim.cross_shard_events();
-        self.model.stats.worker_busy_us = self.sim.worker_busy_us();
         outcome
     }
 

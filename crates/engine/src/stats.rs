@@ -8,11 +8,9 @@ use serde::{Deserialize, Serialize};
 /// *messages* (per-task deliveries) belonging to failed-and-replayed root
 /// trees — i.e. work redone because of the migration.
 ///
-/// Equality compares every simulated counter but **excludes**
-/// [`worker_busy_us`](Self::worker_busy_us), which measures host wall
-/// time and is therefore the one legitimately nondeterministic field —
-/// run-twice determinism checks can keep asserting `stats == stats`.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+/// Every counter is simulated, so run-twice determinism checks assert
+/// `stats == stats`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Root events generated by the external stream model.
     pub roots_generated: u64,
@@ -76,11 +74,8 @@ pub struct EngineStats {
     /// DES events dispatched by the simulation driver over the run (the
     /// denominator of events/sec throughput numbers).
     pub sim_events: u64,
-    /// High-water mark of the future-event list's pending events. An
-    /// implementation diagnostic: the multi-worker executor counts every
-    /// un-executed event (including entries mid-merge), the
-    /// single-threaded loop counts queue residents only, so the value is
-    /// deterministic per executor but not comparable across them.
+    /// High-water mark of the future-event list's pending events,
+    /// same-instant lane entries included.
     pub queue_peak_pending: u64,
     /// Lookahead-window rotations performed by the calendar queue backend
     /// (always 0 under the heap backend).
@@ -98,101 +93,7 @@ pub struct EngineStats {
     /// (staged logic updates changed the dataflow). See the crate-level
     /// "Dispatch model" section.
     pub dispatch_rebuilds: u64,
-    /// Barrier windows the multi-worker executor cut short because a
-    /// shard's frontier fell inside the merged run (always 0 under the
-    /// single-threaded executor). A high ratio of stalls to `sim_events`
-    /// means the shard map is scattering tightly-coupled instances.
-    pub frontier_stalls: u64,
-    /// Follow-up events routed to a different shard than the one whose
-    /// event produced them (always 0 under the single-threaded executor).
-    pub cross_shard_events: u64,
-    /// Host microseconds worker threads spent executing queue commands
-    /// (inserts, run pops, collects), summed over workers. **Wall-clock
-    /// measurement — nondeterministic by nature — and therefore excluded
-    /// from `PartialEq`.** Always 0 under the single-threaded executor.
-    pub worker_busy_us: u64,
 }
-
-impl EngineStats {
-    /// Every deterministic counter, in declaration order — the exhaustive
-    /// destructuring makes it a compile error to add a field without
-    /// deciding whether equality covers it.
-    fn comparable(&self) -> [u64; 30] {
-        let Self {
-            roots_generated,
-            source_emissions,
-            replayed_roots,
-            events_processed,
-            replayed_event_messages,
-            sink_arrivals,
-            events_dropped,
-            control_dropped,
-            control_processed,
-            events_captured,
-            pending_replayed,
-            state_persists,
-            state_fetches,
-            state_bytes_moved,
-            state_bytes_resident,
-            store_ops_queued,
-            store_wait_us,
-            store_ops_failed,
-            store_quorum_persists,
-            store_degraded_persists,
-            roots_acked,
-            roots_failed,
-            spout_throttled,
-            sim_events,
-            queue_peak_pending,
-            queue_rotations,
-            sched_clamped_past,
-            dispatch_rebuilds,
-            frontier_stalls,
-            cross_shard_events,
-            worker_busy_us: _,
-        } = *self;
-        [
-            roots_generated,
-            source_emissions,
-            replayed_roots,
-            events_processed,
-            replayed_event_messages,
-            sink_arrivals,
-            events_dropped,
-            control_dropped,
-            control_processed,
-            events_captured,
-            pending_replayed,
-            state_persists,
-            state_fetches,
-            state_bytes_moved,
-            state_bytes_resident,
-            store_ops_queued,
-            store_wait_us,
-            store_ops_failed,
-            store_quorum_persists,
-            store_degraded_persists,
-            roots_acked,
-            roots_failed,
-            spout_throttled,
-            sim_events,
-            queue_peak_pending,
-            queue_rotations,
-            sched_clamped_past,
-            dispatch_rebuilds,
-            frontier_stalls,
-            cross_shard_events,
-        ]
-    }
-}
-
-impl PartialEq for EngineStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.comparable() == other.comparable()
-    }
-}
-
-impl Eq for EngineStats {}
 
 #[cfg(test)]
 mod tests {
@@ -204,16 +105,5 @@ mod tests {
         assert_eq!(s.roots_generated, 0);
         assert_eq!(s.replayed_event_messages, 0);
         assert_eq!(s, EngineStats::default());
-    }
-
-    #[test]
-    fn equality_ignores_wall_clock_busy_time_only() {
-        let base = EngineStats::default();
-        let timed = EngineStats { worker_busy_us: 12_345, ..base };
-        assert_eq!(base, timed, "host wall time must not break determinism checks");
-        let counted = EngineStats { frontier_stalls: 1, ..base };
-        assert_ne!(base, counted, "simulated counters still compare");
-        let crossed = EngineStats { cross_shard_events: 1, ..base };
-        assert_ne!(base, crossed);
     }
 }

@@ -5,60 +5,31 @@
 //! together with a [`Scheduler`] for follow-up events. Model execution is
 //! strictly sequential in global `(due, seq)` order — which, combined with
 //! the deterministic [`EventQueue`](crate::EventQueue) and
-//! [`SimRng`](crate::SimRng), makes runs bit-reproducible. The
-//! [`SimExecutor`] knob chooses who *feeds* that sequential order: the
-//! in-place single-threaded loop, or the sharded multi-worker frontier
-//! loop in `workers.rs` (see the "Execution model" section of the
-//! [crate docs](crate)).
+//! [`SimRng`](crate::SimRng), makes runs bit-reproducible.
 
 use crate::queue::{EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Where a [`Scheduler`] deposits follow-up events: in place
-/// (single-threaded loop — events due at the current instant join the
-/// same-instant lane, later ones the future-event list), or into a
-/// per-handle emission buffer the sharded executor assigns sequence
-/// numbers to and routes after the handler returns (multi-worker loop — the
-/// buffer preserves emission order, so sequence assignment is identical to
-/// the in-place path).
-#[derive(Debug)]
-enum Sink<'a, E> {
-    Queue { queue: &'a mut EventQueue<E>, lane: &'a mut Vec<(u64, E)> },
-    Buffer(&'a mut Vec<(SimTime, E)>),
-}
-
-/// Handle through which a [`Process`] schedules follow-up events.
+/// Handle through which a [`Process`] schedules follow-up events. Events
+/// due at the current instant join the same-instant lane, later ones the
+/// future-event list.
 #[derive(Debug)]
 pub struct Scheduler<'a, E> {
     now: SimTime,
-    sink: Sink<'a, E>,
+    queue: &'a mut EventQueue<E>,
+    lane: &'a mut Vec<(u64, E)>,
     clamped_past: &'a mut u64,
 }
 
 impl<'a, E> Scheduler<'a, E> {
-    /// A scheduler that buffers emissions instead of touching a queue —
-    /// the sharded executor's per-handle mode.
-    pub(crate) fn buffered(
-        now: SimTime,
-        buf: &'a mut Vec<(SimTime, E)>,
-        clamped_past: &'a mut u64,
-    ) -> Self {
-        Scheduler { now, sink: Sink::Buffer(buf), clamped_past }
-    }
-
     fn push(&mut self, due: SimTime, event: E) {
-        match &mut self.sink {
-            Sink::Queue { queue, lane } => {
-                if due == self.now {
-                    lane.push((queue.take_seq(), event));
-                } else {
-                    queue.schedule(due, event);
-                }
-                queue.note_pending(lane.len());
-            }
-            Sink::Buffer(buf) => buf.push((due, event)),
+        if due == self.now {
+            self.lane.push((self.queue.take_seq(), event));
+        } else {
+            self.queue.schedule(due, event);
         }
+        self.queue.note_pending(self.lane.len());
     }
 
     /// Current virtual time.
@@ -86,17 +57,12 @@ impl<'a, E> Scheduler<'a, E> {
         I: IntoIterator<Item = E>,
     {
         let due = self.now + delay;
-        match &mut self.sink {
-            Sink::Queue { queue, lane } => {
-                if due == self.now {
-                    lane.extend(events.into_iter().map(|e| (queue.take_seq(), e)));
-                } else {
-                    queue.schedule_batch(due, events);
-                }
-                queue.note_pending(lane.len());
-            }
-            Sink::Buffer(buf) => buf.extend(events.into_iter().map(|e| (due, e))),
+        if due == self.now {
+            self.lane.extend(events.into_iter().map(|e| (self.queue.take_seq(), e)));
+        } else {
+            self.queue.schedule_batch(due, events);
         }
+        self.queue.note_pending(self.lane.len());
     }
 
     /// Schedules `event` at an absolute instant.
@@ -133,76 +99,22 @@ pub trait Process<E> {
     /// Handles one event at virtual time `sched.now()`, scheduling any
     /// follow-up events through `sched`.
     fn handle(&mut self, event: E, sched: &mut Scheduler<'_, E>);
-
-    /// Shard affinity of `event` when the simulation runs on
-    /// [`SimExecutor::Workers`]: which of the `shards` per-worker event
-    /// queues should hold it (`0..shards`). Purely a load-balancing hint —
-    /// the sharded executor produces bit-identical outcomes for *any*
-    /// mapping (see the "Execution model" section of the
-    /// [crate docs](crate)) — so the default pins everything to shard 0.
-    fn shard_of(&self, _event: &E, _shards: usize) -> usize {
-        0
-    }
 }
 
 /// Which execution backend [`Simulation::run_until`] drives the event loop
-/// with. Executors are outcome-identical — like
-/// [`QueueBackend`](crate::QueueBackend), this is purely a performance
-/// knob; every trace, stat, and clock value is bit-identical across
-/// executors.
+/// with. There is one: the in-place single-threaded loop. The type stays so
+/// that configurations and run records naming the executor keep working.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimExecutor {
-    /// The in-place single-threaded loop (the default).
+    /// The in-place single-threaded loop.
     #[default]
     SingleThread,
-    /// The sharded multi-worker frontier loop: `n` worker threads each own
-    /// one shard of the future-event list (sharded by
-    /// [`Process::shard_of`]) and feed the driver conservatively-bounded
-    /// runs; the driver merges and executes them in global order.
-    Workers(usize),
-}
-
-impl SimExecutor {
-    /// Number of worker threads this executor runs (1 for the
-    /// single-threaded loop).
-    pub fn workers(self) -> usize {
-        match self {
-            SimExecutor::SingleThread => 1,
-            SimExecutor::Workers(n) => n.max(1),
-        }
-    }
-
-    /// Short label for bench/JSON rows: `"single"` or `"workers"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            SimExecutor::SingleThread => "single",
-            SimExecutor::Workers(_) => "workers",
-        }
-    }
-}
-
-impl std::str::FromStr for SimExecutor {
-    type Err = String;
-
-    /// Parses a worker count (as accepted by the `FLOWMIG_SIM_WORKERS`
-    /// environment knob and the CLI flag): `"1"` selects the
-    /// single-threaded loop, `n >= 2` selects [`SimExecutor::Workers`].
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.parse::<usize>() {
-            Ok(0) | Err(_) => {
-                Err(format!("invalid worker count `{s}` (expected a positive integer)"))
-            }
-            Ok(1) => Ok(SimExecutor::SingleThread),
-            Ok(n) => Ok(SimExecutor::Workers(n)),
-        }
-    }
 }
 
 impl std::fmt::Display for SimExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimExecutor::SingleThread => write!(f, "single-thread"),
-            SimExecutor::Workers(n) => write!(f, "workers({n})"),
+            SimExecutor::SingleThread => f.write_str("single-thread"),
         }
     }
 }
@@ -245,34 +157,11 @@ pub enum RunOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Simulation<E> {
-    pub(crate) queue: EventQueue<E>,
-    pub(crate) now: SimTime,
-    pub(crate) processed: u64,
-    pub(crate) budget: u64,
-    pub(crate) clamped_past: u64,
-    pub(crate) executor: SimExecutor,
-    /// Conservative lookahead of the sharded executor: the minimum
-    /// cross-shard delivery latency of the model. Performance knob only —
-    /// it widens the per-window run a worker pops past the cap, never the
-    /// set of events the driver may execute (that is bounded exactly by
-    /// the min-frontier safe bound).
-    pub(crate) lookahead: SimDuration,
-    /// Barrier windows the sharded driver cut short at the safe bound
-    /// (a worker had popped past another shard's frontier).
-    pub(crate) frontier_stalls: u64,
-    /// Events routed to a different shard than the one whose event
-    /// emitted them.
-    pub(crate) cross_shard_events: u64,
-    /// Host-side busy time summed over worker threads (µs). Wall-clock —
-    /// the one executor counter that is *not* deterministic.
-    pub(crate) worker_busy_us: u64,
-    /// Calendar-window rotations performed by per-shard worker queues,
-    /// folded in when a sharded run collects them.
-    pub(crate) worker_rotations: u64,
-    /// Pending-event high-water mark observed by the sharded driver
-    /// (its routing counter stands in for `queue.len()` while entries
-    /// live in per-shard queues).
-    pub(crate) sharded_peak: usize,
+    queue: EventQueue<E>,
+    now: SimTime,
+    processed: u64,
+    budget: u64,
+    clamped_past: u64,
 }
 
 impl<E> Default for Simulation<E> {
@@ -303,64 +192,12 @@ impl<E> Simulation<E> {
             processed: 0,
             budget: Self::DEFAULT_BUDGET,
             clamped_past: 0,
-            executor: SimExecutor::SingleThread,
-            lookahead: SimDuration::ZERO,
-            frontier_stalls: 0,
-            cross_shard_events: 0,
-            worker_busy_us: 0,
-            worker_rotations: 0,
-            sharded_peak: 0,
         }
     }
 
     /// The future-event-list backend this simulation runs on.
     pub fn queue_backend(&self) -> QueueBackend {
         self.queue.backend()
-    }
-
-    /// Selects the execution backend for subsequent
-    /// [`run_until`](Self::run_until) calls. Executors are
-    /// outcome-identical; see [`SimExecutor`].
-    pub fn set_executor(&mut self, executor: SimExecutor) {
-        self.executor = executor;
-    }
-
-    /// The execution backend this simulation runs on.
-    pub fn executor(&self) -> SimExecutor {
-        self.executor
-    }
-
-    /// Sets the sharded executor's conservative lookahead — the minimum
-    /// cross-shard delivery latency of the model being simulated. A pure
-    /// performance knob (it widens barrier windows so same-epoch event
-    /// clusters drain in one round); outcomes are identical for any value.
-    pub fn set_lookahead(&mut self, lookahead: SimDuration) {
-        self.lookahead = lookahead;
-    }
-
-    /// The sharded executor's conservative lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// Barrier windows the sharded driver cut short because a worker had
-    /// run ahead of another shard's frontier (always `0` under
-    /// [`SimExecutor::SingleThread`]).
-    pub fn frontier_stalls(&self) -> u64 {
-        self.frontier_stalls
-    }
-
-    /// Events the sharded driver routed to a different shard than the one
-    /// that emitted them (always `0` under [`SimExecutor::SingleThread`]).
-    pub fn cross_shard_events(&self) -> u64 {
-        self.cross_shard_events
-    }
-
-    /// Host-side busy time summed across worker threads, in microseconds.
-    /// Wall-clock measurement — unlike every other counter here it is NOT
-    /// deterministic across runs.
-    pub fn worker_busy_us(&self) -> u64 {
-        self.worker_busy_us
     }
 
     /// Caps the number of events a single `run_until` may process.
@@ -383,21 +220,16 @@ impl<E> Simulation<E> {
         self.queue.len()
     }
 
-    /// High-water mark of pending events over the simulation's lifetime.
-    /// Under [`SimExecutor::Workers`] the sharded driver's global routing
-    /// counter stands in for queue length while entries live in per-shard
-    /// queues; the mark it reports samples at routing points rather than
-    /// batch-pop points, so it can differ slightly (but deterministically)
-    /// from the single-threaded mark.
+    /// High-water mark of pending events over the simulation's lifetime,
+    /// same-instant lane entries included.
     pub fn queue_peak_pending(&self) -> usize {
-        self.queue.peak_pending().max(self.sharded_peak)
+        self.queue.peak_pending()
     }
 
     /// Lookahead-window rotations performed by the calendar backend
-    /// (always `0` under [`QueueBackend::Heap`]), summed over the driver
-    /// queue and any per-shard worker queues.
+    /// (always `0` under [`QueueBackend::Heap`]).
     pub fn queue_rotations(&self) -> u64 {
-        self.queue.rotations() + self.worker_rotations
+        self.queue.rotations()
     }
 
     /// Number of past instants clamped to `now`: external
@@ -429,38 +261,20 @@ impl<E> Simulation<E> {
     /// and never moves backwards: a horizon earlier than the current clock
     /// leaves `now` untouched.
     ///
-    /// Under [`SimExecutor::SingleThread`], dispatch is batched: all events
-    /// due at one instant are drained from the future-event list in a
-    /// single [`EventQueue::pop_due`] call and handled back to back through
-    /// one hoisted [`Scheduler`], so the backend is not re-touched between
-    /// same-instant events. Events a handler schedules *at* the current
-    /// instant never enter the future-event list: they collect in the
-    /// same-instant lane, in emission order, and the lane is dispatched as
-    /// the next batch. Nothing else can be due then — the batch took every
-    /// queued entry due at or before the instant — so this is the exact
-    /// event order of one-at-a-time dispatch (see the "Same-instant lane"
-    /// section of the [crate docs](crate)). If the event budget runs out
-    /// first, the lane's entries return to the future-event list under the
-    /// sequence numbers they were given, and a later call resumes in the
-    /// same order.
-    ///
-    /// Under [`SimExecutor::Workers`], the future-event list is sharded
-    /// across worker threads and the driver executes the merged runs —
-    /// bit-identically to the single-threaded loop (the budget remains one
-    /// global cap, counted by the driver). See the "Execution model"
-    /// section of the [crate docs](crate).
-    pub fn run_until<P: Process<E>>(&mut self, model: &mut P, horizon: SimTime) -> RunOutcome
-    where
-        E: Send,
-    {
-        match self.executor {
-            SimExecutor::SingleThread => self.run_single(model, horizon),
-            SimExecutor::Workers(n) => crate::workers::run_sharded(self, model, horizon, n.max(1)),
-        }
-    }
-
-    /// The in-place single-threaded event loop.
-    fn run_single<P: Process<E>>(&mut self, model: &mut P, horizon: SimTime) -> RunOutcome {
+    /// Dispatch is batched: all events due at one instant are drained from
+    /// the future-event list in a single [`EventQueue::pop_due`] call and
+    /// handled back to back through one hoisted [`Scheduler`], so the
+    /// backend is not re-touched between same-instant events. Events a
+    /// handler schedules *at* the current instant never enter the
+    /// future-event list: they collect in the same-instant lane, in
+    /// emission order, and the lane is dispatched as the next batch.
+    /// Nothing else can be due then — the batch took every queued entry due
+    /// at or before the instant — so this is the exact event order of
+    /// one-at-a-time dispatch (see the "Same-instant lane" section of the
+    /// [crate docs](crate)). If the event budget runs out first, the lane's
+    /// entries return to the future-event list under the sequence numbers
+    /// they were given, and a later call resumes in the same order.
+    pub fn run_until<P: Process<E>>(&mut self, model: &mut P, horizon: SimTime) -> RunOutcome {
         let mut spent: u64 = 0;
         // Two buffers reused across instants, entries tagged with their
         // sequence numbers: `batch` holds the events being dispatched,
@@ -506,7 +320,8 @@ impl<E> Simulation<E> {
             let dispatched = batch.len() as u64;
             let mut sched = Scheduler {
                 now: self.now,
-                sink: Sink::Queue { queue: &mut self.queue, lane: &mut lane },
+                queue: &mut self.queue,
+                lane: &mut lane,
                 clamped_past: &mut self.clamped_past,
             };
             for (_, event) in batch.drain(..) {
@@ -785,6 +600,13 @@ mod tests {
         let heap = run(QueueBackend::Heap);
         let calendar = run(QueueBackend::Calendar);
         assert_eq!(heap, calendar);
+    }
+
+    #[test]
+    fn the_one_executor_displays_as_single_thread() {
+        // Run records print the executor, so its name is part of the output.
+        assert_eq!(SimExecutor::default(), SimExecutor::SingleThread);
+        assert_eq!(SimExecutor::default().to_string(), "single-thread");
     }
 
     #[test]

@@ -53,12 +53,11 @@
 //!
 //! # Same-instant lane
 //!
-//! Under the single-threaded loop, events scheduled at the current
-//! instant — [`Scheduler::now_event`], `after(SimDuration::ZERO)`,
-//! `at(now)` (a clamped past instant included) and a zero-delay
-//! [`Scheduler::after_batch`] — never enter the future-event list. They
-//! collect, in emission order, in a FIFO lane that is dispatched as the
-//! next batch. That is exactly `(due, seq)` order because **the loop takes
+//! Events scheduled at the current instant — [`Scheduler::now_event`],
+//! `after(SimDuration::ZERO)`, `at(now)` (a clamped past instant included)
+//! and a zero-delay [`Scheduler::after_batch`] — never enter the
+//! future-event list. They collect, in emission order, in a FIFO lane
+//! that is dispatched as the next batch. That is exactly `(due, seq)` order because **the loop takes
 //! every queued entry due at the current instant out of the future-event
 //! list before it dispatches any of them**: when a batch ends, nothing
 //! queued is due at or before `now`, so the events the batch scheduled at
@@ -66,51 +65,7 @@
 //! Lane entries still take sequence numbers and count as pending, so
 //! [`Simulation::queue_peak_pending`], traces and seeds are unchanged; if
 //! the event budget runs out, they return to the future-event list under
-//! those numbers. The sharded executor's buffered [`Scheduler`] does not
-//! use the lane: it routes every emission through its per-shard queues.
-//!
-//! # Execution model
-//!
-//! Orthogonal to the backend, [`SimExecutor`] picks *who walks* the
-//! future-event list ([`Simulation::set_executor`] /
-//! `FLOWMIG_SIM_WORKERS`):
-//!
-//! * **`SingleThread`** (default) — the classic DES loop: pop the
-//!   earliest event, execute, repeat.
-//! * **`Workers(n)`** — the event list is sharded by
-//!   [`Process::shard_of`] across `n` worker threads, each owning a
-//!   private [`EventQueue`]; the driver thread synchronizes them with a
-//!   conservative-lookahead barrier and executes events in global
-//!   `(due, seq)` order.
-//!
-//! The **frontier invariant** is what makes `Workers(n)` exact rather
-//! than approximate: each barrier window, every worker pops a bounded run
-//! of due entries and reports its *frontier* — the `(due, seq)` key of
-//! the earliest entry it still holds. The minimum frontier across shards
-//! is a *safe bound*: no unexecuted event anywhere has a smaller key, so
-//! the k-way merge of the runs below that bound **is** the global
-//! execution order, and the driver executes exactly that prefix. Model
-//! execution (state updates, RNG draws, trace appends) stays on the
-//! driver thread in that order, which is why traces, stats, seeds and
-//! clocks are byte-identical to the single-threaded loop — the workers
-//! parallelize the queue plane (inserts, settles, window rotations,
-//! ordered pops), which dominates at large pending-set sizes.
-//!
-//! The **lookahead** ([`Simulation::set_lookahead`]) derives from the
-//! model's minimum cross-shard delivery latency — for the flowmig engine,
-//! `min(net_latency_remote, control_latency)` = 1 ms. Because models may
-//! also self-schedule at zero delay (`Scheduler::now_event`), lookahead
-//! is used only to extend a worker's pop run past its cap without
-//! splitting a dense same-instant cluster — it is a batching knob, and
-//! correctness never depends on its value.
-//!
-//! The **merge order is pinned** to ascending `(due, seq)` with ties (in
-//! the unreachable case of key collisions) broken by shard index:
-//! same-instant events must fire in schedule order no matter which shard
-//! held them, follow-up events get the same sequence numbers the
-//! single-threaded loop would assign, and re-running any configuration —
-//! across executors, worker counts and backends — reproduces every trace
-//! hash. See `workers.rs` module docs for the barrier protocol details.
+//! those numbers.
 //!
 //! # Examples
 //!
@@ -143,7 +98,6 @@ pub mod fasthash;
 mod queue;
 mod rng;
 mod time;
-mod workers;
 
 pub use executor::{Process, RunOutcome, Scheduler, SimExecutor, Simulation};
 pub use queue::{EventQueue, QueueBackend, CALENDAR_BUCKETS, CALENDAR_BUCKET_MICROS};

@@ -108,20 +108,16 @@ impl std::str::FromStr for QueueBackend {
 }
 
 /// A scheduled entry: an event of type `E` due at a given instant.
-///
-/// `pub(crate)` (fields included) so the sharded executor in
-/// `crate::workers` can move entries between the driver and per-shard
-/// queues with their `(due, seq)` keys intact.
 #[derive(Debug, Clone)]
-pub(crate) struct Scheduled<E> {
-    pub(crate) due: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Scheduled<E> {
+    due: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> Scheduled<E> {
     /// The total-order key every backend pops by.
-    pub(crate) fn key(&self) -> (SimTime, u64) {
+    fn key(&self) -> (SimTime, u64) {
         (self.due, self.seq)
     }
 }
@@ -728,18 +724,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Sharded-executor internals (`crate::workers`)
-    // -----------------------------------------------------------------
-    //
-    // The multi-worker executor moves entries between the driver's queue
-    // and per-shard queues without re-assigning sequence numbers: the
-    // global `(due, seq)` order is the single-threaded execution order,
-    // and preserving it across queue hops is what makes the sharded
-    // executor bit-identical.
-
-    /// Inserts an entry that already carries its global sequence number.
-    /// Does **not** advance `next_seq` — the driver owns the counter.
+    /// Inserts an entry that already carries its sequence number: a
+    /// same-instant lane entry the event budget cut off, returned to the
+    /// future-event list so a later run resumes in the same order. Does
+    /// **not** advance `next_seq`.
     pub(crate) fn schedule_preassigned(&mut self, due: SimTime, seq: u64, event: E) {
         let entry = Scheduled { due, seq, event };
         match &mut self.tier {
@@ -747,61 +735,6 @@ impl<E> EventQueue<E> {
             Tier::Calendar(cal) => cal.insert(entry),
         }
         self.note_pending(0);
-    }
-
-    /// `(due, seq)` key of the earliest pending entry (`&mut` for the same
-    /// lazy-settle reason as [`peek_time`](Self::peek_time)).
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.tier {
-            Tier::Heap(heap) => heap.peek().map(Scheduled::key),
-            Tier::Calendar(cal) => cal.peek().map(Scheduled::key),
-        }
-    }
-
-    /// Pops a *run* — entries due at or before `horizon`, in `(due, seq)`
-    /// order — into `into`: up to `max` entries unconditionally, then
-    /// (once the cap is hit) keeps going while the next entry is within
-    /// `lookahead` of the run's first due instant, so a dense same-epoch
-    /// cluster is never split across barrier windows. Returns the key of
-    /// the earliest entry left behind (the shard's *frontier*), `None` if
-    /// the queue drained.
-    pub(crate) fn pop_run_into(
-        &mut self,
-        horizon: SimTime,
-        max: usize,
-        lookahead: crate::SimDuration,
-        into: &mut Vec<Scheduled<E>>,
-    ) -> Option<(SimTime, u64)> {
-        debug_assert!(into.is_empty(), "pop_run_into requires a cleared buffer");
-        let mut first_due: Option<SimTime> = None;
-        loop {
-            let key = self.peek_key()?;
-            if key.0 > horizon {
-                return Some(key);
-            }
-            if into.len() >= max {
-                match first_due {
-                    // Lookahead extension: same-epoch clusters stay whole.
-                    Some(first) if key.0 <= first + lookahead => {}
-                    _ => return Some(key),
-                }
-            }
-            let entry = self.pop_entry().expect("peeked entry present");
-            first_due.get_or_insert(entry.due);
-            into.push(entry);
-        }
-    }
-
-    /// Drains every entry, keys intact, in `(due, seq)` order.
-    pub(crate) fn drain_all_into(&mut self, into: &mut Vec<Scheduled<E>>) {
-        self.pop_due_with(SimTime::MAX, usize::MAX, |s| into.push(s));
-    }
-
-    /// Restores the sequence counter after a sharded run handed seq
-    /// assignment to the driver.
-    pub(crate) fn set_next_seq(&mut self, next_seq: u64) {
-        debug_assert!(next_seq >= self.next_seq, "sequence counter must not rewind");
-        self.next_seq = next_seq;
     }
 }
 
@@ -1163,39 +1096,26 @@ mod tests {
 
     #[test]
     fn a_10k_run_drains_one_pop_at_a_time_in_order_behind_one_heap_entry() {
-        // The sharded executor pops one entry at a time (`pop_run_into`).
-        // Each pop of a run head must hand the run's next event to a new
-        // head: one heap pop and push plus O(1) table work, never a shift
-        // of the rest of the run. So the run stays behind exactly one heap
-        // entry while its parked tail shrinks by one event per pop.
+        // Each single pop of a run head must hand the run's next event to a
+        // new head: one heap pop and push plus O(1) table work, never a
+        // shift of the rest of the run. So the run stays behind exactly one
+        // heap entry while its parked tail shrinks by one event per pop.
         const N: u64 = 10_000;
         let (early, t, late) =
             (SimTime::from_millis(1), SimTime::from_millis(5), SimTime::from_millis(9));
-        let build = || {
-            let mut q = EventQueue::with_backend(QueueBackend::Heap);
-            q.schedule(early, N);
-            for i in 0..N {
-                q.schedule(t, i);
-            }
-            q.schedule(late, N + 1);
-            q
-        };
-        let mut q = build();
+        let mut q = EventQueue::with_backend(QueueBackend::Heap);
+        q.schedule(early, N);
+        for i in 0..N {
+            q.schedule(t, i);
+        }
+        q.schedule(late, N + 1);
         assert_eq!(q.pop(), Some((early, N)));
         for i in 0..N {
             assert_eq!(heap_layout(&q), (2, (N - 1 - i) as usize), "before pop {i}");
-            assert_eq!(q.peek_key(), Some((t, i + 1)));
+            assert_eq!(q.peek_time(), Some(t));
             assert_eq!(q.pop(), Some((t, i)));
         }
         assert_eq!(q.pop(), Some((late, N + 1)));
         assert!(q.is_empty());
-
-        let mut q = build();
-        assert_eq!(q.pop(), Some((early, N)));
-        let mut run = Vec::new();
-        let frontier = q.pop_run_into(t, 1, crate::SimDuration::ZERO, &mut run);
-        assert_eq!(frontier, Some((late, N + 1)), "the instant's cluster stays whole");
-        let keys: Vec<(SimTime, u64, u64)> = run.iter().map(|s| (s.due, s.seq, s.event)).collect();
-        assert_eq!(keys, (0..N).map(|i| (t, i + 1, i)).collect::<Vec<_>>());
     }
 }

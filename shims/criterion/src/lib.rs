@@ -17,11 +17,6 @@
 //! * `CRITERION_JSON=path` additionally writes all results of the process
 //!   as a JSON array of `{name, samples, min_ns, mean_ns, max_ns}` objects
 //!   (rewritten after every benchmark, so a partial file is still valid).
-//!   Two additive keys, `executor` and `workers`, record the simulation
-//!   executor the process ran under (from `FLOWMIG_SIM_WORKERS`, the same
-//!   variable the engine reads) so CI artifacts from different matrix legs
-//!   stay distinguishable; they are appended after the legacy keys so
-//!   existing consumers keep parsing.
 
 #![forbid(unsafe_code)]
 
@@ -45,25 +40,10 @@ fn json_results() -> &'static Mutex<Vec<JsonEntry>> {
     RESULTS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// The simulation-executor context this process runs under, read from
-/// `FLOWMIG_SIM_WORKERS` exactly as the engine does: unset, empty, or `1`
-/// is the single-threaded executor; `N > 1` is the N-worker sharded
-/// executor. Unparseable values are reported as `single` — the engine
-/// itself panics on them long before a benchmark finishes, so the lenient
-/// fallback only ever labels non-engine processes.
-fn executor_context() -> (&'static str, usize) {
-    match std::env::var("FLOWMIG_SIM_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n > 1 => ("workers", n),
-        _ => ("single", 1),
-    }
-}
-
-/// One `CRITERION_JSON` row: the legacy keys first, then the additive
-/// executor-context keys.
-fn format_row(e: &JsonEntry, executor: &str, workers: usize) -> String {
+/// One `CRITERION_JSON` row.
+fn format_row(e: &JsonEntry) -> String {
     format!(
-        "  {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}, \
-         \"executor\": \"{executor}\", \"workers\": {workers}}}",
+        "  {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}}}",
         e.name.replace('\\', "\\\\").replace('"', "\\\""),
         e.samples,
         e.min_ns,
@@ -78,10 +58,9 @@ fn export_json(entry: JsonEntry) {
     let Ok(path) = std::env::var("CRITERION_JSON") else {
         return;
     };
-    let (executor, workers) = executor_context();
     let mut results = json_results().lock().expect("json results lock");
     results.push(entry);
-    let rows: Vec<String> = results.iter().map(|e| format_row(e, executor, workers)).collect();
+    let rows: Vec<String> = results.iter().map(format_row).collect();
     let body = format!("[\n{}\n]\n", rows.join(",\n"));
     if let Err(err) = std::fs::write(&path, body) {
         eprintln!("criterion shim: cannot write {path}: {err}");
@@ -308,24 +287,18 @@ mod tests {
     }
 
     #[test]
-    fn json_row_keeps_legacy_keys_and_appends_executor_context() {
-        let row = format_row(
-            &JsonEntry {
-                name: "acker/register_apply_1k".to_owned(),
-                samples: 20,
-                min_ns: 1,
-                mean_ns: 2,
-                max_ns: 3,
-            },
-            "workers",
-            4,
+    fn json_row_carries_the_summary_keys_and_escapes_the_name() {
+        let entry = JsonEntry {
+            name: "acker/\"quoted\"".to_owned(),
+            samples: 20,
+            min_ns: 1,
+            mean_ns: 2,
+            max_ns: 3,
+        };
+        assert_eq!(
+            format_row(&entry),
+            r#"  {"name": "acker/\"quoted\"", "samples": 20, "min_ns": 1, "mean_ns": 2, "max_ns": 3}"#
         );
-        // Legacy schema first — existing consumers index on these keys.
-        for key in ["name", "samples", "min_ns", "mean_ns", "max_ns"] {
-            assert!(row.contains(&format!("\"{key}\":")), "legacy key `{key}` missing: {row}");
-        }
-        // Additive executor-context keys after them.
-        assert!(row.ends_with("\"executor\": \"workers\", \"workers\": 4}"), "{row}");
     }
 
     #[test]

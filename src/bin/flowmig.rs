@@ -9,7 +9,7 @@
 //!           [--shard-outage SHARD:AT_SECS:DOWN_SECS]
 //!           [--key-skew PARTITIONS:EXPONENT] [--scope all|hot|hot:PERMILLE]
 //!           [--no-wave-timeout] [--transport-buffer N]
-//!           [--queue-backend heap|calendar] [--sim-workers N]
+//!           [--queue-backend heap|calendar]
 //!           [--csv throughput|latency]
 //! ```
 //!
@@ -41,7 +41,6 @@ struct Args {
     no_wave_timeout: bool,
     transport_buffer: Option<usize>,
     queue_backend: Option<QueueBackend>,
-    sim_workers: Option<SimExecutor>,
     csv: Option<String>,
 }
 
@@ -61,7 +60,6 @@ fn usage() -> ExitCode {
          [--no-wave-timeout (ccr-key-range: wait out saturated hot owners)] \
          [--transport-buffer N (channel rerouting buffer slots)] \
          [--queue-backend heap|calendar (future-event list; identical results, different speed)] \
-         [--sim-workers N (VM-sharded parallel executor; identical results, different speed)] \
          [--csv throughput|latency]\n\nstrategies:",
         names.join("|")
     );
@@ -90,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         no_wave_timeout: false,
         transport_buffer: None,
         queue_backend: None,
-        sim_workers: None,
         csv: None,
     };
     let mut it = std::env::args().skip(1);
@@ -198,7 +195,6 @@ fn parse_args() -> Result<Args, String> {
             "--queue-backend" => {
                 args.queue_backend = Some(value()?.parse().map_err(|e: String| e)?)
             }
-            "--sim-workers" => args.sim_workers = Some(value()?.parse().map_err(|e: String| e)?),
             "--csv" => args.csv = Some(value()?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
@@ -262,9 +258,6 @@ fn main() -> ExitCode {
     }
     if let Some(backend) = args.queue_backend {
         controller = controller.with_queue_backend(backend);
-    }
-    if let Some(executor) = args.sim_workers {
-        controller = controller.with_sim_workers(executor);
     }
     if args.store_queueing {
         controller = controller.with_store_service(StoreServiceModel::FifoPerShard);
@@ -338,6 +331,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if outcome.budget_exhausted {
+        // Every sim event the run dispatched counts against the budget.
+        eprintln!(
+            "error: the run exhausted its event budget of {} sim events before the {}s \
+             horizon; its results would cover a truncated timeline",
+            outcome.stats.sim_events, args.horizon_secs
+        );
+        return ExitCode::FAILURE;
+    }
 
     if let Some(kind) = args.csv {
         let origin = outcome.trace.migration_requested_at().unwrap_or(SimTime::ZERO);
@@ -370,18 +372,6 @@ fn main() -> ExitCode {
         "  dispatch:      {} sim events (peak {} pending, {} window rotations)",
         outcome.stats.sim_events, outcome.stats.queue_peak_pending, outcome.stats.queue_rotations
     );
-    // The flag wins; otherwise the run used `EngineConfig::default()`'s
-    // executor, which honors FLOWMIG_SIM_WORKERS — resolve the same way
-    // so env-selected sharded runs still get their summary line.
-    let executor = args.sim_workers.unwrap_or_else(|| EngineConfig::default().sim_workers);
-    if let SimExecutor::Workers(n) = executor {
-        println!(
-            "  executor:      {n} workers ({} frontier stalls, {} cross-shard events, {} µs worker busy)",
-            outcome.stats.frontier_stalls,
-            outcome.stats.cross_shard_events,
-            outcome.stats.worker_busy_us
-        );
-    }
     println!("  metrics:       {}", outcome.metrics);
     println!(
         "  reliability:   {} dropped, {} roots replayed, {} captured",

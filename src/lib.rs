@@ -59,7 +59,7 @@ pub use flowmig_workloads as workloads;
 pub mod prelude {
     pub use flowmig_cluster::{
         Assignment, InstanceScheduler, PackingScheduler, RoundRobinScheduler, ScaleDirection,
-        ScalePlan, ShardMap, VmPool, VmRole, VmSize,
+        ScalePlan, VmPool, VmRole, VmSize,
     };
     pub use flowmig_core::{
         Ccr, CcrKeyRange, Dcr, Dsm, MigrationController, MigrationOutcome, MigrationStrategy,
@@ -73,7 +73,7 @@ pub mod prelude {
         find_stabilization, latency_samples_ms, percentile, LatencyTimeline, MigrationMetrics,
         MigrationPhase, RateTimeline, StabilityCriteria, Summary, TraceEvent, TraceLog,
     };
-    pub use flowmig_sim::{QueueBackend, SimDuration, SimExecutor, SimTime};
+    pub use flowmig_sim::{QueueBackend, SimDuration, SimTime};
     pub use flowmig_topology::{
         library, Dataflow, DataflowBuilder, InstanceSet, RatePlan, TaskId, TaskKind, TaskSpec,
     };

@@ -505,113 +505,28 @@ fn different_seeds_actually_diverge() {
     assert_ne!(a.trace, b.trace, "seeds must steer the run");
 }
 
-/// The multi-worker executor must be *provably outcome-identical* to the
-/// single-threaded loop: the same 5-DAG × 3-strategy matrix, run under
-/// `SimExecutor::Workers(4)`, must reproduce the PR 3 pinned hashes byte
-/// for byte — the same proof obligation the calendar backend carries.
-/// (The `FLOWMIG_SIM_WORKERS=4` CI leg extends this to every pinned
-/// matrix in the suite; this in-repo leg keeps the core proof running in
-/// every configuration.)
-fn assert_workers4_reproduces_default_pins(backend: QueueBackend) {
-    let mut mismatches = Vec::new();
-    for strategy in strategies() {
-        for dag in dags() {
-            let out = controller(7)
-                .with_queue_backend(backend)
-                .with_sim_workers(SimExecutor::Workers(4))
-                .run(&dag, strategy.as_ref(), ScaleDirection::In)
-                .expect("paper scenario placeable");
-            let pinned = PR3_BASELINE
-                .iter()
-                .find(|(s, d, _)| *s == out.strategy && *d == dag.name())
-                .unwrap_or_else(|| panic!("no baseline for {} on {}", out.strategy, dag.name()));
-            let hash = trace_hash(&out.trace);
-            if hash != pinned.2 {
-                mismatches.push(format!(
-                    "{} on {}: {hash:#018x} != pinned {:#018x}",
-                    out.strategy,
-                    dag.name(),
-                    pinned.2
-                ));
-            }
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "Workers(4) on {backend:?} diverged from the single-thread pinned timelines:\n{}",
-        mismatches.join("\n")
-    );
-}
-
+/// `Engine::new` hands [`EngineConfig::event_budget`] to the simulation:
+/// a run that meets its budget stops at exactly that many sim events,
+/// reports it in `budget_exhausted`, and stops at the same event every
+/// time. A run within the default budget leaves the flag clear.
 #[test]
-fn workers4_reproduces_every_default_pin() {
-    assert_workers4_reproduces_default_pins(QueueBackend::Heap);
-}
-
-/// The full cross-product leg: calendar backend × 4 workers. Backend and
-/// executor are independent knobs, and this is the configuration where
-/// both reorderings could compound.
-#[test]
-fn calendar_workers4_reproduces_every_default_pin() {
-    assert_workers4_reproduces_default_pins(QueueBackend::Calendar);
-}
-
-/// The event budget is one global cap, not a per-worker allowance:
-/// `BudgetExhausted` must fire at the same total event count — and leave
-/// behind the same truncated timeline — on 1 and on 4 workers.
-#[test]
-fn budget_exhaustion_is_identical_across_executors() {
+fn budget_exhaustion_stops_at_the_budget_and_is_reported() {
     const BUDGET: u64 = 50_000;
-    let run = |executor: SimExecutor| {
-        let config = EngineConfig { event_budget: BUDGET, ..EngineConfig::default() };
+    let run = |event_budget: u64| {
+        let config = EngineConfig { event_budget, ..EngineConfig::default() };
         controller(7)
             .with_engine_config(config)
-            .with_sim_workers(executor)
             .run(&library::traffic(), &Ccr::new(), ScaleDirection::In)
             .expect("paper scenario placeable")
     };
-    let single = run(SimExecutor::SingleThread);
-    let sharded = run(SimExecutor::Workers(4));
-    assert_eq!(single.stats.sim_events, BUDGET, "the budget actually bit");
-    assert_eq!(sharded.stats.sim_events, BUDGET, "4 workers share one global budget");
-    // `frontier_stalls`/`cross_shard_events`/`queue_peak_pending` are
-    // executor-implementation diagnostics (like `queue_rotations` across
-    // backends); every simulation-visible stat must agree.
-    let normalized = EngineStats {
-        frontier_stalls: single.stats.frontier_stalls,
-        cross_shard_events: single.stats.cross_shard_events,
-        queue_peak_pending: single.stats.queue_peak_pending,
-        queue_rotations: single.stats.queue_rotations,
-        ..sharded.stats
-    };
-    assert_eq!(single.stats, normalized, "budget must cap the same global event count");
-    assert_eq!(single.trace, sharded.trace, "truncated timelines must match event for event");
-}
-
-/// Frontier observability: the sharded executor's counters are simulated
-/// quantities (not wall clock) and therefore must be run-twice
-/// deterministic; cross-shard traffic is structurally guaranteed on a
-/// multi-VM deployment.
-#[test]
-fn workers4_frontier_counters_are_deterministic() {
-    let run = || {
-        controller(7)
-            .with_sim_workers(SimExecutor::Workers(4))
-            .run(&library::traffic(), &Ccr::new(), ScaleDirection::In)
-            .expect("paper scenario placeable")
-    };
-    let first = run();
-    let second = run();
-    assert!(first.stats.cross_shard_events > 0, "multi-VM runs must cross shards");
-    assert_eq!(first.stats.cross_shard_events, second.stats.cross_shard_events);
-    assert_eq!(first.stats.frontier_stalls, second.stats.frontier_stalls);
-    // And the single-thread run reports zeros for both (forced
-    // explicitly — under the FLOWMIG_SIM_WORKERS CI legs the *default*
-    // executor is the sharded one).
-    let single = controller(7)
-        .with_sim_workers(SimExecutor::SingleThread)
-        .run(&library::traffic(), &Ccr::new(), ScaleDirection::In)
-        .expect("paper scenario placeable");
-    assert_eq!(single.stats.frontier_stalls, 0);
-    assert_eq!(single.stats.cross_shard_events, 0);
+    let first = run(BUDGET);
+    assert_eq!(first.stats.sim_events, BUDGET, "the budget bit at exactly its count");
+    assert!(first.budget_exhausted, "the truncated run is reported");
+    let again = run(BUDGET);
+    assert!(again.budget_exhausted);
+    assert_eq!(first.stats, again.stats, "the budget cuts at the same event every time");
+    assert_eq!(first.trace, again.trace, "truncated timelines must match event for event");
+    let whole = run(EngineConfig::default().event_budget);
+    assert!(!whole.budget_exhausted, "a run within its budget reaches the horizon");
+    assert!(whole.stats.sim_events > BUDGET, "the budget cut the first run short");
 }

@@ -339,3 +339,64 @@ fn quorum_replication_rides_out_a_mid_wave_replica_loss() {
     assert_eq!(outcome.stats.events_dropped, 0);
     assert_eq!(outcome.stats.replayed_roots, 0);
 }
+
+/// ROLLBACK re-initializes an instance that lost its state from its last
+/// committed blob, and that fetch is priced by the blob it reads. CCR on a
+/// Zipf-keyed `linear` commits `t2`'s first instance at the 60 s
+/// migration with one captured event and 64 partition counters. The
+/// instance then crashes (150–155 s), so the 200 s migration's PREPARE
+/// stalls and times out into ROLLBACK at 230 s, and the ROLLBACK fetches
+/// that 60 s blob. Its 17 event equivalents (the captured event, and 64
+/// counters in 16) cost 17 × 50 µs on top of the 230.003000 s an empty
+/// blob would restore at.
+fn ccr_rollback_re_init_is_priced_by_the_committed_blob(service: StoreServiceModel) {
+    let dag = library::zipf_keyed(&library::linear(), 64, 1);
+    let instances = InstanceSet::plan(&dag);
+    let plan = ScalePlan::paper_scenario(&dag, &instances, ScaleDirection::In)
+        .expect("scenario placeable");
+    let victim = instances.of_task(dag.task_by_name("t2").expect("t2 exists"))[0];
+
+    let strategy = Ccr::new(); // default: 30 s wave timeout
+    let mut engine = Engine::new(
+        dag.clone(),
+        instances.clone(),
+        &plan,
+        config_with(service),
+        strategy.protocol(),
+        strategy.coordinator(),
+        6,
+    );
+    engine.schedule_migration(SimTime::from_secs(60));
+    engine.schedule_outage(victim, SimTime::from_secs(150), SimDuration::from_secs(5));
+    engine.schedule_migration(SimTime::from_secs(200));
+    engine.run_until(SimTime::from_secs(300));
+
+    let rollback_at = engine.trace().iter().find_map(|e| match *e {
+        TraceEvent::ControlWave { kind: flowmig::metrics::ControlKind::Rollback, at, .. } => {
+            Some(at)
+        }
+        _ => None,
+    });
+    assert_eq!(rollback_at, Some(SimTime::from_secs(230)), "the 200 s PREPARE timed out");
+    let last_restore = engine.trace().iter().rev().find_map(|e| match *e {
+        TraceEvent::InstanceRestored { instance, at, .. } if instance == victim => Some(at),
+        _ => None,
+    });
+    assert_eq!(
+        last_restore,
+        Some(SimTime::from_micros(230_003_850)),
+        "the ROLLBACK fetch pays for the captured event and the 64 counters it reads"
+    );
+    assert!(engine.is_initialized(victim), "ROLLBACK re-initialized the victim");
+    check_queue_accounting(&engine, service);
+}
+
+#[test]
+fn ccr_rollback_re_init_is_priced_by_the_committed_blob_unqueued() {
+    ccr_rollback_re_init_is_priced_by_the_committed_blob(StoreServiceModel::Unqueued);
+}
+
+#[test]
+fn ccr_rollback_re_init_is_priced_by_the_committed_blob_fifo() {
+    ccr_rollback_re_init_is_priced_by_the_committed_blob(StoreServiceModel::FifoPerShard);
+}

@@ -1114,59 +1114,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Parallel-executor equivalence
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The multi-worker executor is outcome-identical to the
-    /// single-threaded loop for any topology, seed, worker count, and
-    /// queue backend: same trace hash, same stats, same clock. Together
-    /// with the pinned determinism matrices this is the proof that
-    /// `SimExecutor` — like `QueueBackend` — is a pure performance knob.
-    #[test]
-    fn parallel_executor_matches_single_thread(
-        dag_seed in 0u64..1_000,
-        layers in 2usize..5,
-        width in 1usize..4,
-        run_seed in 0u64..1_000,
-        workers in 2usize..7,
-        calendar in 0u8..2,
-    ) {
-        let dag = library::random_layered(dag_seed, layers, width);
-        let backend = if calendar == 1 { QueueBackend::Calendar } else { QueueBackend::Heap };
-        let run = |executor: SimExecutor| {
-            MigrationController::new()
-                .with_request_at(SimTime::from_secs(60))
-                .with_horizon(SimTime::from_secs(240))
-                .with_seed(run_seed)
-                .with_queue_backend(backend)
-                .with_sim_workers(executor)
-                .run(&dag, &Ccr::new(), ScaleDirection::In)
-                .expect("random layered dataflow placeable")
-        };
-        let single = run(SimExecutor::SingleThread);
-        let sharded = run(SimExecutor::Workers(workers));
-        prop_assert!(!single.trace.is_empty(), "an empty trace would vacuously pass");
-        prop_assert_eq!(
-            &single.trace, &sharded.trace,
-            "trace diverged: dag_seed {} seed {} {} workers on {:?}",
-            dag_seed, run_seed, workers, backend
-        );
-        // `frontier_stalls`/`cross_shard_events` are executor-implementation
-        // counters (always 0 single-threaded), exactly like
-        // `queue_rotations` across backends; every simulation-visible stat
-        // must agree.
-        let normalized = EngineStats {
-            frontier_stalls: single.stats.frontier_stalls,
-            cross_shard_events: single.stats.cross_shard_events,
-            queue_peak_pending: single.stats.queue_peak_pending,
-            queue_rotations: single.stats.queue_rotations,
-            ..sharded.stats
-        };
-        prop_assert_eq!(single.stats, normalized, "stats diverged across executors");
-    }
-}
