@@ -144,7 +144,6 @@ fn store_label(service: StoreServiceModel) -> &'static str {
     match service {
         StoreServiceModel::Unqueued => "flat",
         StoreServiceModel::FifoPerShard => "fifo",
-        StoreServiceModel::SoftDegrade => "soft",
     }
 }
 

@@ -1,10 +1,9 @@
 //! # flowmig-bench
 //!
 //! Shared plumbing for the benchmark harness that regenerates every table
-//! and figure of Shukla & Simmhan (ICDCS 2018). Each `benches/*.rs` target
-//! (all `harness = false` except the Criterion kernels) prints the same
-//! rows/series the paper reports, side by side with the paper's published
-//! numbers where the text states them.
+//! and figure of Shukla & Simmhan (ICDCS 2018). Each paper `benches/*.rs`
+//! target prints the same rows/series the paper reports, side by side with
+//! the paper's published numbers where the text states them.
 //!
 //! Absolute values come from a simulated cluster, not the authors' Azure
 //! testbed — the comparisons are about *shape*: orderings, growth trends

@@ -92,12 +92,12 @@ impl Ccr {
 
     /// Parallelizes the checkpoint waves: COMMIT and INIT both switch to
     /// [`WaveRouting::Parallel`] with `fan_out` in-flight store operations
-    /// per shard (0 = the engine's
-    /// [`EngineConfig::wave_fan_out`](flowmig_engine::EngineConfig)
-    /// default). PREPARE stays broadcast — it is what starts capture, not a
-    /// store operation. Wave time becomes the max over store shards instead
-    /// of the O(instances) sweep; the `migration_latency` bench quantifies
-    /// the win.
+    /// per shard (0 = the window
+    /// [`EngineConfig::derived_fan_out`](flowmig_engine::EngineConfig::derived_fan_out)
+    /// derives from the store topology). PREPARE stays broadcast — it is
+    /// what starts capture, not a store operation. Wave time becomes the
+    /// max over store shards instead of the O(instances) sweep; the
+    /// `migration_latency` bench quantifies the win.
     pub fn with_parallel_waves(mut self, fan_out: usize) -> Self {
         self.parallel_fan_out = Some(fan_out);
         self
@@ -167,7 +167,7 @@ mod tests {
         assert_eq!(c.parallel_fan_out(), None, "sequential COMMIT by default");
         let p = c.with_parallel_waves(4);
         assert_eq!(p.parallel_fan_out(), Some(4));
-        // 0 defers to the engine-config default window.
+        // 0 derives the window from the store topology.
         assert_eq!(c.with_parallel_waves(0).parallel_fan_out(), Some(0));
     }
 

@@ -6,10 +6,10 @@
 //! PREPARE acks funnelling through a single completion path, and the
 //! parallel windows need a hand-tuned `fan_out`. `CcrPipelined` routes
 //! *every* wave [`WaveRouting::Parallel`] with `fan_out: 0`, which the
-//! engine resolves per deployment: an explicit
-//! [`EngineConfig::wave_fan_out`](flowmig_engine::EngineConfig::wave_fan_out)
-//! if set, otherwise the window **derived from the store shard count** —
-//! `ceil(participants / store_shards)`, each shard's fair share of the
+//! engine resolves per deployment to the window **derived from the store
+//! shard count**
+//! ([`EngineConfig::derived_fan_out`](flowmig_engine::EngineConfig::derived_fan_out))
+//! — `ceil(participants / store_shards)`, each shard's fair share of the
 //! wave. PREPARE pacing is legal here, and only here among the built-ins,
 //! because CCR's capture semantics make any PREPARE order safe: events a
 //! not-yet-swept task processes flow into a capturing task's pending list

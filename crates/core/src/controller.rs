@@ -122,25 +122,6 @@ impl MigrationController {
         self
     }
 
-    /// Pins the engine's per-shard window for parallel checkpoint waves
-    /// ([`flowmig_engine::EngineConfig::wave_fan_out`]): strategies built
-    /// with `with_parallel_waves(0)` (and [`crate::CcrPipelined`]'s
-    /// derived default) defer to this value. Left unset, the engine
-    /// derives the window from the store topology instead —
-    /// `ceil(participants / store_shards)`
-    /// ([`flowmig_engine::EngineConfig::derived_fan_out`]) — so this knob
-    /// exists for deployments whose store pipelines less than its fair
-    /// share.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fan_out` is zero (leave the knob unset to derive).
-    pub fn with_wave_fan_out(mut self, fan_out: usize) -> Self {
-        assert!(fan_out > 0, "a parallel wave needs a window of at least 1");
-        self.engine_config.wave_fan_out = fan_out;
-        self
-    }
-
     /// Replicates the checkpoint store: every persist becomes a quorum
     /// write over `replicas` per-shard replicas and completes at the
     /// `write_quorum`-th fastest one (see
@@ -280,6 +261,7 @@ impl MigrationController {
 mod tests {
     use super::*;
     use crate::{Ccr, Dcr};
+    use flowmig_metrics::TraceEvent;
     use flowmig_topology::library;
 
     #[test]
@@ -287,16 +269,9 @@ mod tests {
         let c = MigrationController::new()
             .with_request_at(SimTime::from_secs(60))
             .with_horizon(SimTime::from_secs(300))
-            .with_wave_fan_out(8)
             .with_seed(9);
         assert_eq!(c.request_at(), SimTime::from_secs(60));
         assert_eq!(c.horizon(), SimTime::from_secs(300));
-    }
-
-    #[test]
-    #[should_panic(expected = "window of at least 1")]
-    fn zero_wave_fan_out_is_rejected() {
-        let _ = MigrationController::new().with_wave_fan_out(0);
     }
 
     #[test]
@@ -371,10 +346,10 @@ mod tests {
         assert_eq!(kr.stats.pending_replayed, kr.stats.events_captured);
         // The range ledger is populated and the resident remainder is real:
         // cold partitions stayed in place instead of riding the store.
-        assert!(kr.trace.ranges_moved() > 0, "hot ranges moved through the store");
-        assert!(kr.trace.range_moved_bytes() > 0);
-        assert!(kr.trace.range_resident_bytes() > 0, "cold partitions stayed resident");
-        assert_eq!(p.trace.ranges_moved(), 0, "whole-instance CCR-P never range-persists");
+        assert!(kr.metrics.ranges_moved > 0, "hot ranges moved through the store");
+        assert!(kr.metrics.moved_bytes > 0);
+        assert!(kr.metrics.resident_bytes > 0, "cold partitions stayed resident");
+        assert_eq!(p.metrics.ranges_moved, 0, "whole-instance CCR-P never range-persists");
         // Fewer participants pay the checkpoint: scoped persists must be a
         // strict subset of CCR-P's whole-instance persists, and the durable
         // state bytes riding the store shrink to a small fraction.
@@ -410,8 +385,8 @@ mod tests {
         assert_eq!(out.stats.events_dropped, 0);
         assert_eq!(out.stats.pending_replayed, out.stats.events_captured as u64);
         assert!(out.stats.state_persists > 0, "whole-blob path still runs");
-        assert_eq!(out.trace.ranges_moved(), 0, "no key space, no range motion");
-        assert_eq!(out.trace.range_moved_bytes(), 0);
+        assert_eq!(out.metrics.ranges_moved, 0, "no key space, no range motion");
+        assert_eq!(out.metrics.moved_bytes, 0);
     }
 
     /// CCR with its PREPARE, COMMIT and INIT waves all narrowed to one
@@ -569,7 +544,9 @@ mod tests {
             q2.stats.store_quorum_persists, q2.metrics.quorum_persists,
             "engine counter and trace-derived metric agree"
         );
-        assert_eq!(q2.trace.quorum_persists(), q2.stats.store_quorum_persists);
+        let traced =
+            q2.trace.iter().filter(|e| matches!(e, TraceEvent::QuorumPersist { .. })).count();
+        assert_eq!(traced as u64, q2.stats.store_quorum_persists);
         let commit = |o: &MigrationOutcome| o.metrics.commit_wave.expect("commit span");
         assert!(
             commit(&q2) < commit(&q3),

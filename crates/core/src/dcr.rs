@@ -89,12 +89,13 @@ impl Dcr {
 
     /// Parallelizes the checkpoint waves: COMMIT and INIT both switch to
     /// [`WaveRouting::Parallel`] with `fan_out` in-flight store operations
-    /// per shard (0 = the engine's
-    /// [`EngineConfig::wave_fan_out`](flowmig_engine::EngineConfig)
-    /// default). PREPARE stays sequential — it *is* the drain rearguard and
-    /// must keep sweeping behind the in-flight events. By COMMIT time the
-    /// dataflow is fully drained, so the persist order no longer matters
-    /// and the wave can fan out across store shards.
+    /// per shard (0 = the window
+    /// [`EngineConfig::derived_fan_out`](flowmig_engine::EngineConfig::derived_fan_out)
+    /// derives from the store topology). PREPARE stays sequential — it
+    /// *is* the drain rearguard and must keep sweeping behind the in-flight
+    /// events. By COMMIT time the dataflow is fully drained, so the persist
+    /// order no longer matters and the wave can fan out across store
+    /// shards.
     pub fn with_parallel_waves(mut self, fan_out: usize) -> Self {
         self.parallel_fan_out = Some(fan_out);
         self

@@ -62,8 +62,8 @@ impl Dsm {
 
     /// Parallelizes DSM's store-bound waves: the periodic-checkpoint COMMIT
     /// and the post-rebalance INIT switch to [`WaveRouting::Parallel`] with
-    /// `fan_out` in-flight store operations per shard (0 = the engine
-    /// default). The periodic PREPARE stays sequential — its barrier is
+    /// `fan_out` in-flight store operations per shard (0 = derived from
+    /// the store topology). The periodic PREPARE stays sequential — its barrier is
     /// what makes the snapshot consistent against in-flight events.
     pub fn with_parallel_waves(mut self, fan_out: usize) -> Self {
         self.parallel_fan_out = Some(fan_out);

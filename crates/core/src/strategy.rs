@@ -111,8 +111,8 @@ pub struct StrategyInfo {
 
 impl StrategyInfo {
     /// Instantiates the strategy; `parallel_fan_out` switches its
-    /// store-bound waves to [`WaveRouting::Parallel`]
-    /// (0 = engine-default window) where the strategy supports it.
+    /// store-bound waves to [`WaveRouting::Parallel`] (0 = the window
+    /// derived from the store topology) where the strategy supports it.
     /// `CcrPipelined` is parallel by construction: the value overrides its
     /// per-shard window instead.
     ///

@@ -82,25 +82,6 @@ pub enum StoreServiceModel {
     /// contention that Elasticutor and the elasticity surveys identify
     /// as the dominant cost of live migration at scale.
     FifoPerShard,
-    /// M/M/1-style soft degradation: an operation admitted while `n`
-    /// others are still in flight on the same shard is served in
-    /// `service × (1 + n)` — the residence-time inflation of a processor-
-    /// sharing server at load, without FIFO's hard head-of-line blocking.
-    /// This is the shape of a Redis instance absorbing a too-wide COMMIT
-    /// wave: everything still completes, just increasingly slowly. The
-    /// inflation over the idle service time is surfaced through the same
-    /// queueing observables as FIFO waits.
-    SoftDegrade,
-}
-
-impl StoreServiceModel {
-    /// Whether this model prices concurrent same-shard load at all —
-    /// FIFO makes operations wait in line, soft degradation inflates
-    /// their service time; only the zero-queueing compatibility mode
-    /// ignores concurrency.
-    pub fn queues(self) -> bool {
-        matches!(self, StoreServiceModel::FifoPerShard | StoreServiceModel::SoftDegrade)
-    }
 }
 
 /// Replication of the checkpoint store: each shard is backed by `replicas`
@@ -228,15 +209,6 @@ pub struct EngineConfig {
     /// completion. The default (1 replica, quorum 1) is the historical
     /// unreplicated store with byte-identical timelines.
     pub store_replication: StoreReplication,
-    /// Per-shard concurrency window for
-    /// [`WaveRouting::Parallel`](crate::WaveRouting::Parallel) waves: how
-    /// many in-flight persist/fetch operations one store shard serves at a
-    /// time when a strategy requests `Parallel { fan_out: 0 }`. `0` (the
-    /// default) derives the window from the store topology instead —
-    /// `ceil(participants / store_shards)`, each shard's fair share of the
-    /// wave (see [`EngineConfig::derived_fan_out`]) — so deployments that
-    /// size their store correctly need no tuning.
-    pub wave_fan_out: usize,
     /// Maximum unacked roots outstanding at the source before new emissions
     /// are throttled (Storm's `max.spout.pending`; only with acking).
     pub max_spout_pending: usize,
@@ -293,7 +265,6 @@ impl Default for EngineConfig {
             store_service: StoreServiceModel::default(),
             store_shards: crate::store::ShardedStateStore::DEFAULT_SHARDS,
             store_replication: StoreReplication::default(),
-            wave_fan_out: 0,
             max_spout_pending: 60,
             source_drain_interval: SimDuration::from_millis(10),
             max_source_backlog: 100,
@@ -320,8 +291,7 @@ fn queue_backend_from_env() -> QueueBackend {
 }
 
 impl EngineConfig {
-    /// The per-shard window a `Parallel { fan_out: 0 }` wave gets when
-    /// [`wave_fan_out`](Self::wave_fan_out) is also 0 (derive): each
+    /// The per-shard window a `Parallel { fan_out: 0 }` wave gets: each
     /// shard's fair share of the wave, `ceil(participants / store_shards)`,
     /// never below 1. A shard then pipelines exactly the instances hashed
     /// to it, so the wave needs ~one store service epoch per window slot
@@ -375,9 +345,6 @@ mod tests {
         // The compatibility mode is what keeps the pinned default
         // determinism traces byte-identical to the pre-queueing engine.
         assert_eq!(EngineConfig::default().store_service, StoreServiceModel::Unqueued);
-        assert!(!StoreServiceModel::Unqueued.queues());
-        assert!(StoreServiceModel::FifoPerShard.queues());
-        assert!(StoreServiceModel::SoftDegrade.queues());
     }
 
     #[test]
@@ -443,12 +410,6 @@ mod tests {
     fn net_latency_prefers_local() {
         let cfg = EngineConfig::default();
         assert!(cfg.net_latency(true) < cfg.net_latency(false));
-    }
-
-    #[test]
-    fn wave_fan_out_defaults_to_derived() {
-        // 0 means "derive from the store topology", not "window of zero".
-        assert_eq!(EngineConfig::default().wave_fan_out, 0);
     }
 
     #[test]

@@ -144,7 +144,6 @@ pub struct EngineModel {
 
     paused: bool,
     migration_requested_at: Option<SimTime>,
-    rebalance_done_at: Option<SimTime>,
 
     staged_updates: Vec<(TaskId, flowmig_topology::TaskSpec)>,
     // Per-kind wave bookkeeping, indexed by `ControlKind::index()`.
@@ -221,11 +220,6 @@ impl EngineCtl<'_, '_> {
         }
     }
 
-    /// Whether sources are currently paused.
-    pub fn sources_paused(&self) -> bool {
-        self.model.paused
-    }
-
     /// Starts a control wave addressing every participant; returns its
     /// wave number (resends increment). Clears any scope installed for
     /// `kind` by an earlier [`Self::start_scoped_wave`].
@@ -279,32 +273,11 @@ impl EngineCtl<'_, '_> {
             .is_some_and(|t| t.acked.len() >= self.model.wave_target_count(kind))
     }
 
-    /// Number of participants that have acked the current `kind` phase.
-    pub fn acked_count(&self, kind: ControlKind) -> usize {
-        self.model.trackers[kind.index()].as_ref().map_or(0, |t| t.acked.len())
-    }
-
-    /// Total wave participants (operator + sink instances).
-    pub fn participant_count(&self) -> usize {
-        self.model.participants.len()
-    }
-
-    /// Participants the current `kind` wave addresses: the scoped member
-    /// count when a scope is installed, the full participant set otherwise.
-    pub fn scoped_participant_count(&self, kind: ControlKind) -> usize {
-        self.model.wave_target_count(kind)
-    }
-
     /// Invokes Storm's `rebalance` command with zero timeout: migrating
     /// instances are killed (queues lost) and redeployed on the target
     /// assignment after the command duration plus worker spawn delays.
     pub fn start_rebalance(&mut self) {
         self.model.start_rebalance(self.sched);
-    }
-
-    /// Whether the rebalance command has completed.
-    pub fn rebalance_done(&self) -> bool {
-        self.model.rebalance_done_at.is_some()
     }
 
     /// Records a phase start mark in the trace.
@@ -422,7 +395,6 @@ impl EngineModel {
             coordinator: Some(coordinator),
             paused: false,
             migration_requested_at: None,
-            rebalance_done_at: None,
             staged_updates: Vec::new(),
             next_wave: [0; ControlKind::COUNT],
             wave_routing: [None; ControlKind::COUNT],
@@ -1097,9 +1069,8 @@ impl EngineModel {
         wave
     }
 
-    /// Resolves a wave's per-shard window: 0 defers to the engine knob,
-    /// and a zero knob derives the window from the store topology
-    /// (`ceil(participants / store_shards)` — see
+    /// Resolves a wave's per-shard window: 0 derives it from the store
+    /// topology (`ceil(participants / store_shards)` — see
     /// [`EngineConfig::derived_fan_out`]). `participants` is the wave's
     /// *effective* participant count — the scoped member count for a
     /// scoped wave, the full set otherwise — so a scoped wave's fair
@@ -1108,9 +1079,6 @@ impl EngineModel {
     fn effective_fan_out(&self, fan_out: usize, participants: usize) -> usize {
         if fan_out > 0 {
             return fan_out;
-        }
-        if self.config.wave_fan_out > 0 {
-            return self.config.wave_fan_out;
         }
         self.config.derived_fan_out(participants)
     }
@@ -1629,7 +1597,6 @@ impl EngineModel {
         for (task, spec) in self.staged_updates.drain(..) {
             self.dag = self.dag.with_spec(task, spec);
         }
-        self.rebalance_done_at = Some(sched.now());
         self.trace
             .record(TraceEvent::PhaseEnded { phase: MigrationPhase::Rebalance, at: sched.now() });
         // Respawn exactly the set that was killed: marking a still-running
@@ -2410,7 +2377,7 @@ mod tests {
 
     #[test]
     fn effective_fan_out_prefers_explicit_then_derives_from_scoped_count() {
-        let mut e = engine_for(library::linear(), ProtocolConfig::ccr(), 1);
+        let e = engine_for(library::linear(), ProtocolConfig::ccr(), 1);
         // An explicit per-wave fan-out wins outright.
         assert_eq!(e.model.effective_fan_out(4, 96), 4);
         // Zero defers to the store topology, derived from the *effective*
@@ -2418,10 +2385,6 @@ mod tests {
         // yields a smaller per-shard window (default store: 8 shards).
         assert_eq!(e.model.effective_fan_out(0, 96), 12);
         assert_eq!(e.model.effective_fan_out(0, 16), 2, "scoped count shrinks the window");
-        // The engine-level knob sits between the two.
-        e.model.config.wave_fan_out = 5;
-        assert_eq!(e.model.effective_fan_out(0, 96), 5);
-        assert_eq!(e.model.effective_fan_out(4, 96), 4, "explicit still wins over the knob");
     }
 
     fn keyed_pair_dag(partitions: u32, exponent: u32) -> Dataflow {

@@ -24,12 +24,11 @@
 //!   slot per instance: one persist path and one restore path move a whole
 //!   instance (its single [`flowmig_topology::KeyRange::whole`] range) or
 //!   a key-range scope's hot ranges. The store owns its service model
-//!   ([`StoreServiceModel`]): zero-queueing compatibility pricing,
+//!   ([`StoreServiceModel`]): zero-queueing compatibility pricing, or
 //!   per-shard FIFO queues under which a saturated shard makes
-//!   concurrent operations wait, or M/M/1-style soft degradation —
-//!   plus opt-in per-shard replication ([`StoreReplication`]) with
-//!   quorum-priced persists and shard-failure injection
-//!   ([`Engine::schedule_shard_outage`]);
+//!   concurrent operations wait — plus opt-in per-shard replication
+//!   ([`StoreReplication`]) with quorum-priced persists and shard-failure
+//!   injection ([`Engine::schedule_shard_outage`]);
 //! * **rebalance** (kill + respawn with worker start-up delays) and failure
 //!   injection.
 //!

@@ -34,11 +34,10 @@ pub enum WaveRouting {
     /// starts, which keeps the wave a rearguard: any data event still in
     /// network flight when the wave starts lands first.
     ///
-    /// `fan_out == 0` defers to the engine default
-    /// ([`EngineConfig::wave_fan_out`](crate::EngineConfig::wave_fan_out)).
+    /// `fan_out == 0` derives the window from the store topology
+    /// ([`EngineConfig::derived_fan_out`](crate::EngineConfig::derived_fan_out)).
     Parallel {
-        /// Maximum concurrent store operations per shard (0 = engine
-        /// default).
+        /// Maximum concurrent store operations per shard (0 = derived).
         fan_out: usize,
     },
 }

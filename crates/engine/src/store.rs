@@ -13,9 +13,8 @@
 //! index, each shard with its own counters, and owns its service model: the
 //! [`StoreServiceModel`] and [`StoreReplication`] are fixed at construction
 //! and every operation is priced by [`ShardedStateStore::admit`] —
-//! zero-queueing, a FIFO queue per shard replica, or M/M/1-style soft
-//! degradation, with quorum persists over replicas that can be failed
-//! mid-run. FIFO busy horizons are **not** reset when a migration wave
+//! zero-queueing or a FIFO queue per shard replica, with quorum persists
+//! over replicas that can be failed mid-run. FIFO busy horizons are **not** reset when a migration wave
 //! aborts: the store already accepted that work, so a post-rollback retry
 //! pays for it, exactly as a real store keeps serving requests whose
 //! clients died (pinned by `aborted_wave_work_still_occupies_fifo_horizons`).
@@ -133,8 +132,7 @@ struct StoreShard {
     down_replicas: usize,
     /// Completion instants of operations still in flight at the last
     /// admission, earliest on top — the observed concurrency window (pure
-    /// accounting; the timing authority is `replica_busy`), and the
-    /// instantaneous load that inflates `SoftDegrade` service times.
+    /// accounting; the timing authority is `replica_busy`).
     in_flight: BinaryHeap<Reverse<SimTime>>,
     /// Deepest observed in-flight window, including the op being admitted.
     max_queue_depth: usize,
@@ -177,9 +175,7 @@ pub struct ShardStats {
     /// always 0 under zero-queueing).
     pub queued_ops: u64,
     /// Total time operations spent waiting in this shard's FIFO queue
-    /// before their service time started (0 under zero-queueing). Under
-    /// [`StoreServiceModel::SoftDegrade`] this accumulates the load
-    /// inflation over the idle service time instead.
+    /// before their service time started (0 under zero-queueing).
     pub queued_wait: SimDuration,
     /// Operations rejected because too few replicas were up (a persist
     /// below its write quorum, or a fetch with every replica down).
@@ -402,9 +398,7 @@ impl ShardedStateStore {
     ///   the wait accumulates in [`ShardStats::queued_wait`], a persist
     ///   advances every live replica's horizon and a fetch only the
     ///   serving one, so per-shard completion instants are non-decreasing
-    ///   in admission order. [`StoreServiceModel::SoftDegrade`] inflates
-    ///   every replica's service by `1 + n` for `n` operations still in
-    ///   flight on the shard.
+    ///   in admission order.
     ///
     /// Admissions must be made in non-decreasing `now` order (the engine's
     /// event loop guarantees it); debug builds panic on a violation rather
@@ -440,7 +434,6 @@ impl ShardedStateStore {
         while s.in_flight.peek().is_some_and(|&Reverse(done)| done <= now) {
             s.in_flight.pop();
         }
-        let load = s.in_flight.len() as u64;
         // Completion instant of each serving replica: a persist runs on
         // every live one (indices `down..replicas`; the fastest replicas
         // fail first, so a degraded shard serves from further down the lag
@@ -452,18 +445,11 @@ impl ShardedStateStore {
         let completions = &mut self.completions;
         completions.clear();
         completions.extend(serving.map(|r| {
-            let idle = replication.replica_service(service, r);
-            let inflated = match model {
-                StoreServiceModel::SoftDegrade => {
-                    SimDuration::from_micros(idle.as_micros() * (1 + load))
-                }
-                _ => idle,
-            };
             let start = match model {
                 StoreServiceModel::FifoPerShard => s.replica_busy[r].max(now),
-                _ => now,
+                StoreServiceModel::Unqueued => now,
             };
-            (start + inflated, r)
+            (start + replication.replica_service(service, r), r)
         }));
         if model == StoreServiceModel::FifoPerShard {
             // The write lands on every live replica; each horizon advances
@@ -1056,32 +1042,6 @@ mod tests {
         assert_eq!(stats.quorum_persists, 1);
         assert_eq!(stats.degraded_persists, 1);
         assert_eq!(stats.down_replicas, 1);
-    }
-
-    #[test]
-    fn soft_degrade_inflates_service_with_instantaneous_load() {
-        // M/M/1-style: the n-th same-instant op on a shard is served in
-        // (1 + n) × service, and the inflation is surfaced as wait.
-        let mut store = store_under(1, StoreServiceModel::SoftDegrade);
-        let now = SimTime::from_secs(1);
-        let service = SimDuration::from_millis(10);
-        let i = InstanceId::from_index(0);
-        for n in 0..3u64 {
-            let AdmitOutcome::Served { delay, wait, .. } =
-                store.admit(i, now, service, StoreOpKind::Persist)
-            else {
-                panic!("healthy soft-degrade persist must serve");
-            };
-            assert_eq!(delay, service.mul(1 + n), "op {n} sees load {n}");
-            assert_eq!(wait, service.mul(n), "inflation over idle service is surfaced");
-        }
-        let stats = store.shard_stats(0);
-        assert_eq!(stats.queued_ops, 2, "the unloaded first op pays no inflation");
-        assert_eq!(stats.queued_wait, SimDuration::from_millis(30));
-        // Once the window drains, service returns to the idle price.
-        let later = now + SimDuration::from_secs(1);
-        let delay = served(store.admit(i, later, service, StoreOpKind::Persist));
-        assert_eq!(delay, service, "an idle shard is back to flat pricing");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::stability::{find_stabilization, StabilityCriteria};
 use crate::timeline::RateTimeline;
-use crate::trace::{MigrationPhase, TraceLog};
+use crate::trace::{MigrationPhase, TraceEvent, TraceLog};
 use flowmig_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -72,18 +72,183 @@ pub struct MigrationMetrics {
 }
 
 impl MigrationMetrics {
-    /// Computes all metrics from a trace.
+    /// Computes all metrics from a trace, in one pass over its events.
     ///
     /// `criteria` supplies the expected output rate and stability band;
     /// `bucket` is the throughput bucket width (paper: 10 s).
     ///
     /// Returns a zeroed struct if the trace records no migration request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is zero.
     pub fn from_trace(log: &TraceLog, criteria: &StabilityCriteria, bucket: SimDuration) -> Self {
-        let Some(req) = log.migration_requested_at() else {
-            return Self::default();
+        let mut fold = MetricsFold::new(bucket);
+        for e in log.iter() {
+            fold.observe(e);
+        }
+        fold.finish(criteria)
+    }
+
+    /// Total user-visible migration span: the maximum of restore, catchup
+    /// and recovery (the top of the stacked bars in Fig. 5).
+    pub fn total_migration(&self) -> Option<SimDuration> {
+        [self.restore, self.catchup, self.recovery].into_iter().flatten().max()
+    }
+}
+
+/// First start and last end of one phase; a phase that starts several
+/// times (INIT waves) spans from its first start to its last end.
+#[derive(Debug, Clone, Copy, Default)]
+struct PhaseSpan {
+    start: Option<SimTime>,
+    end: Option<SimTime>,
+}
+
+impl PhaseSpan {
+    fn get(self) -> Option<(SimTime, SimTime)> {
+        self.start.zip(self.end)
+    }
+
+    fn length(self) -> Option<SimDuration> {
+        self.get().map(|(s, e)| e - s)
+    }
+}
+
+/// The one pass behind [`MigrationMetrics::from_trace`]: it observes each
+/// event once, in time order, and keeps only counters, a few instants and
+/// the throughput buckets.
+#[derive(Debug)]
+struct MetricsFold {
+    /// The counters, summed straight into their fields; [`Self::finish`]
+    /// fills in the request-relative spans.
+    counts: MigrationMetrics,
+    timeline: RateTimeline,
+    /// The first `MigrationRequested`; later ones are ignored.
+    request: Option<SimTime>,
+    drain: PhaseSpan,
+    commit: PhaseSpan,
+    rebalance: PhaseSpan,
+    restore: PhaseSpan,
+    last_arrival: Option<SimTime>,
+    /// The first sink arrival at or after the request, and at or after
+    /// the latest rebalance end: the two restore baselines.
+    first_after_request: Option<SimTime>,
+    first_after_rebalance: Option<SimTime>,
+    last_old_arrival: Option<SimTime>,
+    last_replayed_new_arrival: Option<SimTime>,
+    store_wait: SimDuration,
+    /// Shards with replicas down, and since when.
+    down_since: Vec<(usize, SimTime)>,
+    downtime: SimDuration,
+    last_at: SimTime,
+}
+
+impl MetricsFold {
+    fn new(bucket: SimDuration) -> Self {
+        MetricsFold {
+            counts: MigrationMetrics::default(),
+            timeline: RateTimeline::empty(bucket),
+            request: None,
+            drain: PhaseSpan::default(),
+            commit: PhaseSpan::default(),
+            rebalance: PhaseSpan::default(),
+            restore: PhaseSpan::default(),
+            last_arrival: None,
+            first_after_request: None,
+            first_after_rebalance: None,
+            last_old_arrival: None,
+            last_replayed_new_arrival: None,
+            store_wait: SimDuration::ZERO,
+            down_since: Vec::new(),
+            downtime: SimDuration::ZERO,
+            last_at: SimTime::ZERO,
+        }
+    }
+
+    fn phase(&mut self, phase: MigrationPhase) -> Option<&mut PhaseSpan> {
+        match phase {
+            MigrationPhase::Drain => Some(&mut self.drain),
+            MigrationPhase::Commit => Some(&mut self.commit),
+            MigrationPhase::Rebalance => Some(&mut self.rebalance),
+            MigrationPhase::Restore => Some(&mut self.restore),
+            MigrationPhase::Pause | MigrationPhase::Resume => None,
+        }
+    }
+
+    fn observe(&mut self, event: &TraceEvent) {
+        self.timeline.observe(event);
+        self.last_at = event.at();
+        let counts = &mut self.counts;
+        match *event {
+            TraceEvent::SinkArrival { at, old, replayed, .. } => {
+                self.last_arrival = Some(at);
+                if self.request.is_some() {
+                    self.first_after_request.get_or_insert(at);
+                }
+                if self.rebalance.end.is_some() {
+                    self.first_after_rebalance.get_or_insert(at);
+                }
+                if old {
+                    self.last_old_arrival = Some(at);
+                } else if replayed {
+                    self.last_replayed_new_arrival = Some(at);
+                }
+            }
+            // A baseline that appears later counts the arrivals recorded
+            // before it at the same instant.
+            TraceEvent::MigrationRequested { at } if self.request.is_none() => {
+                self.request = Some(at);
+                self.first_after_request = self.last_arrival.filter(|&a| a >= at);
+            }
+            TraceEvent::PhaseStarted { phase, at } => {
+                if let Some(span) = self.phase(phase) {
+                    span.start.get_or_insert(at);
+                }
+            }
+            TraceEvent::PhaseEnded { phase, at } => {
+                if let Some(span) = self.phase(phase) {
+                    span.end = Some(at);
+                }
+                if phase == MigrationPhase::Rebalance {
+                    self.first_after_rebalance = self.last_arrival.filter(|&a| a >= at);
+                }
+            }
+            TraceEvent::SourceEmit { replay: true, .. } => counts.replayed_messages += 1,
+            TraceEvent::EventDropped { .. } => counts.dropped_messages += 1,
+            TraceEvent::StoreQueueWait { wait, .. } => self.store_wait += wait,
+            TraceEvent::StoreOpFailed { .. } => counts.store_failures += 1,
+            TraceEvent::QuorumPersist { degraded, .. } => {
+                counts.quorum_persists += 1;
+                counts.degraded_persists += u64::from(degraded);
+            }
+            TraceEvent::RangePersist { ranges, moved_bytes, resident_bytes, .. } => {
+                counts.ranges_moved += u64::from(ranges);
+                counts.moved_bytes += moved_bytes;
+                counts.resident_bytes += resident_bytes;
+            }
+            TraceEvent::RangeRestore { moved_bytes, .. } => counts.moved_bytes += moved_bytes,
+            // A repeated `ShardDown` keeps the outage's first instant.
+            TraceEvent::ShardDown { shard, at, .. }
+                if !self.down_since.iter().any(|&(s, _)| s == shard) =>
+            {
+                self.down_since.push((shard, at));
+            }
+            TraceEvent::ShardUp { shard, at } => {
+                if let Some(pos) = self.down_since.iter().position(|&(s, _)| s == shard) {
+                    let (_, went_down) = self.down_since.swap_remove(pos);
+                    self.downtime += at - went_down;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(self, criteria: &StabilityCriteria) -> MigrationMetrics {
+        let Some(req) = self.request else {
+            return MigrationMetrics::default();
         };
         let rel = |t: SimTime| t.saturating_since(req);
-
         // Restore: first sink arrival after the dataflow goes dark. The
         // rebalance kills every migrating instance, so nothing can reach a
         // sink until redeployment completes — except events already in
@@ -91,52 +256,32 @@ impl MigrationMetrics {
         // the paper does not count ("during this period there will be no
         // output events"). Baseline on the rebalance END: correct for all
         // strategies and free of those millisecond stragglers.
-        let rebalance_end = log.phase_span(MigrationPhase::Rebalance).map_or(req, |(_, e)| e);
-        let restore = log.first_sink_arrival_after(rebalance_end).map(rel);
-        let drain_capture = log
-            .phase_span(MigrationPhase::Drain)
-            .zip(log.phase_span(MigrationPhase::Commit))
-            .map(|((_, _), (_, commit_end))| rel(commit_end));
-        let rebalance = log.phase_span(MigrationPhase::Rebalance).map(|(s, e)| e - s);
+        let (rebalance_end, restore) = match self.rebalance.get() {
+            Some((_, end)) => (end, self.first_after_rebalance),
+            None => (req, self.first_after_request),
+        };
         // Catchup counts old events that *survive* the migration — i.e.
         // arrive after the redeployment. Old events drained before the
         // kill (DCR) don't count: the paper reports no catchup for DCR.
-        let catchup = log.last_old_sink_arrival().filter(|&t| t >= rebalance_end).map(rel);
-        let recovery = log.last_replayed_new_sink_arrival().map(rel);
-
-        let timeline = RateTimeline::from_trace(log, bucket);
-        let stabilization = find_stabilization(&timeline, criteria, req).map(rel);
-        let commit_wave = log.phase_span(MigrationPhase::Commit).map(|(s, e)| e - s);
-        let restore_wave = log.phase_span(MigrationPhase::Restore).map(|(s, e)| e - s);
-        let store_wait = Some(log.store_queue_wait()).filter(|w| !w.is_zero());
-        let shard_downtime = Some(log.shard_downtime()).filter(|d| !d.is_zero());
-
+        let catchup = self.last_old_arrival.filter(|&t| t >= rebalance_end);
+        // An outage still open at the end of the trace runs to its last event.
+        let downtime = self
+            .down_since
+            .iter()
+            .fold(self.downtime, |total, &(_, went_down)| total + (self.last_at - went_down));
         MigrationMetrics {
-            restore,
-            drain_capture,
-            rebalance,
-            catchup,
-            recovery,
-            stabilization,
-            replayed_messages: log.replayed_count(),
-            dropped_messages: log.dropped_count(),
-            commit_wave,
-            restore_wave,
-            store_wait,
-            quorum_persists: log.quorum_persists(),
-            degraded_persists: log.degraded_persists(),
-            store_failures: log.store_failed_ops(),
-            shard_downtime,
-            moved_bytes: log.range_moved_bytes(),
-            resident_bytes: log.range_resident_bytes(),
-            ranges_moved: log.ranges_moved(),
+            restore: restore.map(rel),
+            drain_capture: self.drain.get().and(self.commit.get()).map(|(_, end)| rel(end)),
+            rebalance: self.rebalance.length(),
+            catchup: catchup.map(rel),
+            recovery: self.last_replayed_new_arrival.map(rel),
+            stabilization: find_stabilization(&self.timeline, criteria, req).map(rel),
+            commit_wave: self.commit.length(),
+            restore_wave: self.restore.length(),
+            store_wait: Some(self.store_wait).filter(|w| !w.is_zero()),
+            shard_downtime: Some(downtime).filter(|d| !d.is_zero()),
+            ..self.counts
         }
-    }
-
-    /// Total user-visible migration span: the maximum of restore, catchup
-    /// and recovery (the top of the stacked bars in Fig. 5).
-    pub fn total_migration(&self) -> Option<SimDuration> {
-        [self.restore, self.catchup, self.recovery].into_iter().flatten().max()
     }
 }
 
@@ -196,7 +341,7 @@ impl fmt::Display for MigrationMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{RootId, TraceEvent};
+    use crate::trace::RootId;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -353,7 +498,6 @@ mod tests {
             SimDuration::from_secs(10),
         );
         assert_eq!(m.store_wait, Some(SimDuration::from_millis(10)));
-        assert_eq!(log.store_queued_ops(), 2);
     }
 
     #[test]

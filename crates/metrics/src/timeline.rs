@@ -41,28 +41,39 @@ impl RateTimeline {
     ///
     /// Panics if `bucket` is zero.
     pub fn from_trace(log: &TraceLog, bucket: SimDuration) -> Self {
-        assert!(!bucket.is_zero(), "bucket width must be positive");
-        let mut input: Vec<u32> = Vec::new();
-        let mut output: Vec<u32> = Vec::new();
-        let w = bucket.as_micros();
-        let bump = |v: &mut Vec<u32>, at: SimTime| {
-            let idx = (at.as_micros() / w) as usize;
-            if v.len() <= idx {
-                v.resize(idx + 1, 0);
-            }
-            v[idx] += 1;
-        };
+        let mut timeline = Self::empty(bucket);
         for e in log.iter() {
-            match *e {
-                TraceEvent::SourceEmit { at, .. } => bump(&mut input, at),
-                TraceEvent::SinkArrival { at, .. } => bump(&mut output, at),
-                _ => {}
-            }
+            timeline.observe(e);
         }
-        let n = input.len().max(output.len());
-        input.resize(n, 0);
-        output.resize(n, 0);
-        RateTimeline { bucket, input, output }
+        timeline
+    }
+
+    /// A timeline with no buckets, to be fed by [`Self::observe`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is zero.
+    pub(crate) fn empty(bucket: SimDuration) -> Self {
+        assert!(!bucket.is_zero(), "bucket width must be positive");
+        RateTimeline { bucket, input: Vec::new(), output: Vec::new() }
+    }
+
+    /// Counts `event` into its bucket if it is a source emission or a sink
+    /// arrival. Both series grow together, so the timeline always runs to
+    /// the bucket of the later of the last emission and the last arrival.
+    pub(crate) fn observe(&mut self, event: &TraceEvent) {
+        let (at, emitted) = match *event {
+            TraceEvent::SourceEmit { at, .. } => (at, true),
+            TraceEvent::SinkArrival { at, .. } => (at, false),
+            _ => return,
+        };
+        let idx = (at.as_micros() / self.bucket.as_micros()) as usize;
+        if self.input.len() <= idx {
+            self.input.resize(idx + 1, 0);
+            self.output.resize(idx + 1, 0);
+        }
+        let series = if emitted { &mut self.input } else { &mut self.output };
+        series[idx] += 1;
     }
 
     /// Bucket width.
@@ -100,12 +111,6 @@ impl RateTimeline {
     pub fn rows(&self) -> impl Iterator<Item = (SimTime, f64, f64)> + '_ {
         (0..self.len())
             .map(move |i| (self.bucket_start(i), self.input_rate_hz(i), self.output_rate_hz(i)))
-    }
-
-    /// Indices of buckets whose input rate exceeds `threshold_hz` — used to
-    /// count DSM's replay spikes in Fig. 7a.
-    pub fn input_spikes(&self, threshold_hz: f64) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.input_rate_hz(i) > threshold_hz).collect()
     }
 }
 
@@ -244,19 +249,6 @@ mod tests {
         assert_eq!(tl.input_rate_hz(1), 0.5);
         assert_eq!(tl.output_rate_hz(0), 0.0);
         assert_eq!(tl.bucket_start(1), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn spike_detection() {
-        let mut log = TraceLog::new();
-        for i in 0..5 {
-            log.record(emit(i, i * 1000)); // bucket 0: 0.5 ev/s
-        }
-        for i in 0..200 {
-            log.record(emit(1000 + i, 10_000 + i * 10)); // bucket 1: 20 ev/s
-        }
-        let tl = RateTimeline::from_trace(&log, SimDuration::from_secs(10));
-        assert_eq!(tl.input_spikes(10.0), vec![1]);
     }
 
     #[test]

@@ -380,8 +380,7 @@ impl TraceLog {
         self.events.is_empty()
     }
 
-    /// Iterates over all events in time order (double-ended, so tail
-    /// queries like "last sink arrival" are cheap).
+    /// Iterates over all events in time order.
     pub fn iter(&self) -> std::slice::Iter<'_, TraceEvent> {
         self.events.iter()
     }
@@ -402,154 +401,6 @@ impl TraceLog {
         })
     }
 
-    /// First sink arrival at or after `t`.
-    pub fn first_sink_arrival_after(&self, t: SimTime) -> Option<SimTime> {
-        self.events.iter().find_map(|e| match *e {
-            TraceEvent::SinkArrival { at, .. } if at >= t => Some(at),
-            _ => None,
-        })
-    }
-
-    /// Last sink arrival of an *old* root (generated before the migration
-    /// request) — the paper's catchup point.
-    pub fn last_old_sink_arrival(&self) -> Option<SimTime> {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::SinkArrival { at, old: true, .. } => Some(at),
-                _ => None,
-            })
-            .max()
-    }
-
-    /// Last sink arrival of a *replayed new* root — the paper's recovery
-    /// point (only DSM fails and replays post-migration events).
-    pub fn last_replayed_new_sink_arrival(&self) -> Option<SimTime> {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::SinkArrival { at, old: false, replayed: true, .. } => Some(at),
-                _ => None,
-            })
-            .max()
-    }
-
-    /// Number of replayed root emissions (Fig. 6's y-axis).
-    pub fn replayed_count(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SourceEmit { replay: true, .. }))
-            .count() as u64
-    }
-
-    /// Number of data events dropped at dead/absent instances.
-    pub fn dropped_count(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::EventDropped { .. })).count() as u64
-    }
-
-    /// Number of roots failed by the acker.
-    pub fn failed_count(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::RootFailed { .. })).count() as u64
-    }
-
-    /// Total time store operations spent waiting in shard FIFO queues
-    /// (the sum of every [`TraceEvent::StoreQueueWait`]; zero for runs
-    /// under the zero-queueing store model, which never emits the event).
-    pub fn store_queue_wait(&self) -> SimDuration {
-        self.events.iter().fold(SimDuration::ZERO, |acc, e| match *e {
-            TraceEvent::StoreQueueWait { wait, .. } => acc + wait,
-            _ => acc,
-        })
-    }
-
-    /// Number of store operations that waited behind a busy shard.
-    pub fn store_queued_ops(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::StoreQueueWait { .. })).count() as u64
-    }
-
-    /// Number of store operations rejected for lack of live replicas (the
-    /// count of [`TraceEvent::StoreOpFailed`] events; zero for runs with
-    /// no shard outage).
-    pub fn store_failed_ops(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::StoreOpFailed { .. })).count() as u64
-    }
-
-    /// Number of quorum-priced persists (the count of
-    /// [`TraceEvent::QuorumPersist`] events; zero for unreplicated runs).
-    pub fn quorum_persists(&self) -> u64 {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::QuorumPersist { .. })).count() as u64
-    }
-
-    /// Number of quorum persists that completed degraded (at least one
-    /// replica down when the quorum was reached).
-    pub fn degraded_persists(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::QuorumPersist { degraded: true, .. }))
-            .count() as u64
-    }
-
-    /// Total bytes of state actually moved through the store by key-range
-    /// persists and restores (the sum of `moved_bytes` over every
-    /// [`TraceEvent::RangePersist`] and [`TraceEvent::RangeRestore`]; zero
-    /// for whole-instance runs, which never record those events).
-    pub fn range_moved_bytes(&self) -> u64 {
-        self.events.iter().fold(0, |acc, e| match *e {
-            TraceEvent::RangePersist { moved_bytes, .. }
-            | TraceEvent::RangeRestore { moved_bytes, .. } => acc + moved_bytes,
-            _ => acc,
-        })
-    }
-
-    /// Total bytes of cold key-range state left in place by key-range
-    /// persists — what a whole-instance migration would additionally have
-    /// moved (zero for whole-instance runs).
-    pub fn range_resident_bytes(&self) -> u64 {
-        self.events.iter().fold(0, |acc, e| match *e {
-            TraceEvent::RangePersist { resident_bytes, .. } => acc + resident_bytes,
-            _ => acc,
-        })
-    }
-
-    /// Total contiguous key ranges persisted by key-range COMMITs (zero
-    /// for whole-instance runs).
-    pub fn ranges_moved(&self) -> u64 {
-        self.events.iter().fold(0, |acc, e| match *e {
-            TraceEvent::RangePersist { ranges, .. } => acc + u64::from(ranges),
-            _ => acc,
-        })
-    }
-
-    /// Total time store shards spent with replicas down, summed over the
-    /// [`TraceEvent::ShardDown`]/[`TraceEvent::ShardUp`] pairs of each
-    /// shard (an unclosed outage extends to the last recorded event).
-    pub fn shard_downtime(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut open: Vec<(usize, SimTime)> = Vec::new();
-        for e in &self.events {
-            match *e {
-                TraceEvent::ShardDown { shard, at, .. }
-                    if !open.iter().any(|&(s, _)| s == shard) =>
-                {
-                    open.push((shard, at));
-                }
-                TraceEvent::ShardUp { shard, at } => {
-                    if let Some(pos) = open.iter().position(|&(s, _)| s == shard) {
-                        let (_, went_down) = open.swap_remove(pos);
-                        total += at - went_down;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(last) = self.events.last().map(TraceEvent::at) {
-            for &(_, went_down) in &open {
-                total += last - went_down;
-            }
-        }
-        total
-    }
-
     /// The `[start, end]` span of `phase`, if both endpoints were recorded.
     /// If the phase started several times (INIT waves), the first start and
     /// last end are used.
@@ -567,21 +418,6 @@ impl TraceLog {
             })
             .max()?;
         Some((start, end))
-    }
-
-    /// Total distinct roots that reached a sink at least once.
-    pub fn distinct_roots_at_sink(&self) -> u64 {
-        let mut roots: Vec<u64> = self
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::SinkArrival { root, .. } => Some(root.0),
-                _ => None,
-            })
-            .collect();
-        roots.sort_unstable();
-        roots.dedup();
-        roots.len() as u64
     }
 }
 
@@ -601,35 +437,14 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    fn arrival(root: u64, at: SimTime, old: bool, replayed: bool) -> TraceEvent {
-        TraceEvent::SinkArrival {
-            root: RootId(root),
-            at,
-            generated_at: SimTime::ZERO,
-            old,
-            replayed,
-        }
-    }
-
     #[test]
     fn query_helpers() {
         let mut log = TraceLog::new();
-        log.record(TraceEvent::SourceEmit { root: RootId(1), at: t(1), replay: false });
-        log.record(arrival(1, t(2), true, false));
         log.record(TraceEvent::MigrationRequested { at: t(10) });
-        log.record(TraceEvent::SourceEmit { root: RootId(2), at: t(11), replay: false });
-        log.record(TraceEvent::RootFailed { root: RootId(2), at: t(41) });
-        log.record(TraceEvent::SourceEmit { root: RootId(2), at: t(41), replay: true });
-        log.record(arrival(3, t(50), true, false));
-        log.record(arrival(2, t(60), false, true));
-
+        log.record(TraceEvent::MigrationRequested { at: t(20) });
+        log.record(TraceEvent::MigrationCompleted { at: t(30) });
         assert_eq!(log.migration_requested_at(), Some(t(10)));
-        assert_eq!(log.first_sink_arrival_after(t(10)), Some(t(50)));
-        assert_eq!(log.last_old_sink_arrival(), Some(t(50)));
-        assert_eq!(log.last_replayed_new_sink_arrival(), Some(t(60)));
-        assert_eq!(log.replayed_count(), 1);
-        assert_eq!(log.failed_count(), 1);
-        assert_eq!(log.distinct_roots_at_sink(), 3);
+        assert_eq!(log.migration_completed_at(), Some(t(30)));
     }
 
     #[test]
@@ -648,8 +463,8 @@ mod tests {
         let log = TraceLog::new();
         assert!(log.is_empty());
         assert_eq!(log.migration_requested_at(), None);
-        assert_eq!(log.last_old_sink_arrival(), None);
-        assert_eq!(log.replayed_count(), 0);
+        assert_eq!(log.migration_completed_at(), None);
+        assert_eq!(log.phase_span(MigrationPhase::Rebalance), None);
     }
 
     #[test]

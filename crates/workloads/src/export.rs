@@ -45,43 +45,10 @@ pub fn latency_csv(log: &TraceLog, bucket: SimDuration, origin: SimTime) -> Stri
     out
 }
 
-/// Renders experiment reports as CSV with one row per
-/// (dag, direction, strategy) — the data behind Figs. 5, 6 and 8.
-pub fn reports_csv(reports: &[crate::ExperimentReport]) -> String {
-    let mut out = String::from(
-        "dag,direction,strategy,restore_s,drain_s,rebalance_s,catchup_s,recovery_s,\
-         stabilization_s,replayed_roots,replayed_messages,dropped\n",
-    );
-    let cell = |v: Option<f64>| v.map_or_else(String::new, |x| format!("{x:.2}"));
-    for r in reports {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{:.1},{:.1},{:.1}",
-            r.dag,
-            r.direction,
-            r.strategy,
-            cell(r.restore_mean()),
-            cell((r.drain_capture.count() > 0).then(|| r.drain_capture.mean())),
-            cell((r.rebalance.count() > 0).then(|| r.rebalance.mean())),
-            cell(r.catchup_mean()),
-            cell(r.recovery_mean()),
-            cell(r.stabilization_mean()),
-            r.replayed_roots.mean(),
-            r.replayed_messages.mean(),
-            r.dropped.mean(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Experiment;
-    use flowmig_cluster::ScaleDirection;
-    use flowmig_core::{Dcr, MigrationController};
     use flowmig_metrics::{RootId, TraceEvent};
-    use flowmig_topology::library;
 
     fn mini_trace() -> TraceLog {
         let mut log = TraceLog::new();
@@ -126,26 +93,5 @@ mod tests {
     fn origin_shifts_time_axis() {
         let csv = throughput_csv(&mini_trace(), SimDuration::from_secs(10), SimTime::from_secs(10));
         assert!(csv.contains("\n-10.0,"), "pre-origin buckets go negative");
-    }
-
-    #[test]
-    fn reports_csv_round_trips_a_real_run() {
-        let report = Experiment::paper(library::linear(), ScaleDirection::In)
-            .with_seeds(&[1])
-            .with_controller(
-                MigrationController::new()
-                    .with_request_at(SimTime::from_secs(60))
-                    .with_horizon(SimTime::from_secs(300)),
-            )
-            .run(&Dcr::new())
-            .expect("placeable");
-        let csv = reports_csv(&[report]);
-        let lines: Vec<&str> = csv.trim_end().lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[1].starts_with("linear,scale-in,DCR,"));
-        // DCR: catchup and recovery cells are empty.
-        let fields: Vec<&str> = lines[1].split(',').collect();
-        assert_eq!(fields[6], "", "catchup empty for DCR");
-        assert_eq!(fields[7], "", "recovery empty for DCR");
     }
 }

@@ -1,18 +1,17 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Implements the API surface the workspace's benches use —
-//! [`criterion_group!`], [`criterion_main!`], [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`] and
+//! [`criterion_group!`], [`Criterion::benchmark_group`],
+//! [`BenchmarkGroup::bench_function`], [`Bencher::iter`] and
 //! [`Bencher::iter_batched`] — with a simple measurement loop: a short
-//! warm-up, then `sample_size` timed samples, reporting min/mean/max per
-//! iteration. No statistical analysis, HTML reports, or command-line
+//! warm-up, then a fixed number of timed samples (20 by default),
+//! reporting min/mean/max per iteration. No statistical analysis, HTML reports, or command-line
 //! parsing; when invoked by `cargo test` (any argument containing
 //! `--test`), benches are skipped so test runs stay fast.
 //!
 //! Two environment variables support CI smoke runs:
 //!
-//! * `CRITERION_SAMPLE_SIZE=N` overrides every sample-size setting
-//!   (including explicit [`Criterion::sample_size`] calls) so a reduced
+//! * `CRITERION_SAMPLE_SIZE=N` overrides the sample count so a reduced
 //!   pass stays cheap;
 //! * `CRITERION_JSON=path` additionally writes all results of the process
 //!   as a JSON array of `{name, samples, min_ns, mean_ns, max_ns}` objects
@@ -101,32 +100,9 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the number of timed samples per benchmark
-    /// (`CRITERION_SAMPLE_SIZE` in the environment wins over this call).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        assert!(n > 0, "sample size must be positive");
-        self.sample_size = sample_size_override().unwrap_or(n);
-        self
-    }
-
-    /// Runs one benchmark.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        if self.skip {
-            return self;
-        }
-        let mut bencher = Bencher { samples: Vec::new(), budget: self.sample_size };
-        f(&mut bencher);
-        bencher.report(name);
-        self
-    }
-
     /// Opens a named group of benchmarks sharing settings.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        let group_sample_size = self.sample_size;
-        BenchmarkGroup { parent: self, name: name.to_owned(), sample_size: group_sample_size }
+        BenchmarkGroup { parent: self, name: name.to_owned() }
     }
 }
 
@@ -135,18 +111,9 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     parent: &'a mut Criterion,
     name: String,
-    sample_size: usize,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the number of timed samples for benchmarks in this group
-    /// (`CRITERION_SAMPLE_SIZE` in the environment wins over this call).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        assert!(n > 0, "sample size must be positive");
-        self.sample_size = sample_size_override().unwrap_or(n);
-        self
-    }
-
     /// Runs one benchmark within the group.
     pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
@@ -155,7 +122,7 @@ impl BenchmarkGroup<'_> {
         if self.parent.skip {
             return self;
         }
-        let mut bencher = Bencher { samples: Vec::new(), budget: self.sample_size };
+        let mut bencher = Bencher { samples: Vec::new(), budget: self.parent.sample_size };
         f(&mut bencher);
         bencher.report(&format!("{}/{}", self.name, name));
         self
@@ -247,16 +214,6 @@ macro_rules! criterion_group {
     };
 }
 
-/// Generates `main` running the given groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +222,7 @@ mod tests {
     fn bench_function_times_and_reports() {
         let mut c = Criterion { sample_size: 3, skip: false };
         let mut runs = 0u32;
-        c.bench_function("noop", |b| b.iter(|| runs += 1));
+        c.benchmark_group("g").bench_function("noop", |b| b.iter(|| runs += 1));
         // 1 warm-up + 3 samples.
         assert_eq!(runs, 4);
     }
@@ -274,7 +231,7 @@ mod tests {
     fn iter_batched_runs_setup_per_sample() {
         let mut c = Criterion { sample_size: 2, skip: false };
         let mut setups = 0u32;
-        c.bench_function("batched", |b| {
+        c.benchmark_group("g").bench_function("batched", |b| {
             b.iter_batched(
                 || {
                     setups += 1;
@@ -299,16 +256,5 @@ mod tests {
             format_row(&entry),
             r#"  {"name": "acker/\"quoted\"", "samples": 20, "min_ns": 1, "mean_ns": 2, "max_ns": 3}"#
         );
-    }
-
-    #[test]
-    fn group_sample_size_overrides() {
-        let mut c = Criterion { sample_size: 20, skip: false };
-        let mut group = c.benchmark_group("g");
-        group.sample_size(2);
-        let mut runs = 0u32;
-        group.bench_function("inner", |b| b.iter(|| runs += 1));
-        group.finish();
-        assert_eq!(runs, 3);
     }
 }

@@ -10,19 +10,36 @@
 //! (`plan_driven_strategies_reproduce_the_hardcoded_coordinator_traces`),
 //! so the plan IR cannot silently reshape a default timeline.
 //!
-//! The store realism models (FIFO queueing, `SoftDegrade`, replication,
-//! shard outages) stay **opt-in** until calibrated against measured Redis
-//! behavior: every default-config pin in this file must hold byte for byte
-//! no matter how those models evolve, and the realism tiers get their own
-//! pinned matrices below (`quorum_replicated_ccr_pipelined_matrix_is_pinned`,
+//! The store realism models (FIFO queueing, replication, shard outages)
+//! stay **opt-in** until calibrated against measured Redis behavior: every
+//! default-config pin in this file must hold byte for byte no matter how
+//! those models evolve, and the realism tiers get their own pinned
+//! matrices below (`quorum_replicated_ccr_pipelined_matrix_is_pinned`,
 //! `shard_outage_abort_timeline_is_pinned`).
+
+mod metrics_oracle;
 
 use flowmig::core::{CcrPipelined, DcrParallelInit};
 use flowmig::prelude::*;
 
 /// FNV-1a over the debug rendering of every trace event — a stable,
-/// pinnable digest of a full simulated timeline.
+/// pinnable digest of a full simulated timeline. Every hashed trace also
+/// checks the one-pass `MigrationMetrics::from_trace` against the
+/// multi-pass oracle, under the paper's criteria at the run's own
+/// pre-request output rate.
 fn trace_hash(trace: &TraceLog) -> u64 {
+    let request = trace.migration_requested_at().expect("every hashed run requests a migration");
+    let steady = trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::SinkArrival { at, .. } if *at < request))
+        .count();
+    let criteria = StabilityCriteria::paper(steady as f64 / request.as_secs_f64());
+    let bucket = SimDuration::from_secs(10);
+    assert_eq!(
+        MigrationMetrics::from_trace(trace, &criteria, bucket),
+        metrics_oracle::metrics(trace, &criteria, bucket),
+        "the metrics fold left the oracle"
+    );
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for ev in trace.iter() {
         for b in format!("{ev:?}").bytes() {
@@ -412,7 +429,7 @@ fn skewed_grid_key_range_timeline_is_pinned() {
     assert_eq!(first.trace, second.trace, "trace diverged: skewed-grid CCR-KR");
     assert!(first.completed, "CCR-KR completes on the skewed grid");
     assert_eq!(first.stats.events_dropped, 0, "nothing lost under skew");
-    assert!(first.trace.ranges_moved() > 0, "hot ranges actually moved");
+    assert!(first.metrics.ranges_moved > 0, "hot ranges actually moved");
     assert!(first.stats.state_bytes_resident > 0, "cold state stayed resident");
     let hash = trace_hash(&first.trace);
     assert_eq!(hash, PINNED, "skewed-grid CCR-KR timeline drifted; actual {hash:#018x}");
@@ -454,7 +471,7 @@ fn large_scope_rebalance_traces_are_identical_and_pinned() {
     assert_eq!(heap.trace, calendar.trace, "trace diverged across backends");
     assert!(heap.completed, "large-scope CCR-KR completes");
     assert_eq!(heap.stats.events_dropped, 0, "mid-respawn deliveries were buffered, not dropped");
-    assert!(heap.trace.ranges_moved() > 0, "the key-range scope actually resolved");
+    assert!(heap.metrics.ranges_moved > 0, "the key-range scope actually resolved");
     let hash = trace_hash(&heap.trace);
     assert_eq!(hash, PINNED, "large-scope rebalance timeline drifted; actual {hash:#018x}");
 }

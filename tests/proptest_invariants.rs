@@ -1,12 +1,14 @@
 //! Property-based tests over the core data structures and protocols.
 
+mod metrics_oracle;
+
 use flowmig::cluster::{SlotId, VmId};
 use flowmig::core::CcrPipelined;
 use flowmig::engine::{
     AckOutcome, Acker, AdmitOutcome, DataEvent, ShardStats, ShardedStateStore, StateBlob,
     StoreOpKind,
 };
-use flowmig::metrics::RootId;
+use flowmig::metrics::{ControlKind, RootId};
 use flowmig::prelude::*;
 use flowmig::sim::{Process, RunOutcome, Scheduler, Simulation};
 use flowmig::topology::{InstanceId, KeyRange};
@@ -349,7 +351,6 @@ impl RescanStore {
             s.replica_busy.resize(replicas, SimTime::ZERO);
         }
         s.in_flight.retain(|&done| done > now);
-        let load = s.in_flight.len() as u64;
         let serving: Vec<usize> = match kind {
             StoreOpKind::Persist => (down..replicas).collect(),
             StoreOpKind::Fetch => vec![down],
@@ -357,18 +358,11 @@ impl RescanStore {
         let mut completions: Vec<(SimTime, usize)> = serving
             .iter()
             .map(|&r| {
-                let idle = replication.replica_service(service, r);
-                let inflated = match model {
-                    StoreServiceModel::SoftDegrade => {
-                        SimDuration::from_micros(idle.as_micros() * (1 + load))
-                    }
-                    _ => idle,
-                };
                 let start = match model {
                     StoreServiceModel::FifoPerShard => s.replica_busy[r].max(now),
-                    _ => now,
+                    StoreServiceModel::Unqueued => now,
                 };
-                (start + inflated, r)
+                (start + replication.replica_service(service, r), r)
             })
             .collect();
         if model == StoreServiceModel::FifoPerShard {
@@ -399,24 +393,20 @@ impl RescanStore {
 
 proptest! {
     /// For any admission sequence — both op kinds, 1–3 replicas under every
-    /// write quorum, replica outages and recoveries, all three service
-    /// models, and instants that repeat or advance on a 250 µs grid so
+    /// write quorum, replica outages and recoveries, both service models,
+    /// and instants that repeat or advance on a 250 µs grid so
     /// completions often land exactly on a later admission — the store
     /// returns the same outcome and keeps the same shard counters as the
     /// rescanning reference.
     #[test]
     fn heap_admission_matches_a_rescanning_reference(
         // (shards, service model, replicas, quorum pick)
-        config in (1usize..5, 0usize..3, 1usize..4, 0usize..3),
+        config in (1usize..5, 0usize..2, 1usize..4, 0usize..3),
         // (action, instance index, gap in 250 µs units, service units)
         steps in proptest::collection::vec((0u8..12, 0usize..24, 0u64..8, 1u64..7), 1..96),
     ) {
         let (shards, model, replicas, quorum) = config;
-        let model = [
-            StoreServiceModel::Unqueued,
-            StoreServiceModel::FifoPerShard,
-            StoreServiceModel::SoftDegrade,
-        ][model];
+        let model = [StoreServiceModel::Unqueued, StoreServiceModel::FifoPerShard][model];
         let replication = StoreReplication::new(replicas, 1 + quorum % replicas);
         let mut store = ShardedStateStore::with_config(shards, model, replication);
         let mut reference = RescanStore {
@@ -713,6 +703,165 @@ proptest! {
         let tl = RateTimeline::from_trace(&log, SimDuration::from_secs(10));
         let total: f64 = (0..tl.len()).map(|i| tl.input_rate_hz(i) * 10.0).sum();
         prop_assert!((total - sorted.len() as f64).abs() < 1e-6);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One-pass metrics against the multi-pass oracle
+// ---------------------------------------------------------------------
+
+/// The phases in the bit order of `random_trace`'s `dropped_starts`.
+const PHASES: [MigrationPhase; 6] = [
+    MigrationPhase::Pause,
+    MigrationPhase::Drain,
+    MigrationPhase::Commit,
+    MigrationPhase::Rebalance,
+    MigrationPhase::Restore,
+    MigrationPhase::Resume,
+];
+
+fn phase_slot(phase: MigrationPhase) -> usize {
+    PHASES.iter().position(|&p| p == phase).expect("every phase has a slot")
+}
+
+/// A trace event of `kind` (`0..34`) at `at`, with `a` (`0..8`) and `b` as
+/// its parameters. Sink arrivals, emissions and phase marks weigh most,
+/// and a third of the phase marks are Rebalance's, so the restore and
+/// catchup baselines come up in most traces; three shards make repeated
+/// and unclosed outages common.
+fn random_trace_event(kind: u8, at: SimTime, a: u8, b: u64) -> TraceEvent {
+    let (root, instance) = (RootId(b), InstanceId::from_index(usize::from(a)));
+    let (shard, control) = (usize::from(a % 3), ControlKind::ALL[usize::from(a % 4)]);
+    let phase = PHASES.get(usize::from(a)).copied().unwrap_or(MigrationPhase::Rebalance);
+    match kind {
+        0..=5 => TraceEvent::SinkArrival {
+            root,
+            at,
+            generated_at: at - SimDuration::from_millis(b),
+            old: a & 1 == 1,
+            replayed: a & 2 == 2,
+        },
+        6..=8 => TraceEvent::SourceEmit { root, at, replay: a & 1 == 1 },
+        9..=11 => TraceEvent::PhaseStarted { phase, at },
+        12..=15 => TraceEvent::PhaseEnded { phase, at },
+        16 => TraceEvent::MigrationRequested { at },
+        17 => TraceEvent::MigrationCompleted { at },
+        18 => TraceEvent::RootFailed { root, at },
+        19 => TraceEvent::RootAcked { root, at },
+        20 => TraceEvent::EventDropped { root, at },
+        21 => TraceEvent::ControlWave { kind: control, wave: u32::from(a), at },
+        22 => TraceEvent::ControlAcked { kind: control, instance, at },
+        23 => TraceEvent::InstanceKilled { instance, at },
+        24 => TraceEvent::WorkerReady { instance, at },
+        25 => TraceEvent::InstanceRestored { instance, at, pending_replayed: b as u32 },
+        26 => TraceEvent::StoreQueueWait {
+            instance,
+            shard,
+            wait: SimDuration::from_micros(250 * b),
+            at,
+        },
+        27 | 28 => TraceEvent::ShardDown { shard, down_replicas: 1 + u32::from(a % 3), at },
+        29 => TraceEvent::ShardUp { shard, at },
+        30 => TraceEvent::QuorumPersist {
+            instance,
+            shard,
+            replicas: 3,
+            quorum: 2,
+            degraded: b & 1 == 1,
+            at,
+        },
+        31 => TraceEvent::StoreOpFailed { instance, shard, at },
+        32 => TraceEvent::RangePersist {
+            instance,
+            ranges: u32::from(a),
+            moved_bytes: b,
+            resident_bytes: b / 2,
+            at,
+        },
+        _ => TraceEvent::RangeRestore { instance, ranges: u32::from(a), moved_bytes: b, at },
+    }
+}
+
+/// A time-ordered trace of `(kind, gap, a, b)` steps; half the gaps are
+/// zero, so instants repeat. A non-zero `quiet` appends one source
+/// emission that long after the last step, so the timeline runs past the
+/// last arrival. The starts of each phase whose bit is set in
+/// `dropped_starts` are left out, and so are those of a phase whose every
+/// end precedes its first start: such a span would run backwards, and no
+/// engine records one.
+fn random_trace(steps: &[(u8, u64, u8, u64)], quiet: SimDuration, dropped_starts: u8) -> TraceLog {
+    let mut at = SimTime::ZERO;
+    let mut events: Vec<TraceEvent> = steps
+        .iter()
+        .map(|&(kind, gap, a, b)| {
+            at += SimDuration::from_millis(250 * gap.saturating_sub(3));
+            random_trace_event(kind, at, a, b)
+        })
+        .filter(|e| {
+            !matches!(*e, TraceEvent::PhaseStarted { phase, .. }
+                if dropped_starts >> phase_slot(phase) & 1 == 1)
+        })
+        .collect();
+    let (mut first_start, mut last_end) = ([None; 6], [None; 6]);
+    for e in &events {
+        match *e {
+            TraceEvent::PhaseStarted { phase, at } => {
+                first_start[phase_slot(phase)].get_or_insert(at);
+            }
+            TraceEvent::PhaseEnded { phase, at } => last_end[phase_slot(phase)] = Some(at),
+            _ => {}
+        }
+    }
+    events.retain(|e| match *e {
+        TraceEvent::PhaseStarted { phase, .. } => {
+            let slot = phase_slot(phase);
+            !matches!((first_start[slot], last_end[slot]), (Some(s), Some(e)) if e < s)
+        }
+        _ => true,
+    });
+    if !quiet.is_zero() {
+        events.push(TraceEvent::SourceEmit { root: RootId(0), at: at + quiet, replay: false });
+    }
+    let mut log = TraceLog::new();
+    log.extend(events);
+    log
+}
+
+proptest! {
+    /// `MigrationMetrics::from_trace`, one fold over the trace, equals the
+    /// multi-pass oracle field for field on random time-ordered traces
+    /// that draw every event kind at repeating instants, in 1-3 s buckets
+    /// and at expected rates that include 0. The traces reach each rule
+    /// the fold has to keep: an arrival at the last Rebalance end's
+    /// instant counts toward restore even when recorded before it; a
+    /// Rebalance end without any start falls back to the request; spans
+    /// run from the first start to the last end; only the first request
+    /// counts, and none yields the default; a repeated `ShardDown` keeps
+    /// its first instant and an unclosed outage runs to the last event;
+    /// and the stabilization timeline runs to the later of the last
+    /// emission and the last arrival.
+    #[test]
+    fn metrics_fold_matches_the_multi_pass_oracle(
+        // (bucket seconds, expected-rate pick, window seconds, dropped starts)
+        shape in (1u64..4, 0usize..4, 1u64..9, 0u8..64),
+        // (event kind, gap in 250 ms units, parameter a, parameter b)
+        steps in proptest::collection::vec((0u8..34, 0u64..8, 0u8..8, 0u64..64), 0..160),
+        quiet_secs in 0u64..8,
+    ) {
+        let (bucket_secs, rate, window_secs, dropped_starts) = shape;
+        let log = random_trace(&steps, SimDuration::from_secs(quiet_secs), dropped_starts);
+        let criteria = StabilityCriteria {
+            expected_rate_hz: [0.0, 0.5, 1.0, 2.0][rate],
+            tolerance: 0.2,
+            window: SimDuration::from_secs(window_secs),
+        };
+        let bucket = SimDuration::from_secs(bucket_secs);
+        prop_assert_eq!(
+            MigrationMetrics::from_trace(&log, &criteria, bucket),
+            metrics_oracle::metrics(&log, &criteria, bucket),
+            "trace: {:?}",
+            log
+        );
     }
 }
 
