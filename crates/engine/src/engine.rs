@@ -1459,7 +1459,9 @@ impl EngineModel {
     /// The INIT second half, and ROLLBACK's re-init of an instance that
     /// lost its state: fetches the blob of every key range the wave moves
     /// (a ROLLBACK reads the whole-instance blob) and rebuilds the instance
-    /// from them. A whole-instance restore replaces the user state; a
+    /// from them. The blobs' captured events leave the store with the fetch
+    /// ([`ShardedStateStore::restore`]), so a later restore from the same
+    /// blobs does not replay them a second time. A whole-instance restore replaces the user state; a
     /// key-range restore merges the fetched hot counters into the cold ones
     /// that stayed in place.
     fn finish_restore(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
@@ -1481,7 +1483,7 @@ impl EngineModel {
         let (mut processed, mut moved_bytes) = (0u64, 0u64);
         let mut fetched_pending: Vec<DataEvent> = Vec::new();
         for &range in ranges {
-            let Some(mut blob) = self.store.get(iid, range) else {
+            let Some(mut blob) = self.store.restore(iid, range) else {
                 continue;
             };
             moved_bytes += blob.byte_size();

@@ -86,25 +86,22 @@ impl BlobSlot {
         self.first.iter().chain(&self.more).find(|(r, _)| *r == range).map(|(_, blob)| blob)
     }
 
+    fn get_mut(&mut self, range: KeyRange) -> Option<&mut StateBlob> {
+        self.first.iter_mut().chain(&mut self.more).find(|(r, _)| *r == range).map(|(_, blob)| blob)
+    }
+
     /// Stores (overwrites) the blob of `range`; returns whether the range
     /// is new to this instance.
     fn put(&mut self, range: KeyRange, blob: StateBlob) -> bool {
-        let stored = match &mut self.first {
-            None => {
-                self.first = Some((range, blob));
-                return true;
-            }
-            Some((r, stored)) if *r == range => stored,
-            Some(_) => match self.more.iter_mut().find(|(r, _)| *r == range) {
-                Some((_, stored)) => stored,
-                None => {
-                    self.more.push((range, blob));
-                    return true;
-                }
-            },
-        };
-        *stored = blob;
-        false
+        if let Some(stored) = self.get_mut(range) {
+            *stored = blob;
+            return false;
+        }
+        match self.first {
+            None => self.first = Some((range, blob)),
+            Some(_) => self.more.push((range, blob)),
+        }
+        true
     }
 }
 
@@ -516,18 +513,42 @@ impl ShardedStateStore {
     /// Fetches the last committed blob for key range `range` of
     /// `instance`, if any.
     ///
-    /// Returns a clone: the store keeps its copy (restores may repeat, e.g.
-    /// duplicate INITs).
+    /// Returns a clone: the store keeps its copy unchanged.
     pub fn get(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
+        self.fetch(instance, range, |blob| blob.clone())
+    }
+
+    /// Fetches the last committed blob for key range `range` of `instance`
+    /// to restore from it: counted like [`get`](Self::get), the whole blob
+    /// in `bytes_read`, but its captured `pending` events move out of the
+    /// store. The restore replays them, so a later restore from the same
+    /// blob (a ROLLBACK re-init after an INIT) must not replay them again;
+    /// the user state and counters stay for it.
+    pub fn restore(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
+        self.fetch(instance, range, |blob| StateBlob {
+            processed: blob.processed,
+            pending: std::mem::take(&mut blob.pending),
+            key_counts: blob.key_counts.clone(),
+        })
+    }
+
+    /// One counted fetch: a hit reads the stored blob's whole size and
+    /// hands back what `read` makes of it; a miss reads nothing.
+    fn fetch(
+        &mut self,
+        instance: InstanceId,
+        range: KeyRange,
+        read: impl FnOnce(&mut StateBlob) -> StateBlob,
+    ) -> Option<StateBlob> {
         let (shard, slot) = self.locate(instance);
         let s = &mut self.shards[shard];
         s.gets += 1;
-        let blob = s.slots.get(slot).and_then(|b| b.get(range)).cloned();
-        match &blob {
-            Some(b) => s.bytes_read += b.byte_size(),
-            None => s.misses += 1,
-        }
-        blob
+        let Some(stored) = s.slots.get_mut(slot).and_then(|b| b.get_mut(range)) else {
+            s.misses += 1;
+            return None;
+        };
+        s.bytes_read += stored.byte_size();
+        Some(read(stored))
     }
 
     /// The committed blob for key range `range` of `instance`, read without
@@ -703,6 +724,27 @@ mod tests {
         assert_eq!(store.get(i, WHOLE).unwrap().processed, 5);
         assert_eq!(store.get(i, WHOLE).unwrap().processed, 5);
         assert_eq!(store.gets(), 2);
+    }
+
+    #[test]
+    fn restore_moves_the_pending_events_out_and_keeps_the_state() {
+        let mut store = ShardedStateStore::with_shards(2);
+        let i = InstanceId::from_index(1);
+        let blob =
+            StateBlob { processed: 7, pending: vec![event(1), event(2)], key_counts: vec![3, 4] };
+        let size = blob.byte_size();
+        store.put(i, WHOLE, blob.clone());
+        assert_eq!(store.restore(i, WHOLE), Some(blob.clone()));
+        assert_eq!(store.bytes_read(), size, "the first restore reads the whole blob");
+        // A second restore from the same blob replays nothing, yet still
+        // finds the user state and counters.
+        let again = StateBlob { pending: Vec::new(), ..blob };
+        assert_eq!(store.restore(i, WHOLE), Some(again.clone()));
+        assert_eq!(store.get(i, WHOLE), Some(again.clone()));
+        assert_eq!(store.bytes_read(), size + 2 * again.byte_size());
+        assert_eq!((store.gets(), store.misses(), store.len()), (3, 0, 1));
+        assert_eq!(store.restore(InstanceId::from_index(3), WHOLE), None);
+        assert_eq!((store.gets(), store.misses()), (4, 1));
     }
 
     #[test]

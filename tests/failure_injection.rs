@@ -344,12 +344,13 @@ fn quorum_replication_rides_out_a_mid_wave_replica_loss() {
 /// ROLLBACK re-initializes an instance that lost its state from its last
 /// committed blob, and that fetch is priced by the blob it reads. CCR on a
 /// Zipf-keyed `linear` commits `t2`'s first instance at the 60 s
-/// migration with one captured event and 64 partition counters. The
-/// instance then crashes (150–155 s), so the 200 s migration's PREPARE
-/// stalls and times out into ROLLBACK at 230 s, and the ROLLBACK fetches
-/// that 60 s blob. Its 17 event equivalents (the captured event, and 64
-/// counters in 16) cost 17 × 50 µs on top of the 230.003000 s an empty
-/// blob would restore at.
+/// migration with one captured event and 64 partition counters, and its
+/// INIT replays that event, which leaves the blob with it. The instance
+/// then crashes (150–155 s), so the 200 s migration's PREPARE stalls and
+/// times out into ROLLBACK at 230 s, and the ROLLBACK fetches that 60 s
+/// blob. Its 16 event equivalents (64 counters) cost 16 × 50 µs on top of
+/// the 230.003000 s an empty blob would restore at, and it replays
+/// nothing: the captured event was handed to the instance once.
 fn ccr_rollback_re_init_is_priced_by_the_committed_blob(service: StoreServiceModel) {
     let dag = library::zipf_keyed(&library::linear(), 64, 1);
     let instances = InstanceSet::plan(&dag);
@@ -379,14 +380,27 @@ fn ccr_rollback_re_init_is_priced_by_the_committed_blob(service: StoreServiceMod
         _ => None,
     });
     assert_eq!(rollback_at, Some(SimTime::from_secs(230)), "the 200 s PREPARE timed out");
-    let last_restore = engine.trace().iter().rev().find_map(|e| match *e {
-        TraceEvent::InstanceRestored { instance, at, .. } if instance == victim => Some(at),
-        _ => None,
-    });
+    let restores: Vec<(SimTime, u32)> = engine
+        .trace()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::InstanceRestored { instance, at, pending_replayed }
+                if instance == victim =>
+            {
+                Some((at, pending_replayed))
+            }
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        last_restore,
-        Some(SimTime::from_micros(230_003_850)),
-        "the ROLLBACK fetch pays for the captured event and the 64 counters it reads"
+        restores.iter().map(|&(_, replayed)| replayed).collect::<Vec<_>>(),
+        [1, 0],
+        "the INIT replays the captured event and the ROLLBACK re-init does not"
+    );
+    assert_eq!(
+        restores.last().map(|&(at, _)| at),
+        Some(SimTime::from_micros(230_003_800)),
+        "the ROLLBACK fetch pays for the 64 counters it reads"
     );
     assert!(engine.is_initialized(victim), "ROLLBACK re-initialized the victim");
     check_queue_accounting(&engine, service);
