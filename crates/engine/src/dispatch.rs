@@ -11,7 +11,6 @@
 //! VM column ([`DispatchTables::refresh_vms`]), or rebuilds every table
 //! when the DAG changed. The per-event cost drops to array indexing.
 
-use crate::instance::InstanceRuntime;
 use flowmig_cluster::{Assignment, VmId};
 use flowmig_sim::SimDuration;
 use flowmig_topology::{
@@ -41,6 +40,11 @@ pub(crate) struct InstanceMeta {
     pub slot: u32,
     /// Total replicas of the owning task.
     pub task_replicas: u32,
+    /// Where this instance's round-robin cursors start in the engine's
+    /// flat cursor array, one per out-edge: the out-degrees of the
+    /// instances before it, summed. A logic update keeps every task's
+    /// out-degree, so a rebuild keeps every base and the shuffle order.
+    pub cursor_base: u32,
 }
 
 /// The flat dispatch tables of one engine configuration.
@@ -54,6 +58,9 @@ pub(crate) struct DispatchTables {
     /// Per instance: hosting VM under the *current* assignment. Re-read
     /// when `on_target` flips.
     vm: Vec<Option<VmId>>,
+    /// Length of the flat cursor array: every instance's out-degree,
+    /// summed.
+    cursor_count: usize,
 }
 
 impl DispatchTables {
@@ -66,12 +73,16 @@ impl DispatchTables {
         shard_count: usize,
     ) -> Self {
         let n = instances.len();
+        let edges = EdgeTable::build(dag, instances);
         let mut meta = Vec::with_capacity(n);
         let mut vm = Vec::with_capacity(n);
+        let mut cursor_count = 0usize;
         for i in 0..n {
             let iid = InstanceId::from_index(i);
             let task = instances.task_of(iid);
             let spec = dag.spec(task);
+            let cursor_base = u32::try_from(cursor_count).expect("fewer than 2^32 cursors");
+            cursor_count += edges.out_degree(task);
             meta.push(InstanceMeta {
                 task,
                 kind: spec.kind(),
@@ -82,6 +93,7 @@ impl DispatchTables {
                 store_shard: (i % shard_count) as u32,
                 slot: u32::from(instances.replica_of(iid)),
                 task_replicas: instances.of_task(task).len() as u32,
+                cursor_base,
             });
             vm.push(assignment.vm_of(iid));
         }
@@ -92,7 +104,7 @@ impl DispatchTables {
                 spec.is_keyed().then(|| KeyPartitioner::of(spec))
             })
             .collect();
-        DispatchTables { meta, edges: EdgeTable::build(dag, instances), partitioners, vm }
+        DispatchTables { meta, edges, partitioners, vm, cursor_count }
     }
 
     /// Re-reads the VM column from `assignment`: all an assignment flip
@@ -113,6 +125,11 @@ impl DispatchTables {
     #[inline]
     pub fn vm(&self, i: usize) -> Option<VmId> {
         self.vm[i]
+    }
+
+    /// Length of the flat round-robin cursor array these tables address.
+    pub fn cursor_count(&self) -> usize {
+        self.cursor_count
     }
 
     /// Out-degree of `task`.
@@ -200,14 +217,19 @@ impl DispatchTables {
         true
     }
 
-    /// Whether each runtime's round-robin cursor array still matches its
-    /// task's out-degree (a stale table would desynchronize them).
-    pub fn cursors_consistent(&self, runtimes: &[InstanceRuntime]) -> bool {
-        runtimes.len() == self.meta.len()
-            && runtimes
-                .iter()
-                .zip(&self.meta)
-                .all(|(rt, m)| rt.rr.len() == self.edges.out_degree(m.task))
+    /// Whether `cursors` is the flat cursor array these tables address:
+    /// each instance's base offset is the sum of the out-degrees before it,
+    /// and the array holds exactly one cursor per (instance, out-edge). A
+    /// stale table would hand two instances the same cursor.
+    pub fn cursors_consistent(&self, cursors: &[usize]) -> bool {
+        let mut next = 0usize;
+        for m in &self.meta {
+            if m.cursor_base as usize != next {
+                return false;
+            }
+            next += self.edges.out_degree(m.task);
+        }
+        next == self.cursor_count && cursors.len() == self.cursor_count
     }
 }
 
@@ -301,6 +323,22 @@ mod tests {
                 assert!(t.agrees_with(&dag, &instances, assignment, 8), "{}", dag.name());
             }
         }
+    }
+
+    #[test]
+    fn cursor_bases_sum_the_out_degrees_in_instance_order() {
+        let dag = library::grid();
+        let instances = InstanceSet::plan(&dag);
+        let plan = ScalePlan::paper_scenario(&dag, &instances, ScaleDirection::In).unwrap();
+        let t = DispatchTables::build(&dag, &instances, plan.initial(), 8);
+        let degrees: Vec<usize> =
+            instances.iter().map(|i| dag.downstream(instances.task_of(i)).len()).collect();
+        assert_eq!(t.cursor_count(), degrees.iter().sum::<usize>());
+        assert!(t.cursors_consistent(&vec![0; t.cursor_count()]));
+        assert!(!t.cursors_consistent(&vec![0; t.cursor_count() - 1]), "one cursor short");
+        let mut shifted = t.clone();
+        shifted.meta[1].cursor_base += 1;
+        assert!(!shifted.cursors_consistent(&vec![0; t.cursor_count()]), "a shifted base");
     }
 
     #[test]

@@ -120,6 +120,9 @@ pub struct EngineModel {
 
     on_target: bool,
     runtimes: Vec<InstanceRuntime>,
+    /// Round-robin shuffle cursors, one per (instance, out-edge), in one
+    /// flat array: instance `i`'s start at its `InstanceMeta::cursor_base`.
+    cursors: Vec<usize>,
     sources: Vec<SourceState>,
     /// Dense instance index → index into `sources` (`u32::MAX` = not a
     /// ticking source).
@@ -311,11 +314,7 @@ impl EngineModel {
         seed: u64,
     ) -> Self {
         let n = instances.len();
-        let mut runtimes = Vec::with_capacity(n);
-        for i in 0..n {
-            let task = instances.task_of(InstanceId::from_index(i));
-            runtimes.push(InstanceRuntime::new(dag.downstream(task).len()));
-        }
+        let runtimes = std::iter::repeat_with(InstanceRuntime::new).take(n).collect();
 
         let mut sources = Vec::new();
         let mut source_of = vec![u32::MAX; n];
@@ -381,6 +380,7 @@ impl EngineModel {
             protocol,
             on_target: false,
             runtimes,
+            cursors: vec![0; tables.cursor_count()],
             sources,
             source_of,
             tables,
@@ -583,11 +583,10 @@ impl EngineModel {
             let p = self.tables.partition_of(et.dtask, key_hash(root.0));
             return et.targets[p as usize % et.targets.len()] as usize;
         }
-        let targets = &et.targets;
-        let rt = &mut self.runtimes[from];
-        let cursor = rt.rr[edge];
-        rt.rr[edge] = cursor.wrapping_add(1);
-        targets[cursor % targets.len()] as usize
+        let slot = &mut self.cursors[self.tables.meta(from).cursor_base as usize + edge];
+        let cursor = *slot;
+        *slot = cursor.wrapping_add(1);
+        et.targets[cursor % et.targets.len()] as usize
     }
 
     // ------------------------------------------------------------------
@@ -682,7 +681,7 @@ impl EngineModel {
             match item {
                 QueueItem::Data(d) => {
                     if !rt.initialized {
-                        rt.pre_init.push_back(d);
+                        rt.buffer_pre_init(d);
                         continue;
                     }
                     // Under a key-range capture only events whose key
@@ -690,7 +689,7 @@ impl EngineModel {
                     // events keep processing through the migration.
                     let captures = rt.capture
                         && is_operator
-                        && match &rt.capture_ranges {
+                        && match rt.capture_ranges() {
                             None => true,
                             Some(ranges) => {
                                 let p = self.tables.partition_of(meta.task, key_hash(d.root.0));
@@ -1232,24 +1231,21 @@ impl EngineModel {
                 }
                 let disc = self.wave_discipline(ControlKind::Prepare);
                 if disc.aligned {
-                    let seen = self.runtimes[instance].seen.record(ControlKind::Prepare, c.from);
+                    let seen = self.runtimes[instance].record_sender(ControlKind::Prepare, c.from);
                     if seen < self.expected_senders[instance] {
                         return; // waiting for the barrier to align
                     }
-                    self.runtimes[instance].seen.clear(ControlKind::Prepare);
+                    self.runtimes[instance].clear_alignment(ControlKind::Prepare);
                 }
                 if self.protocol.capture_on_prepare {
                     // A key-range PREPARE narrows the capture to the
                     // instance's migrating ranges; `None` captures all.
                     let ranges = self.scoped_ranges(ControlKind::Prepare, instance).cloned();
-                    let rt = &mut self.runtimes[instance];
-                    rt.capture = true;
-                    rt.capture_ranges = ranges;
+                    self.runtimes[instance].start_capture(ranges);
                 } else {
                     // Without a capture the instance keeps processing until
                     // COMMIT, so snapshot the state it persists now.
-                    let rt = &mut self.runtimes[instance];
-                    rt.prepared = Some((rt.processed, rt.key_processed.clone()));
+                    self.runtimes[instance].snapshot_prepared();
                 }
                 if disc.edge_forwarded {
                     self.forward_control(instance, c, sched);
@@ -1266,11 +1262,11 @@ impl EngineModel {
                 if self.wave_discipline(ControlKind::Commit).aligned {
                     // Barrier alignment only applies to the hop-by-hop
                     // sweep; hub-and-spoke COMMITs act on first receipt.
-                    let seen = self.runtimes[instance].seen.record(ControlKind::Commit, c.from);
+                    let seen = self.runtimes[instance].record_sender(ControlKind::Commit, c.from);
                     if seen < self.expected_senders[instance] {
                         return;
                     }
-                    self.runtimes[instance].seen.clear(ControlKind::Commit);
+                    self.runtimes[instance].clear_alignment(ControlKind::Commit);
                 }
                 // Second half: persist to the state store (service time
                 // plus any per-shard queueing delay). Keyed state adds the
@@ -1299,20 +1295,9 @@ impl EngineModel {
                 if self.already_acked(ControlKind::Rollback, instance) {
                     return;
                 }
-                let needs_restore = {
-                    let rt = &mut self.runtimes[instance];
-                    rt.capture = false;
-                    rt.prepared = None;
-                    rt.seen.clear(ControlKind::Prepare);
-                    rt.seen.clear(ControlKind::Commit);
-                    // Captured events resume processing locally, oldest
-                    // first.
-                    for d in rt.pending.drain(..).rev().collect::<Vec<_>>() {
-                        rt.queue.push_front(QueueItem::Data(d));
-                    }
-                    !rt.initialized
-                };
-                if needs_restore {
+                let rt = &mut self.runtimes[instance];
+                rt.roll_back();
+                if !rt.initialized {
                     // Storm's rollback semantics: re-init from the last
                     // committed state, priced by the blob it reads.
                     let payload = self.committed_blob_payload(instance).unwrap_or(0);
@@ -1385,7 +1370,7 @@ impl EngineModel {
         let ranges = scoped.as_deref().unwrap_or(&whole);
         let rt = &mut self.runtimes[instance];
         let (processed, mut counts) =
-            rt.prepared.take().unwrap_or_else(|| (rt.processed, rt.key_processed.clone()));
+            rt.take_prepared().unwrap_or_else(|| (rt.processed, rt.key_processed.clone()));
         if !meta.keyed {
             counts.clear(); // unkeyed blobs carry no counters
         } else if counts.len() < parts {
@@ -1577,8 +1562,8 @@ impl EngineModel {
         // instances keep running through the rebalance. The assignment flip
         // (`on_target`) still covers every migrating instance — only the
         // kill/respawn/state-move cost is scoped.
-        let migrating = self.rebalance_scope.clone().unwrap_or_else(|| self.migrating.clone());
-        for iid in migrating {
+        let scope = self.rebalance_scope.as_deref().unwrap_or(&self.migrating);
+        for &iid in scope {
             let lost = self.runtimes[iid.index()].kill();
             self.stats.events_dropped += lost.len() as u64;
             for d in lost {
@@ -1603,8 +1588,8 @@ impl EngineModel {
             .record(TraceEvent::PhaseEnded { phase: MigrationPhase::Rebalance, at: sched.now() });
         // Respawn exactly the set that was killed: marking a still-running
         // cold instance Starting would wrongly drop its deliveries.
-        let migrating = self.rebalance_scope.clone().unwrap_or_else(|| self.migrating.clone());
-        for iid in migrating {
+        let scope = self.rebalance_scope.as_deref().unwrap_or(&self.migrating);
+        for &iid in scope {
             self.runtimes[iid.index()].status = WorkerStatus::Starting;
             let delay = self.config.worker_ready_delay(&mut self.rng);
             sched.after(delay, Ev::WorkerReady { instance: iid.index() as u32 });
@@ -1642,7 +1627,7 @@ impl EngineModel {
             self.assignment(),
             self.store.shard_count()
         ));
-        debug_assert!(self.tables.cursors_consistent(&self.runtimes));
+        debug_assert!(self.tables.cursors_consistent(&self.cursors));
     }
 
     fn on_worker_ready(&mut self, instance: usize, sched: &mut Scheduler<'_, Ev>) {
@@ -1944,7 +1929,7 @@ impl Engine {
     /// Input-queue depth of `instance` (including buffered pre-init items).
     pub fn queue_depth(&self, instance: InstanceId) -> usize {
         let rt = &self.model.runtimes[instance.index()];
-        rt.queue.len() + rt.pre_init.len()
+        rt.queue.len() + rt.pre_init_len()
     }
 
     /// Number of events currently captured at `instance` (CCR).
@@ -2138,12 +2123,36 @@ mod tests {
 
     #[test]
     fn rebalance_with_a_staged_logic_update_rebuilds_every_table() {
-        let mut e = rebalance_only_grid();
-        let task = e.model.dag.task_by_name("m2").unwrap();
         let slower = SimDuration::from_millis(250);
-        let keyed = e.model.dag.spec(task).clone().with_latency(slower).with_key_partitions(16);
-        e.stage_logic_update(task, keyed);
-        e.schedule_migration(SimTime::from_secs(10));
+        let staged = || {
+            let mut e = rebalance_only_grid();
+            let task = e.model.dag.task_by_name("m2").unwrap();
+            let keyed = e.model.dag.spec(task).clone().with_latency(slower).with_key_partitions(16);
+            e.stage_logic_update(task, keyed);
+            e.schedule_migration(SimTime::from_secs(10));
+            e
+        };
+        // The run is deterministic: a first pass finds when the rebalance
+        // completes, a second stops just before it to read the cursors.
+        let mut probe = staged();
+        probe.run_until(SimTime::from_secs(60));
+        let (_, done_at) = probe.trace().phase_span(MigrationPhase::Rebalance).unwrap();
+        let mut e = staged();
+        let task = e.model.dag.task_by_name("m2").unwrap();
+        e.run_until(SimTime::from_micros(done_at.as_micros() - 1));
+        let bases = |m: &EngineModel| {
+            (0..m.instances.len()).map(|i| m.tables.meta(i).cursor_base).collect::<Vec<_>>()
+        };
+        let (cursors, offsets) = (e.model.cursors.clone(), bases(&e.model));
+        assert!(cursors.iter().any(|&c| c > 0), "shuffle routing ran before the rebalance");
+        e.run_until(done_at);
+        assert_eq!(e.model.stats.dispatch_rebuilds, 2, "the rebalance rebuilt the tables");
+        // The rebuild keeps every base offset and every cursor, so each
+        // shuffle continues where it stopped rather than restarting at the
+        // first replica.
+        assert_eq!(bases(&e.model), offsets);
+        assert_eq!(e.model.cursors, cursors);
+        assert!(e.model.tables.cursors_consistent(&e.model.cursors));
         e.run_until(SimTime::from_secs(60));
 
         assert!(e.model.on_target, "rebalance did not complete");
@@ -2164,6 +2173,19 @@ mod tests {
         );
         vm_only.refresh_vms(&m.target);
         assert!(!vm_only.agrees_with(&m.dag, &m.instances, &m.target, m.store.shard_count()));
+    }
+
+    #[test]
+    fn a_run_without_migration_allocates_no_cold_part() {
+        for protocol in [ProtocolConfig::dcr(), ProtocolConfig::ccr(), ProtocolConfig::dsm()] {
+            let mut e = engine_for(library::grid(), protocol, 3);
+            e.run_until(SimTime::from_secs(60));
+            assert!(e.stats().sink_arrivals > 0, "the dataflow ran");
+            assert!(
+                e.model.runtimes.iter().all(|rt| !rt.has_cold()),
+                "steady state touched an instance's cold part"
+            );
+        }
     }
 
     #[test]

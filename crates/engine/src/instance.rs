@@ -1,10 +1,17 @@
 //! Per-instance runtime state: the single-threaded input queue, protocol
 //! flags, and user state of one executor.
+//!
+//! An [`InstanceRuntime`] is a hot core that the data path and every wave
+//! touch, plus one [`ColdState`] box, allocated on first use, for what
+//! only sequential waves, killed instances awaiting their INIT, key-range
+//! captures and PREPARE snapshots touch. A run with none of these
+//! allocates no instance's cold part.
 
 use crate::event::{ControlSender, DataEvent, QueueItem};
+use crate::fasthash::FastHashSet;
 use flowmig_metrics::ControlKind;
 use flowmig_topology::KeyRange;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Lifecycle status of an instance's hosting worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +38,8 @@ pub(crate) enum Work {
     Restore(crate::event::ControlEvent),
 }
 
-/// Runtime state of one task instance.
+/// Runtime state of one task instance. Its round-robin shuffle cursors
+/// live in the engine's flat cursor array (see `InstanceMeta::cursor_base`).
 #[derive(Debug, Clone)]
 pub(crate) struct InstanceRuntime {
     /// Worker lifecycle.
@@ -47,12 +55,6 @@ pub(crate) struct InstanceRuntime {
     pub capture: bool,
     /// Captured in-flight events awaiting checkpoint + resume (CCR).
     pub pending: Vec<DataEvent>,
-    /// User state `(processed, key_processed)` snapshotted at PREPARE by
-    /// strategies that keep processing until COMMIT (no capture), and
-    /// persisted at COMMIT so the blob holds one instant's state.
-    pub prepared: Option<(u64, Vec<u64>)>,
-    /// User events received while uninitialized, replayed after INIT.
-    pub pre_init: VecDeque<DataEvent>,
     /// The user state: processed-event count (the paper's dummy stateful
     /// logic; enough to verify continuity across migration).
     pub processed: u64,
@@ -67,22 +69,44 @@ pub(crate) struct InstanceRuntime {
     /// is not recomputed from the current one. Retained across
     /// [`kill`](Self::kill), like the blob in the store.
     pub committed: Option<KeyRange>,
+    /// The rarely touched rest, boxed on first use.
+    cold: Option<Box<ColdState>>,
+}
+
+// The hot core is most of an instance's footprint at 10k-instance scale,
+// like `Ev` is of the event queue's: a field pushing it past 160 bytes
+// belongs in `ColdState`.
+const _: () = assert!(
+    std::mem::size_of::<InstanceRuntime>() <= 160,
+    "InstanceRuntime outgrew its hot core: move the new field to ColdState"
+);
+
+/// The part of an instance's runtime that only sequential waves, killed
+/// instances awaiting their INIT, key-range captures and PREPARE snapshots
+/// touch.
+#[derive(Debug, Clone, Default)]
+struct ColdState {
+    /// Alignment bookkeeping: senders seen for the current wave, per kind.
+    seen: AlignmentState,
+    /// Waves already forwarded downstream, kind-indexed
+    /// ([`ControlKind::index`]); dedup for resends, kept across
+    /// [`InstanceRuntime::kill`]. The per-kind lists stay tiny (one entry
+    /// per wave cycle), so a linear scan beats hashing.
+    forwarded: [Vec<u32>; ControlKind::COUNT],
+    /// User events received while uninitialized, replayed after INIT.
+    pre_init: VecDeque<DataEvent>,
+    /// User state `(processed, key_processed)` snapshotted at PREPARE by
+    /// strategies that keep processing until COMMIT (no capture), and
+    /// persisted at COMMIT so the blob holds one instant's state.
+    prepared: Option<(u64, Vec<u64>)>,
     /// CCR key-range capture filter: when set, only events whose key falls
     /// in one of these ranges are diverted to `pending`; others process
     /// normally. `None` means capture everything (whole-instance CCR).
-    pub capture_ranges: Option<Vec<KeyRange>>,
-    /// Alignment bookkeeping: senders seen for the current wave, per kind.
-    pub seen: AlignmentState,
-    /// Waves already forwarded downstream, kind-indexed
-    /// ([`ControlKind::index`]); dedup for resends. The per-kind lists stay
-    /// tiny (one entry per wave cycle), so a linear scan beats hashing.
-    pub forwarded: [Vec<u32>; ControlKind::COUNT],
-    /// Round-robin cursors, one per out-edge, for shuffle routing.
-    pub rr: Vec<usize>,
+    capture_ranges: Option<Vec<KeyRange>>,
 }
 
 impl InstanceRuntime {
-    pub fn new(out_degree: usize) -> Self {
+    pub fn new() -> Self {
         InstanceRuntime {
             status: WorkerStatus::Running,
             queue: VecDeque::new(),
@@ -90,15 +114,10 @@ impl InstanceRuntime {
             initialized: true,
             capture: false,
             pending: Vec::new(),
-            prepared: None,
-            pre_init: VecDeque::new(),
             processed: 0,
             key_processed: Vec::new(),
             committed: None,
-            capture_ranges: None,
-            seen: AlignmentState::default(),
-            forwarded: [const { Vec::new() }; ControlKind::COUNT],
-            rr: vec![0; out_degree],
+            cold: None,
         }
     }
 
@@ -107,10 +126,63 @@ impl InstanceRuntime {
         self.current.is_some()
     }
 
+    /// The cold part, allocated on first use.
+    fn cold_mut(&mut self) -> &mut ColdState {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Buffers a user event that arrived before the state was initialized.
+    pub fn buffer_pre_init(&mut self, d: DataEvent) {
+        self.cold_mut().pre_init.push_back(d);
+    }
+
+    /// User events buffered while uninitialized.
+    pub fn pre_init_len(&self) -> usize {
+        self.cold.as_ref().map_or(0, |c| c.pre_init.len())
+    }
+
+    /// Starts a CCR capture, narrowed to `ranges` if given (`None`
+    /// captures every event).
+    pub fn start_capture(&mut self, ranges: Option<Vec<KeyRange>>) {
+        self.capture = true;
+        if ranges.is_some() || self.cold.is_some() {
+            self.cold_mut().capture_ranges = ranges;
+        }
+    }
+
+    /// The key ranges a capture is narrowed to, if it is.
+    pub fn capture_ranges(&self) -> Option<&[KeyRange]> {
+        self.cold.as_ref()?.capture_ranges.as_deref()
+    }
+
+    /// Snapshots the user state at PREPARE, for a COMMIT to persist.
+    pub fn snapshot_prepared(&mut self) {
+        let snapshot = (self.processed, self.key_processed.clone());
+        self.cold_mut().prepared = Some(snapshot);
+    }
+
+    /// Takes the PREPARE snapshot, if one was made.
+    pub fn take_prepared(&mut self) -> Option<(u64, Vec<u64>)> {
+        self.cold.as_mut()?.prepared.take()
+    }
+
+    /// Records `from` for the current `kind` wave's barrier; returns the
+    /// number of distinct senders seen so far.
+    pub fn record_sender(&mut self, kind: ControlKind, from: ControlSender) -> usize {
+        self.cold_mut().seen.record(kind, from)
+    }
+
+    /// Clears the `kind` barrier (wave aligned or aborted).
+    pub fn clear_alignment(&mut self, kind: ControlKind) {
+        if let Some(cold) = &mut self.cold {
+            cold.seen.clear(kind);
+        }
+    }
+
     /// Records that `wave` of `kind` has been forwarded; returns `true` on
     /// first sight (same semantics as `HashSet::insert` on `(kind, wave)`).
     pub fn mark_forwarded(&mut self, kind: ControlKind, wave: u32) -> bool {
-        let seen = &mut self.forwarded[kind.index()];
+        let seen = &mut self.cold_mut().forwarded[kind.index()];
         if seen.contains(&wave) {
             return false;
         }
@@ -121,6 +193,7 @@ impl InstanceRuntime {
     /// Drops all queued work (worker killed); returns the data events that
     /// were lost, for loss accounting: queued, in service, buffered before
     /// INIT, and captured by a PREPARE but not yet persisted by a COMMIT.
+    /// The forwarded-wave dedup survives: resends span the respawn.
     pub fn kill(&mut self) -> Vec<DataEvent> {
         self.status = WorkerStatus::Dead;
         let mut lost: Vec<DataEvent> = Vec::new();
@@ -132,15 +205,31 @@ impl InstanceRuntime {
         if let Some(Work::Data(d)) = self.current.take() {
             lost.push(d);
         }
-        lost.extend(self.pre_init.drain(..));
+        if let Some(cold) = &mut self.cold {
+            lost.extend(cold.pre_init.drain(..));
+            cold.capture_ranges = None;
+            cold.prepared = None;
+            cold.seen = AlignmentState::default();
+        }
         lost.append(&mut self.pending);
         self.current = None;
         self.initialized = false;
         self.capture = false;
-        self.capture_ranges = None;
-        self.prepared = None;
-        self.seen = AlignmentState::default();
         lost
+    }
+
+    /// Aborts the migration at this instance (ROLLBACK): the capture and
+    /// the PREPARE snapshot end, both barriers clear, and captured events
+    /// resume processing locally, oldest first.
+    pub fn roll_back(&mut self) {
+        self.capture = false;
+        if let Some(cold) = &mut self.cold {
+            cold.prepared = None;
+            cold.seen = AlignmentState::default();
+        }
+        while let Some(d) = self.pending.pop() {
+            self.queue.push_front(QueueItem::Data(d));
+        }
     }
 
     /// Resumes after a restore: the user state is initialized, any capture
@@ -150,20 +239,31 @@ impl InstanceRuntime {
     pub fn resume(&mut self, fetched: Vec<DataEvent>) {
         self.initialized = true;
         self.capture = false;
-        self.capture_ranges = None;
-        let front = self.pre_init.drain(..).rev().chain(self.pending.drain(..).rev());
-        for d in front.chain(fetched.into_iter().rev()) {
-            self.queue.push_front(QueueItem::Data(d));
+        let queue = &mut self.queue;
+        let mut push_front = |d| queue.push_front(QueueItem::Data(d));
+        if let Some(cold) = &mut self.cold {
+            cold.capture_ranges = None;
+            cold.pre_init.drain(..).rev().for_each(&mut push_front);
         }
+        self.pending.drain(..).rev().for_each(&mut push_front);
+        fetched.into_iter().rev().for_each(push_front);
+    }
+
+    /// Whether the cold part has been allocated.
+    #[cfg(test)]
+    pub fn has_cold(&self) -> bool {
+        self.cold.is_some()
     }
 }
 
 /// Barrier-alignment bookkeeping for sequential waves: which senders have
-/// been seen for the current `(kind, wave-cycle)`.
+/// been seen for the current `(kind, wave-cycle)`. Only membership and
+/// size are read, never the iteration order, so the sets use the in-tree
+/// [`FxHasher`](crate::FxHasher).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AlignmentState {
-    prepare: HashSet<ControlSender>,
-    commit: HashSet<ControlSender>,
+struct AlignmentState {
+    prepare: FastHashSet<ControlSender>,
+    commit: FastHashSet<ControlSender>,
 }
 
 impl AlignmentState {
@@ -179,7 +279,7 @@ impl AlignmentState {
         self.set_mut(kind).clear();
     }
 
-    fn set_mut(&mut self, kind: ControlKind) -> &mut HashSet<ControlSender> {
+    fn set_mut(&mut self, kind: ControlKind) -> &mut FastHashSet<ControlSender> {
         match kind {
             ControlKind::Prepare => &mut self.prepare,
             ControlKind::Commit => &mut self.commit,
@@ -187,6 +287,12 @@ impl AlignmentState {
             // mapping them keeps the call sites uniform.
             ControlKind::Init | ControlKind::Rollback => &mut self.prepare,
         }
+    }
+
+    /// Whether no sender is recorded for any kind.
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.prepare.is_empty() && self.commit.is_empty()
     }
 }
 
@@ -201,18 +307,31 @@ mod tests {
         DataEvent { id, root: RootId(id), generated_at: SimTime::ZERO, replayed: false }
     }
 
+    fn upstream(i: usize) -> ControlSender {
+        ControlSender::Upstream(InstanceId::from_index(i))
+    }
+
     #[test]
     fn new_instance_is_idle_running_initialized() {
-        let r = InstanceRuntime::new(2);
+        let r = InstanceRuntime::new();
         assert_eq!(r.status, WorkerStatus::Running);
         assert!(!r.busy());
         assert!(r.initialized);
-        assert_eq!(r.rr, vec![0, 0]);
+        assert!(!r.has_cold(), "a fresh instance allocates no cold part");
+    }
+
+    #[test]
+    fn the_hot_core_fits_its_budget_and_the_cold_part_is_one_pointer() {
+        let hot = std::mem::size_of::<InstanceRuntime>();
+        assert!(hot <= 160, "InstanceRuntime is {hot} bytes");
+        assert_eq!(std::mem::size_of::<Option<Box<ColdState>>>(), std::mem::size_of::<usize>());
+        // What moved out outweighs the pointer that replaced it.
+        assert!(std::mem::size_of::<ColdState>() > 200);
     }
 
     #[test]
     fn kill_drops_queue_and_reports_losses() {
-        let mut r = InstanceRuntime::new(1);
+        let mut r = InstanceRuntime::new();
         r.queue.push_back(QueueItem::Data(data(1)));
         r.queue.push_back(QueueItem::Control(crate::event::ControlEvent {
             kind: ControlKind::Prepare,
@@ -221,7 +340,7 @@ mod tests {
         }));
         r.queue.push_back(QueueItem::Data(data(2)));
         r.current = Some(Work::Data(data(3)));
-        r.pre_init.push_back(data(4));
+        r.buffer_pre_init(data(4));
         r.pending.push(data(5));
         let lost = r.kill();
         // 2 queued + 1 in-flight + 1 pre-init + 1 captured.
@@ -235,11 +354,12 @@ mod tests {
 
     #[test]
     fn resume_orders_fetched_then_resident_then_pre_init_events() {
-        let mut r = InstanceRuntime::new(1);
+        let mut r = InstanceRuntime::new();
         r.initialized = false;
-        r.capture = true;
+        r.start_capture(Some(vec![KeyRange::new(0, 1)]));
         r.queue.push_back(QueueItem::Data(data(7)));
-        r.pre_init.extend([data(5), data(6)]);
+        r.buffer_pre_init(data(5));
+        r.buffer_pre_init(data(6));
         r.pending.extend([data(3), data(4)]);
         r.resume(vec![data(1), data(2)]);
         let order: Vec<u64> = r
@@ -251,13 +371,36 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5, 6, 7]);
-        assert!(r.pending.is_empty() && r.pre_init.is_empty());
-        assert!(r.initialized && !r.capture);
+        assert!(r.pending.is_empty() && r.pre_init_len() == 0);
+        assert!(r.initialized && !r.capture && r.capture_ranges().is_none());
+    }
+
+    #[test]
+    fn roll_back_requeues_captured_events_oldest_first_and_clears_the_barriers() {
+        let mut r = InstanceRuntime::new();
+        r.queue.push_back(QueueItem::Data(data(3)));
+        r.start_capture(None);
+        r.pending.extend([data(1), data(2)]);
+        r.snapshot_prepared();
+        assert_eq!(r.record_sender(ControlKind::Commit, upstream(1)), 1);
+        r.roll_back();
+        let order: Vec<u64> = r
+            .queue
+            .iter()
+            .map(|item| match item {
+                QueueItem::Data(d) => d.id,
+                QueueItem::Control(_) => unreachable!("only data was queued"),
+            })
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
+        assert!(!r.capture && r.pending.is_empty());
+        assert_eq!(r.take_prepared(), None);
+        assert_eq!(r.record_sender(ControlKind::Commit, upstream(2)), 1, "barrier cleared");
     }
 
     #[test]
     fn mark_forwarded_dedups_per_kind_and_survives_kill() {
-        let mut r = InstanceRuntime::new(1);
+        let mut r = InstanceRuntime::new();
         assert!(r.mark_forwarded(ControlKind::Prepare, 1));
         assert!(!r.mark_forwarded(ControlKind::Prepare, 1));
         // Other kinds and waves are independent.
@@ -267,16 +410,32 @@ mod tests {
         assert!(r.mark_forwarded(ControlKind::Init, 3));
         assert!(r.mark_forwarded(ControlKind::Init, 2));
         assert!(!r.mark_forwarded(ControlKind::Init, 3));
-        // kill() must not forget forwarded waves (resend dedup spans respawn).
+        // Fill every other part of the cold state before the kill.
+        assert_eq!(r.record_sender(ControlKind::Prepare, upstream(1)), 1);
+        assert_eq!(r.record_sender(ControlKind::Commit, upstream(1)), 1);
+        r.start_capture(Some(vec![KeyRange::new(0, 2)]));
+        r.processed = 9;
+        r.snapshot_prepared();
+        r.buffer_pre_init(data(1));
         r.kill();
+        // kill() clears the alignment sets, the capture ranges, the PREPARE
+        // snapshot and the pre-INIT buffer...
+        let cold = r.cold.as_ref().expect("the cold part outlives the kill");
+        assert!(cold.seen.is_empty(), "alignment sets cleared");
+        assert!(r.capture_ranges().is_none(), "capture ranges cleared");
+        assert_eq!(r.pre_init_len(), 0, "pre-INIT buffer drained");
+        assert_eq!(r.take_prepared(), None, "PREPARE snapshot dropped");
+        // ...but must not forget forwarded waves (resend dedup spans
+        // respawn).
         assert!(!r.mark_forwarded(ControlKind::Prepare, 1));
+        assert!(!r.mark_forwarded(ControlKind::Init, 2));
     }
 
     #[test]
     fn alignment_counts_distinct_senders() {
         let mut a = AlignmentState::default();
-        let s1 = ControlSender::Upstream(InstanceId::from_index(1));
-        let s2 = ControlSender::Upstream(InstanceId::from_index(2));
+        let s1 = upstream(1);
+        let s2 = upstream(2);
         assert_eq!(a.record(ControlKind::Prepare, s1), 1);
         assert_eq!(a.record(ControlKind::Prepare, s1), 1); // duplicate
         assert_eq!(a.record(ControlKind::Prepare, s2), 2);

@@ -75,13 +75,28 @@
 //! (including the per-delivery "is this instance mid-respawn?" test) are
 //! O(1) and waves visit their targets in index order without a sort.
 //!
+//! **Instance state.** Each instance's runtime is a hot core that the
+//! data path and every wave touch: worker status, the input queue, the
+//! work in service, the capture flag and captured events, and the user
+//! state. What only sequential waves, killed instances awaiting their
+//! INIT, key-range captures and PREPARE snapshots touch — the
+//! barrier-alignment sets, the forwarded-wave dedup (which a kill keeps,
+//! so resends span a respawn), the pre-INIT buffer, the PREPARE snapshot
+//! and the key-range capture filter — sits in one cold part, boxed on
+//! first use. The round-robin shuffle cursors of all instances share one
+//! flat engine-owned array, each instance's starting at its
+//! `InstanceMeta` base offset, so deploying a dataflow makes no
+//! allocation per instance; a compile-time assertion keeps the core
+//! within 160 bytes.
+//!
 //! **Hashing policy.** Bookkeeping keyed by dense instance indices lives
 //! in `Vec`s or bitsets, not hash maps — the state store's blobs included,
 //! in one slot per instance on its shard. The maps that remain are keyed
-//! by sparse ids (acker ledgers and the root replay cache, by root id) and
-//! use the in-tree [`FxHasher`] — see [`fasthash`] for the rule on when a
-//! map may adopt it (no observable iteration-order dependence; the
-//! determinism pins are the regression proof).
+//! by sparse ids (acker ledgers and the root replay cache, by root id;
+//! each instance's alignment sets, by control sender) and use the in-tree
+//! [`FxHasher`] — see [`fasthash`] for the rule on when a map may adopt it
+//! (no observable iteration-order dependence; the determinism pins are the
+//! regression proof).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

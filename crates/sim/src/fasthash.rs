@@ -14,7 +14,8 @@
 //! (one slot per instance on its shard, holding that instance's key-range
 //! blobs) are indexed by the instance number directly, which costs
 //! neither a hash nor a sort to iterate in order. Hash maps are for
-//! sparse keys only: root ids and the queue's run keys. A map may adopt
+//! sparse keys only: root ids, the queue's run keys, and the control
+//! senders an instance's barrier alignment has seen. A map may adopt
 //! [`FastHashMap`]/[`FastHashSet`] only if no observable behavior depends
 //! on its iteration order: every current user either accesses entries
 //! purely by key or sorts whatever it iterates (e.g. `Acker::expire`
