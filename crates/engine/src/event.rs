@@ -102,6 +102,14 @@ pub(crate) enum Ev {
 // pushing the enum past it would bloat every queue entry.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 48, "Ev outgrew Deliver: box the new payload");
 
+// Likewise an instance's hot core is most of its footprint at
+// 10k-instance scale: a field pushing it past 160 bytes belongs in the
+// boxed cold part.
+const _: () = assert!(
+    std::mem::size_of::<crate::instance::InstanceRuntime>() <= 160,
+    "InstanceRuntime outgrew its hot core: move the new field to its cold part"
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
