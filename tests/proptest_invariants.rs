@@ -245,7 +245,8 @@ proptest! {
     /// The dense store answers every blob query like a plain `HashMap`
     /// keyed by `(instance, key range)` fed the same calls — several ranges
     /// per instance, overwrites, misses, instances past any slot it has
-    /// grown — and keeps each shard's traffic counters and blob count.
+    /// grown, restores that take a blob's captured events with them — and
+    /// keeps each shard's traffic counters and blob count.
     #[test]
     fn dense_store_matches_a_hash_map_model(
         shards in 1usize..9,
@@ -267,13 +268,23 @@ proptest! {
                     model.insert((i, range), blob);
                 }
                 2 | 3 => {
-                    let want = model.get(&(i, range)).cloned();
+                    let stored = model.get_mut(&(i, range));
                     counters.gets += 1;
-                    match &want {
+                    match &stored {
                         Some(blob) => counters.bytes_read += blob.byte_size(),
                         None => counters.misses += 1,
                     }
-                    prop_assert_eq!(store.get(i, range), want, "get({}, {:?})", i, range);
+                    if call == 2 {
+                        let want = stored.map(|blob| blob.clone());
+                        prop_assert_eq!(store.get(i, range), want, "get({}, {:?})", i, range);
+                    } else {
+                        let want = stored.map(|blob| {
+                            let restored = blob.clone();
+                            blob.pending.clear();
+                            restored
+                        });
+                        prop_assert_eq!(store.restore(i, range), want, "restore({}, {:?})", i, range);
+                    }
                 }
                 4 => prop_assert_eq!(store.contains(i, range), model.contains_key(&(i, range))),
                 _ => {
