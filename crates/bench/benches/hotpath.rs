@@ -265,7 +265,7 @@ fn bench_sharded_store(c: &mut Criterion) {
                     }
                     let mut fetched = 0usize;
                     for idx in 0..64 {
-                        let blob = store.get(InstanceId::from_index(idx), whole);
+                        let blob = store.restore(InstanceId::from_index(idx), whole);
                         fetched += blob.map_or(0, |b| b.pending.len());
                     }
                     black_box((fetched, store.bytes_written()))
@@ -276,7 +276,7 @@ fn bench_sharded_store(c: &mut Criterion) {
     }
     // scale-10k's COMMIT/INIT shape: every one of 10,000 instances is
     // admitted and persisted at one instant over 32 flat shards, then
-    // peeked, admitted and fetched at a later one, so each shard's
+    // peeked, admitted and restored at a later one, so each shard's
     // in-flight window grows to 313 in both waves.
     group.bench_function("commit_init_wave_10k_instances_32_shards", |b| {
         let (commit, init) = (SimTime::from_secs(1), SimTime::from_secs(2));
@@ -294,7 +294,7 @@ fn bench_sharded_store(c: &mut Criterion) {
                     let i = InstanceId::from_index(idx);
                     let pending = store.peek_pending_len(i, &[whole]) as u64;
                     store.admit(i, init, service, StoreOpKind::Fetch);
-                    restored += pending + store.get(i, whole).map_or(0, |b| b.processed);
+                    restored += pending + store.restore(i, whole).map_or(0, |b| b.processed);
                 }
                 black_box((restored, store.max_queue_depth()))
             },

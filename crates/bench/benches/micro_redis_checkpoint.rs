@@ -112,7 +112,7 @@ fn main() {
         key_counts: Vec::new(),
     };
     store.put(instance, whole, blob.clone());
-    let restored = store.get(instance, whole).expect("blob present");
+    let restored = store.restore(instance, whole).expect("blob present");
     assert_eq!(restored, blob);
     println!(
         "durability check passed: 2000-event blob round-trips intact ({} puts, {} gets)",

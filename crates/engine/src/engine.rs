@@ -1446,9 +1446,9 @@ impl EngineModel {
     /// (a ROLLBACK reads the whole-instance blob) and rebuilds the instance
     /// from them. The blobs' captured events leave the store with the fetch
     /// ([`ShardedStateStore::restore`]), so a later restore from the same
-    /// blobs does not replay them a second time. A whole-instance restore replaces the user state; a
-    /// key-range restore merges the fetched hot counters into the cold ones
-    /// that stayed in place.
+    /// blobs does not replay them a second time. A whole-instance restore
+    /// replaces the user state; a key-range restore merges the fetched hot
+    /// counters into the cold ones that stayed in place.
     fn finish_restore(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
         let iid = InstanceId::from_index(instance);
         let meta = *self.tables.meta(instance);

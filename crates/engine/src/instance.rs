@@ -314,15 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn the_hot_core_fits_its_budget_and_the_cold_part_is_one_pointer() {
-        let hot = std::mem::size_of::<InstanceRuntime>();
-        assert!(hot <= 160, "InstanceRuntime is {hot} bytes");
-        assert_eq!(std::mem::size_of::<Option<Box<ColdState>>>(), std::mem::size_of::<usize>());
-        // What moved out outweighs the pointer that replaced it.
-        assert!(std::mem::size_of::<ColdState>() > 200);
-    }
-
-    #[test]
     fn kill_drops_queue_and_reports_losses() {
         let mut r = InstanceRuntime::new();
         r.queue.push_back(QueueItem::Data(data(1)));

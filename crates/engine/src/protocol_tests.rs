@@ -577,7 +577,7 @@ fn key_range_commit_files_only_hot_events_into_the_hot_blob() {
     engine.run_until(persisted_at - SimDuration::from_micros(1));
     let captured = engine.captured_len(replicas[0]);
     engine.run_until(persisted_at);
-    let blob = engine.store().clone().get(replicas[0], hot).expect("hot blob");
+    let blob = engine.store().peek(replicas[0], hot).expect("hot blob");
     let zipf = flowmig_topology::TaskSpec::operator("op").with_zipf_keys(8, 2);
     let partition = |root: u64| zipf.partition_of(crate::engine::key_hash(root));
     assert!(!blob.pending.is_empty(), "hot captured events are persisted");

@@ -510,36 +510,13 @@ impl ShardedStateStore {
         }
     }
 
-    /// Fetches the last committed blob for key range `range` of
-    /// `instance`, if any.
-    ///
-    /// Returns a clone: the store keeps its copy unchanged.
-    pub fn get(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
-        self.fetch(instance, range, |blob| blob.clone())
-    }
-
     /// Fetches the last committed blob for key range `range` of `instance`
-    /// to restore from it: counted like [`get`](Self::get), the whole blob
-    /// in `bytes_read`, but its captured `pending` events move out of the
-    /// store. The restore replays them, so a later restore from the same
-    /// blob (a ROLLBACK re-init after an INIT) must not replay them again;
-    /// the user state and counters stay for it.
+    /// to restore from it, if any. A hit counts the whole blob in
+    /// `bytes_read`; the blob's captured `pending` events move out of the
+    /// store, since the restore replays them and a later restore from the
+    /// same blob (a ROLLBACK re-init after an INIT) must not replay them
+    /// again. The user state and counters stay for it.
     pub fn restore(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
-        self.fetch(instance, range, |blob| StateBlob {
-            processed: blob.processed,
-            pending: std::mem::take(&mut blob.pending),
-            key_counts: blob.key_counts.clone(),
-        })
-    }
-
-    /// One counted fetch: a hit reads the stored blob's whole size and
-    /// hands back what `read` makes of it; a miss reads nothing.
-    fn fetch(
-        &mut self,
-        instance: InstanceId,
-        range: KeyRange,
-        read: impl FnOnce(&mut StateBlob) -> StateBlob,
-    ) -> Option<StateBlob> {
         let (shard, slot) = self.locate(instance);
         let s = &mut self.shards[shard];
         s.gets += 1;
@@ -548,7 +525,11 @@ impl ShardedStateStore {
             return None;
         };
         s.bytes_read += stored.byte_size();
-        Some(read(stored))
+        Some(StateBlob {
+            processed: stored.processed,
+            pending: std::mem::take(&mut stored.pending),
+            key_counts: stored.key_counts.clone(),
+        })
     }
 
     /// The committed blob for key range `range` of `instance`, read without
@@ -692,7 +673,7 @@ mod tests {
             key_counts: Vec::new(),
         };
         store.put(i, WHOLE, blob.clone());
-        assert_eq!(store.get(i, WHOLE), Some(blob));
+        assert_eq!(store.restore(i, WHOLE), Some(blob));
         assert!(store.contains(i, WHOLE));
         assert_eq!(store.len(), 1);
     }
@@ -700,7 +681,7 @@ mod tests {
     #[test]
     fn missing_instance_returns_none() {
         let mut store = ShardedStateStore::new();
-        assert_eq!(store.get(InstanceId::from_index(5), WHOLE), None);
+        assert_eq!(store.restore(InstanceId::from_index(5), WHOLE), None);
         assert_eq!(store.gets(), 1);
         assert!(store.is_empty());
     }
@@ -711,18 +692,19 @@ mod tests {
         let i = InstanceId::from_index(0);
         store.put(i, WHOLE, StateBlob::of_count(1));
         store.put(i, WHOLE, StateBlob::of_count(2));
-        assert_eq!(store.get(i, WHOLE).unwrap().processed, 2);
+        assert_eq!(store.restore(i, WHOLE).unwrap().processed, 2);
         assert_eq!(store.puts(), 2);
         assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn repeated_get_is_idempotent() {
+        // A blob without captured events restores the same state each time.
         let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(0);
         store.put(i, WHOLE, StateBlob::of_count(5));
-        assert_eq!(store.get(i, WHOLE).unwrap().processed, 5);
-        assert_eq!(store.get(i, WHOLE).unwrap().processed, 5);
+        assert_eq!(store.restore(i, WHOLE).unwrap().processed, 5);
+        assert_eq!(store.restore(i, WHOLE).unwrap().processed, 5);
         assert_eq!(store.gets(), 2);
     }
 
@@ -740,11 +722,8 @@ mod tests {
         // finds the user state and counters.
         let again = StateBlob { pending: Vec::new(), ..blob };
         assert_eq!(store.restore(i, WHOLE), Some(again.clone()));
-        assert_eq!(store.get(i, WHOLE), Some(again.clone()));
-        assert_eq!(store.bytes_read(), size + 2 * again.byte_size());
-        assert_eq!((store.gets(), store.misses(), store.len()), (3, 0, 1));
-        assert_eq!(store.restore(InstanceId::from_index(3), WHOLE), None);
-        assert_eq!((store.gets(), store.misses()), (4, 1));
+        assert_eq!(store.bytes_read(), size + again.byte_size());
+        assert_eq!((store.gets(), store.misses(), store.len()), (2, 0, 1));
     }
 
     #[test]
@@ -770,15 +749,15 @@ mod tests {
         assert!(!store.contains(i, KeyRange::new(1, 2)), "an unwritten range is absent");
         assert!(!store.contains(InstanceId::from_index(3), hot), "ranges are per instance");
         // A range persist never shadows the whole-instance blob.
-        assert_eq!(store.get(i, whole).unwrap().processed, 10);
-        assert_eq!(store.get(i, hot).unwrap().processed, 6);
+        assert_eq!(store.peek(i, whole).unwrap().processed, 10);
+        assert_eq!(store.peek(i, hot).unwrap().processed, 6);
         // Pending lengths sum over the ranges present; absent ones are 0.
         assert_eq!(store.peek_pending_len(i, &[whole]), 1);
         assert_eq!(store.peek_pending_len(i, &[hot, warm]), 6);
         assert_eq!(store.peek_pending_len(i, &[hot, KeyRange::new(4, 8)]), 2);
         assert_eq!(store.peek_pending_len(i, &[]), 0);
         assert_eq!(store.peek_pending_len(InstanceId::from_index(5), &[whole]), 0);
-        assert_eq!(store.gets(), 2, "peeking is not a fetch");
+        assert_eq!(store.gets(), 0, "peeking is not a fetch");
     }
 
     #[test]
@@ -793,7 +772,7 @@ mod tests {
             assert_eq!(store.shard_stats(shard).blobs, 3, "shard {shard}");
         }
         // Reads hit only the owning shard.
-        assert!(store.get(InstanceId::from_index(5), WHOLE).is_some());
+        assert!(store.restore(InstanceId::from_index(5), WHOLE).is_some());
         assert_eq!(store.shard_stats(1).gets, 1);
         assert_eq!(store.shard_stats(0).gets, 0);
     }
@@ -821,10 +800,10 @@ mod tests {
         assert_eq!(store.shard_stats(1).bytes_written, expected);
         assert_eq!(store.bytes_written(), expected);
         assert_eq!(store.bytes_read(), 0);
-        let _ = store.get(i, WHOLE);
+        let _ = store.restore(i, WHOLE);
         assert_eq!(store.bytes_read(), expected);
         // A miss reads nothing.
-        let _ = store.get(InstanceId::from_index(3), WHOLE);
+        let _ = store.restore(InstanceId::from_index(3), WHOLE);
         assert_eq!(store.bytes_read(), expected);
     }
 
@@ -841,13 +820,13 @@ mod tests {
         let written = store.shard_stats(1).bytes_written;
         assert!(written > 0);
 
-        assert!(store.get(absent, WHOLE).is_none());
+        assert!(store.restore(absent, WHOLE).is_none());
         let stats = store.shard_stats(1);
         assert_eq!(stats.gets, 1, "a miss is still a served fetch");
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.bytes_read, 0, "misses read nothing");
 
-        assert!(store.get(present, WHOLE).is_some());
+        assert!(store.restore(present, WHOLE).is_some());
         let stats = store.shard_stats(1);
         assert_eq!(stats.gets, 2);
         assert_eq!(stats.misses, 1, "hits don't count as misses");

@@ -157,7 +157,7 @@ fn a_re_keyed_task_restores_the_state_it_committed() {
         engine.run_until(SimTime::from_micros(first.as_micros() - 1));
         let mut store = engine.store().clone();
         for (at, i, replayed) in restores {
-            let blob = store.get(i, committed).expect("the instance committed");
+            let blob = store.restore(i, committed).expect("the instance committed");
             engine.run_until(at);
             assert!(blob.processed > 0, "{name}: {i} committed real state");
             assert_eq!(engine.processed_count(i), blob.processed, "{name}: {i} count restored");

@@ -249,7 +249,7 @@ fn whole_instance_checkpoints_of_keyed_state_hold_one_instant() {
             for (i, whole) in keyed_instances(&dag) {
                 let counts: u64 = engine.key_processed(i).iter().sum();
                 assert_eq!(engine.processed_count(i), counts, "{label}: {i} state is torn");
-                if let Some(blob) = store.get(i, whole) {
+                if let Some(blob) = store.restore(i, whole) {
                     let counts: u64 = blob.key_counts.iter().sum();
                     assert_eq!(blob.processed, counts, "{label}: {i} checkpoint is torn");
                     blobs += 1;
@@ -286,7 +286,7 @@ fn ccr_pipelined_restores_committed_key_counters_exactly() {
     for &(at, i) in &restores {
         engine.run_until(at);
         let whole = keyed.iter().find(|(k, _)| *k == i).expect("keyed").1;
-        let blob = engine.store().clone().get(i, whole).expect("the instance committed");
+        let blob = engine.store().clone().restore(i, whole).expect("the instance committed");
         assert_eq!(engine.key_processed(i), &blob.key_counts[..], "{i} counters restored");
         assert_eq!(engine.processed_count(i), blob.processed, "{i} count restored");
         assert!(blob.processed > 0, "{i} restored real state");
