@@ -24,7 +24,10 @@ pub struct MigrationOutcome {
     /// the horizon. The trace, stats and metrics then cover a truncated
     /// timeline.
     pub budget_exhausted: bool,
-    /// The full trace, for timeline plots and custom analysis.
+    /// The run's trace, for timeline plots and custom analysis. It keeps
+    /// the events its [`EngineConfig::trace`] level keeps: by default every
+    /// event the metrics read, but not the per-root acker outcomes or the
+    /// per-instance lifecycle.
     pub trace: TraceLog,
     /// Final per-shard store counters, in shard order — put/get traffic
     /// plus the queueing observables (`max_queue_depth`, `queued_ops`,

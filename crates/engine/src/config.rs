@@ -26,6 +26,7 @@
 //! up per event — is the crate-level "Dispatch model" section
 //! ([`crate`]).
 
+use flowmig_metrics::TraceLevel;
 use flowmig_sim::{QueueBackend, SimDuration, SimExecutor, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -246,6 +247,14 @@ pub struct EngineConfig {
     /// because run records print it (the `perfbench` record line reads
     /// `sim_executor=single-thread`).
     pub sim_workers: SimExecutor,
+    /// Which events the engine's trace keeps. The default,
+    /// [`TraceLevel::Metrics`], keeps every event the metrics and timelines
+    /// read; [`TraceLevel::Full`] adds the per-root acker outcomes and the
+    /// per-instance lifecycle. Only recording changes: no engine or
+    /// coordinator decision reads the trace, so stats, metrics and the
+    /// kept events are the same at either level. See the crate-level
+    /// "Trace levels" section.
+    pub trace: TraceLevel,
 }
 
 impl Default for EngineConfig {
@@ -274,6 +283,7 @@ impl Default for EngineConfig {
             event_budget: 100_000_000,
             queue_backend: queue_backend_from_env(),
             sim_workers: SimExecutor::SingleThread,
+            trace: TraceLevel::default(),
         }
     }
 }

@@ -389,7 +389,7 @@ impl EngineModel {
             acker: Acker::new(config.ack_timeout),
             cache: FastHashMap::default(),
             store,
-            trace: TraceLog::new(),
+            trace: TraceLog::with_level(config.trace),
             stats,
             rng: SimRng::seed_from(seed),
             coordinator: Some(coordinator),
@@ -1014,12 +1014,8 @@ impl EngineModel {
             // while starting): already-acked instances would ack as
             // duplicates without advancing any window, wedging the shard
             // behind them.
-            let acked = self.trackers[kind.index()].as_ref().map(|t| &t.acked);
             let members =
                 self.scope_sets[kind.index()].as_ref().map_or(&self.participants, |s| &s.members);
-            let targets = members
-                .iter()
-                .filter(|&i| !(disc.windowed && acked.is_some_and(|a| a.contains(i))));
             let from = ControlSender::CheckpointSource(TaskId::from_index(0));
             if disc.windowed {
                 // Paced by the sharded store: every shard serves at most
@@ -1039,24 +1035,25 @@ impl EngineModel {
                     },
                     scoped_participants,
                 );
-                let shard_count = self.store.shard_count();
-                let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); shard_count];
-                for to in targets {
-                    queues[self.store.shard_of(InstanceId::from_index(to))].push_back(to);
-                }
+                let acked = self.trackers[kind.index()].as_ref().map(|t| &t.acked);
+                let is_target =
+                    |i: usize| members.contains(i) && !acked.is_some_and(|a| a.contains(i));
+                let mut queues: Vec<VecDeque<usize>> =
+                    vec![VecDeque::new(); self.store.shard_count()];
                 let mut injections: Vec<(usize, ControlSender)> = Vec::new();
-                for queue in &mut queues {
-                    for _ in 0..window {
-                        match queue.pop_front() {
-                            Some(to) => injections.push((to, from)),
-                            None => break,
-                        }
-                    }
+                // Shard by shard (the injection order the pinned traces
+                // fix), each shard's first `window` targets in index order
+                // are injected now; only the rest queue.
+                for (shard, queue) in queues.iter_mut().enumerate() {
+                    let mut targets =
+                        self.store.shard_instances(shard, n).filter(|&i| is_target(i));
+                    injections.extend(targets.by_ref().take(window).map(|to| (to, from)));
+                    queue.extend(targets);
                 }
                 self.parallel_pending[kind.index()] = Some(queues);
                 injections
             } else {
-                targets.into_iter().map(|to| (to, from)).collect()
+                members.iter().map(|to| (to, from)).collect()
             }
         };
         // One remote-network epoch of head start keeps a guarded wave a
@@ -1448,7 +1445,9 @@ impl EngineModel {
     /// ([`ShardedStateStore::restore`]), so a later restore from the same
     /// blobs does not replay them a second time. A whole-instance restore
     /// replaces the user state; a key-range restore merges the fetched hot
-    /// counters into the cold ones that stayed in place.
+    /// counters into the cold ones that stayed in place. Processed events
+    /// the restored state no longer counts (a re-init from an older blob)
+    /// add to [`EngineStats::processed_rolled_back`].
     fn finish_restore(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
         let iid = InstanceId::from_index(instance);
         let meta = *self.tables.meta(instance);
@@ -1459,6 +1458,7 @@ impl EngineModel {
         let whole = [self.committed_range(instance)];
         let ranges = scoped.as_deref().unwrap_or(&whole);
         let rt = &mut self.runtimes[instance];
+        let processed_before = rt.processed;
         let parts = meta.key_partitions as usize;
         if scoped.is_none() {
             rt.key_processed.clear(); // a whole-instance restore replaces them
@@ -1483,6 +1483,7 @@ impl EngineModel {
         }
         self.stats.state_fetches += 1;
         rt.processed = if scoped.is_some() { rt.key_processed.iter().sum() } else { processed };
+        self.stats.processed_rolled_back += processed_before.saturating_sub(rt.processed);
         let pending_replayed = fetched_pending.len() as u32;
         rt.resume(fetched_pending);
         self.stats.pending_replayed += u64::from(pending_replayed);
@@ -1878,7 +1879,7 @@ impl Engine {
         self.sim.now()
     }
 
-    /// The recorded trace so far.
+    /// The trace recorded so far, at the [`EngineConfig::trace`] level.
     pub fn trace(&self) -> &TraceLog {
         &self.model.trace
     }

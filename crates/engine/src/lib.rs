@@ -89,6 +89,28 @@
 //! allocation per instance; a compile-time assertion keeps the core
 //! within 160 bytes.
 //!
+//! # Trace levels
+//!
+//! [`EngineConfig::trace`] sets which events the run's
+//! [`flowmig_metrics::TraceLog`] keeps. The default,
+//! [`TraceLevel::Metrics`](flowmig_metrics::TraceLevel::Metrics), keeps
+//! every event that `MigrationMetrics`, the throughput and latency
+//! timelines and the CLI's CSV exports read: source emissions, sink
+//! arrivals, drops, migration and phase marks, control waves and the store
+//! events. It leaves out six kinds that no metric reads: the acker's
+//! per-root `RootAcked` and `RootFailed`, and the per-instance
+//! `ControlAcked`, `InstanceKilled`, `WorkerReady` and `InstanceRestored`.
+//! Those are most of a large migration's trace: perfbench's
+//! 10,000-instance CCR-P run (`scale-10k`) records about 1,100 events at
+//! the default level and 60,000 at
+//! [`TraceLevel::Full`](flowmig_metrics::TraceLevel::Full), which keeps
+//! every event. The level changes only what is recorded — no engine or
+//! coordinator decision reads the trace — so stats, metrics and the kept
+//! events are identical at both levels, and a Metrics trace is the Full
+//! trace without the six kinds. The determinism pins hash Full traces. To
+//! read the left-out kinds, opt in with
+//! `EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() }`.
+//!
 //! **Hashing policy.** Bookkeeping keyed by dense instance indices lives
 //! in `Vec`s or bitsets, not hash maps — the state store's blobs included,
 //! in one slot per instance on its shard. The maps that remain are keyed

@@ -8,7 +8,7 @@ use crate::protocol::{
 };
 use crate::EngineConfig;
 use flowmig_cluster::{ScaleDirection, ScalePlan};
-use flowmig_metrics::{ControlKind, TraceEvent};
+use flowmig_metrics::{ControlKind, TraceEvent, TraceLevel};
 use flowmig_sim::{SimDuration, SimTime};
 use flowmig_topology::{library, Dataflow, InstanceId, InstanceSet, KeyRange, TaskKind};
 
@@ -41,6 +41,12 @@ impl MigrationCoordinator for OneWave {
     fn on_resend_timer(&mut self, _kind: ControlKind, _ctl: &mut EngineCtl<'_, '_>) {}
 }
 
+/// The default engine configuration with every trace event kept, for
+/// the tests that read acks, kills and restores from the trace.
+fn full_trace() -> EngineConfig {
+    EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() }
+}
+
 fn engine_with_wave(
     dag: Dataflow,
     kind: ControlKind,
@@ -52,15 +58,8 @@ fn engine_with_wave(
         .expect("paper scenario placeable");
     let completed = std::rc::Rc::new(std::cell::Cell::new(false));
     let coordinator = OneWave { kind, routing, completed: std::rc::Rc::clone(&completed) };
-    let mut engine = Engine::new(
-        dag,
-        instances,
-        &plan,
-        EngineConfig::default(),
-        protocol,
-        Box::new(coordinator),
-        99,
-    );
+    let mut engine =
+        Engine::new(dag, instances, &plan, full_trace(), protocol, Box::new(coordinator), 99);
     engine.schedule_migration(SimTime::from_secs(30));
     (engine, completed)
 }
@@ -470,7 +469,7 @@ fn kr_cycle_engine(cycle: KrCycle) -> (Engine, Vec<InstanceId>) {
         dag,
         instances,
         &plan,
-        EngineConfig::default(),
+        full_trace(),
         ProtocolConfig::ccr(),
         Box::new(cycle),
         23,

@@ -34,6 +34,13 @@ pub struct EngineStats {
     pub events_captured: u64,
     /// Pending events replayed from checkpoints after INIT (CCR).
     pub pending_replayed: u64,
+    /// Processed events a restore discarded: by how much each restore
+    /// lowered its instance's processed count, summed. A restore from a
+    /// blob committed before the instance's latest processing (DSM's
+    /// periodic checkpoint, a ROLLBACK re-init from the last commit) rolls
+    /// that work back; a restore from the state the instance just
+    /// committed discards nothing.
+    pub processed_rolled_back: u64,
     /// State persist operations.
     pub state_persists: u64,
     /// State fetch operations.

@@ -34,6 +34,7 @@ use flowmig_topology::{InstanceId, KeyRange};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// A checkpointed snapshot of one key range of a task instance; a
 /// whole-instance checkpoint covers [`KeyRange::whole`].
@@ -332,6 +333,15 @@ impl ShardedStateStore {
     /// The shard serving `instance` (instance index modulo shard count).
     pub fn shard_of(&self, instance: InstanceId) -> usize {
         instance.index() % self.shards.len()
+    }
+
+    /// The indices below `n` of the instances on `shard`, in index order.
+    pub(crate) fn shard_instances(
+        &self,
+        shard: usize,
+        n: usize,
+    ) -> std::iter::StepBy<Range<usize>> {
+        (shard..n).step_by(self.shards.len())
     }
 
     /// The shard of `instance` and its slot on that shard.

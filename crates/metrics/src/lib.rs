@@ -4,8 +4,10 @@
 //! Reliable and Rapid Elasticity for Streaming Dataflows on Clouds"*
 //! (Shukla & Simmhan, ICDCS 2018).
 //!
-//! The engine appends [`TraceEvent`]s to a [`TraceLog`] as a run executes;
-//! everything in the paper's evaluation is then a pure function of the log:
+//! The engine appends [`TraceEvent`]s to a [`TraceLog`] as a run executes,
+//! keeping those its [`TraceLevel`] keeps; everything in the paper's
+//! evaluation is then a pure function of the log, and the default level
+//! keeps every event it reads:
 //!
 //! * [`MigrationMetrics`] — the seven §4 metrics (restore, drain/capture,
 //!   rebalance, catchup, recovery, stabilization, loss/replay counts);
@@ -30,4 +32,4 @@ pub use migration::MigrationMetrics;
 pub use stability::{find_stabilization, StabilityCriteria};
 pub use stats::{median, percentile, Summary};
 pub use timeline::{latency_samples_ms, LatencyTimeline, RateTimeline};
-pub use trace::{ControlKind, MigrationPhase, RootId, TraceEvent, TraceLog};
+pub use trace::{ControlKind, MigrationPhase, RootId, TraceEvent, TraceLevel, TraceLog};

@@ -87,7 +87,7 @@ impl MigrationMetrics {
         for e in log.iter() {
             fold.observe(e);
         }
-        fold.finish(criteria)
+        fold.finish(criteria, log.last_at())
     }
 
     /// Total user-visible migration span: the maximum of restore, catchup
@@ -141,7 +141,6 @@ struct MetricsFold {
     /// Shards with replicas down, and since when.
     down_since: Vec<(usize, SimTime)>,
     downtime: SimDuration,
-    last_at: SimTime,
 }
 
 impl MetricsFold {
@@ -162,7 +161,6 @@ impl MetricsFold {
             store_wait: SimDuration::ZERO,
             down_since: Vec::new(),
             downtime: SimDuration::ZERO,
-            last_at: SimTime::ZERO,
         }
     }
 
@@ -178,7 +176,6 @@ impl MetricsFold {
 
     fn observe(&mut self, event: &TraceEvent) {
         self.timeline.observe(event);
-        self.last_at = event.at();
         let counts = &mut self.counts;
         match *event {
             TraceEvent::SinkArrival { at, old, replayed, .. } => {
@@ -244,7 +241,9 @@ impl MetricsFold {
         }
     }
 
-    fn finish(self, criteria: &StabilityCriteria) -> MigrationMetrics {
+    /// The metrics of the observed events; `end` is the trace's last
+    /// instant, where an outage still open runs to.
+    fn finish(self, criteria: &StabilityCriteria, end: SimTime) -> MigrationMetrics {
         let Some(req) = self.request else {
             return MigrationMetrics::default();
         };
@@ -264,11 +263,12 @@ impl MetricsFold {
         // arrive after the redeployment. Old events drained before the
         // kill (DCR) don't count: the paper reports no catchup for DCR.
         let catchup = self.last_old_arrival.filter(|&t| t >= rebalance_end);
-        // An outage still open at the end of the trace runs to its last event.
+        // An outage still open at the end of the trace runs to its last
+        // recorded instant, which every trace level of a run shares.
         let downtime = self
             .down_since
             .iter()
-            .fold(self.downtime, |total, &(_, went_down)| total + (self.last_at - went_down));
+            .fold(self.downtime, |total, &(_, went_down)| total + (end - went_down));
         MigrationMetrics {
             restore: restore.map(rel),
             drain_capture: self.drain.get().and(self.commit.get()).map(|(_, end)| rel(end)),
@@ -341,7 +341,7 @@ impl fmt::Display for MigrationMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RootId;
+    use crate::trace::{RootId, TraceLevel};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -541,6 +541,22 @@ mod tests {
         assert!(s.contains("ranges_moved=2"));
         assert!(s.contains("moved_bytes=192"));
         assert!(s.contains("resident_bytes=16"));
+    }
+
+    #[test]
+    fn an_open_outage_runs_to_the_last_recorded_instant_at_every_level() {
+        let events = [
+            TraceEvent::MigrationRequested { at: t(10) },
+            TraceEvent::ShardDown { shard: 0, down_replicas: 1, at: t(12) },
+            TraceEvent::RootAcked { root: RootId(1), at: t(40) },
+        ];
+        let criteria = StabilityCriteria::paper(8.0);
+        for level in [TraceLevel::Metrics, TraceLevel::Full] {
+            let mut log = TraceLog::with_level(level);
+            log.extend(events);
+            let m = MigrationMetrics::from_trace(&log, &criteria, SimDuration::from_secs(10));
+            assert_eq!(m.shard_downtime, Some(SimDuration::from_secs(28)), "{level:?}");
+        }
     }
 
     #[test]

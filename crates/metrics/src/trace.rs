@@ -5,7 +5,8 @@
 //! [`RateTimeline`](crate::RateTimeline), …) are pure functions over the
 //! resulting [`TraceLog`] — mirroring how the paper logs "the timestamp of
 //! checkpoint and user events from Storm and on the VMs" (§5) and evaluates
-//! metrics offline.
+//! metrics offline. A log's [`TraceLevel`] decides which events it keeps:
+//! the default keeps exactly those the analyzers read.
 
 use flowmig_sim::{SimDuration, SimTime};
 use flowmig_topology::InstanceId;
@@ -100,6 +101,27 @@ impl fmt::Display for ControlKind {
         };
         f.write_str(s)
     }
+}
+
+/// How much of a run a [`TraceLog`] keeps.
+///
+/// Levels are ordered: a level keeps every event a leaner one keeps.
+/// [`TraceEvent::level`] names the leanest level that keeps each kind.
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
+pub enum TraceLevel {
+    /// Every event that [`MigrationMetrics`](crate::MigrationMetrics),
+    /// [`RateTimeline`](crate::RateTimeline),
+    /// [`LatencyTimeline`](crate::LatencyTimeline) or the stability rule
+    /// reads: emissions, arrivals, drops, migration and phase marks,
+    /// control waves and store events. The per-root acker outcomes and the
+    /// per-instance lifecycle (acks, kills, worker starts, restores) are
+    /// left out, so the metrics of a run are the same at either level.
+    #[default]
+    Metrics,
+    /// Every event.
+    Full,
 }
 
 /// One observable occurrence during a run.
@@ -308,7 +330,22 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The leanest [`TraceLevel`] that keeps this event.
+    #[inline]
+    pub fn level(&self) -> TraceLevel {
+        match self {
+            TraceEvent::RootFailed { .. }
+            | TraceEvent::RootAcked { .. }
+            | TraceEvent::ControlAcked { .. }
+            | TraceEvent::InstanceKilled { .. }
+            | TraceEvent::WorkerReady { .. }
+            | TraceEvent::InstanceRestored { .. } => TraceLevel::Full,
+            _ => TraceLevel::Metrics,
+        }
+    }
+
     /// The instant at which this event occurred.
+    #[inline]
     pub fn at(&self) -> SimTime {
         match *self {
             TraceEvent::SourceEmit { at, .. }
@@ -336,51 +373,86 @@ impl TraceEvent {
     }
 }
 
-/// An append-only, time-ordered log of [`TraceEvent`]s.
+/// An append-only, time-ordered log of the [`TraceEvent`]s its
+/// [`TraceLevel`] keeps.
 ///
 /// # Examples
 ///
 /// ```
-/// use flowmig_metrics::{RootId, TraceEvent, TraceLog};
+/// use flowmig_metrics::{RootId, TraceEvent, TraceLevel, TraceLog};
 /// use flowmig_sim::SimTime;
 ///
+/// let events = [
+///     TraceEvent::MigrationRequested { at: SimTime::from_secs(180) },
+///     TraceEvent::RootAcked { root: RootId(1), at: SimTime::from_secs(181) },
+/// ];
 /// let mut log = TraceLog::new();
-/// log.record(TraceEvent::MigrationRequested { at: SimTime::from_secs(180) });
+/// log.extend(events);
 /// assert_eq!(log.migration_requested_at(), Some(SimTime::from_secs(180)));
-/// assert_eq!(log.len(), 1);
+/// assert_eq!(log.len(), 1, "the default level leaves acker outcomes out");
+/// assert_eq!(log.last_at(), SimTime::from_secs(181));
+///
+/// let mut full = TraceLog::with_level(TraceLevel::Full);
+/// full.extend(events);
+/// assert_eq!(full.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceLog {
+    level: TraceLevel,
     events: Vec<TraceEvent>,
+    /// The instant of the latest event the level left out.
+    last_left_out: SimTime,
 }
 
 impl TraceLog {
-    /// Creates an empty log.
+    /// Creates an empty log at the default level, [`TraceLevel::Metrics`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends an event. Events should be appended in non-decreasing time
-    /// order (the engine guarantees this; analyzers rely on it).
-    pub fn record(&mut self, event: TraceEvent) {
-        debug_assert!(
-            self.events.last().is_none_or(|last| last.at() <= event.at()),
-            "trace must be recorded in time order"
-        );
-        self.events.push(event);
+    /// Creates an empty log that keeps the events `level` keeps.
+    pub fn with_level(level: TraceLevel) -> Self {
+        TraceLog { level, ..Self::default() }
     }
 
-    /// Number of recorded events.
+    /// The level this log records at.
+    pub fn level(&self) -> TraceLevel {
+        self.level
+    }
+
+    /// Records an event, keeping it if the log's level does. Events should
+    /// be recorded in non-decreasing time order (the engine guarantees
+    /// this; analyzers rely on it). Inlined, so that each of the engine's
+    /// call sites, which records one known kind, resolves its level when
+    /// compiled.
+    #[inline]
+    pub fn record(&mut self, event: TraceEvent) {
+        debug_assert!(self.last_at() <= event.at(), "trace must be recorded in time order");
+        if event.level() <= self.level {
+            self.events.push(event);
+        } else {
+            self.last_left_out = event.at();
+        }
+    }
+
+    /// The instant of the latest event recorded, whether the level kept it
+    /// or not ([`SimTime::ZERO`] if nothing was recorded). Every level of
+    /// one run agrees on it, so a run's end does not depend on its level.
+    pub fn last_at(&self) -> SimTime {
+        self.events.last().map_or(SimTime::ZERO, TraceEvent::at).max(self.last_left_out)
+    }
+
+    /// Number of kept events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Returns true if nothing was recorded.
+    /// Returns true if no event was kept.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
-    /// Iterates over all events in time order.
+    /// Iterates over the kept events in time order.
     pub fn iter(&self) -> std::slice::Iter<'_, TraceEvent> {
         self.events.iter()
     }
@@ -432,6 +504,7 @@ impl Extend<TraceEvent> for TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowmig_topology::InstanceId;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -474,6 +547,38 @@ mod tests {
         let mut log = TraceLog::new();
         log.record(TraceEvent::MigrationRequested { at: t(10) });
         log.record(TraceEvent::MigrationRequested { at: t(5) });
+    }
+
+    #[test]
+    #[should_panic(expected = "time order")]
+    #[cfg(debug_assertions)]
+    fn out_of_order_recording_is_caught_after_an_event_the_level_leaves_out() {
+        let mut log = TraceLog::new();
+        log.record(TraceEvent::RootAcked { root: RootId(1), at: t(10) });
+        log.record(TraceEvent::MigrationRequested { at: t(5) });
+    }
+
+    #[test]
+    fn the_metrics_level_leaves_out_exactly_the_per_root_and_per_instance_kinds() {
+        let i = InstanceId::from_index(3);
+        let events = [
+            TraceEvent::SourceEmit { root: RootId(1), at: t(1), replay: false },
+            TraceEvent::RootAcked { root: RootId(1), at: t(2) },
+            TraceEvent::RootFailed { root: RootId(2), at: t(2) },
+            TraceEvent::ControlAcked { kind: ControlKind::Init, instance: i, at: t(3) },
+            TraceEvent::InstanceKilled { instance: i, at: t(3) },
+            TraceEvent::WorkerReady { instance: i, at: t(4) },
+            TraceEvent::ControlWave { kind: ControlKind::Init, wave: 0, at: t(5) },
+            TraceEvent::InstanceRestored { instance: i, at: t(6), pending_replayed: 0 },
+        ];
+        let mut lean = TraceLog::new();
+        let mut full = TraceLog::with_level(TraceLevel::Full);
+        lean.extend(events);
+        full.extend(events);
+        assert_eq!((lean.level(), full.level()), (TraceLevel::Metrics, TraceLevel::Full));
+        assert_eq!(full.iter().copied().collect::<Vec<_>>(), events);
+        assert_eq!(lean.iter().copied().collect::<Vec<_>>(), [events[0], events[6]]);
+        assert_eq!((lean.last_at(), full.last_at()), (t(6), t(6)), "both end at the restore");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod prelude {
     };
     pub use flowmig_metrics::{
         find_stabilization, latency_samples_ms, percentile, LatencyTimeline, MigrationMetrics,
-        MigrationPhase, RateTimeline, StabilityCriteria, Summary, TraceEvent, TraceLog,
+        MigrationPhase, RateTimeline, StabilityCriteria, Summary, TraceEvent, TraceLevel, TraceLog,
     };
     pub use flowmig_sim::{QueueBackend, SimDuration, SimTime};
     pub use flowmig_topology::{

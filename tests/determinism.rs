@@ -10,6 +10,10 @@
 //! (`plan_driven_strategies_reproduce_the_hardcoded_coordinator_traces`),
 //! so the plan IR cannot silently reshape a default timeline.
 //!
+//! Every run here records its trace at `TraceLevel::Full`, so the pins
+//! cover every event kind; `trace_hash` also checks that the Metrics level
+//! keeps every metric of each pinned run.
+//!
 //! The store realism models (FIFO queueing, replication, shard outages)
 //! stay **opt-in** until calibrated against measured Redis behavior: every
 //! default-config pin in this file must hold byte for byte no matter how
@@ -26,8 +30,10 @@ use flowmig::prelude::*;
 /// pinnable digest of a full simulated timeline. Every hashed trace also
 /// checks the one-pass `MigrationMetrics::from_trace` against the
 /// multi-pass oracle, under the paper's criteria at the run's own
-/// pre-request output rate.
+/// pre-request output rate, on the full trace and on its events that the
+/// Metrics level keeps; both must give the same metrics.
 fn trace_hash(trace: &TraceLog) -> u64 {
+    assert_eq!(trace.level(), TraceLevel::Full, "pins digest full traces");
     let request = trace.migration_requested_at().expect("every hashed run requests a migration");
     let steady = trace
         .iter()
@@ -35,10 +41,23 @@ fn trace_hash(trace: &TraceLog) -> u64 {
         .count();
     let criteria = StabilityCriteria::paper(steady as f64 / request.as_secs_f64());
     let bucket = SimDuration::from_secs(10);
+    let metrics = MigrationMetrics::from_trace(trace, &criteria, bucket);
     assert_eq!(
-        MigrationMetrics::from_trace(trace, &criteria, bucket),
+        metrics,
         metrics_oracle::metrics(trace, &criteria, bucket),
         "the metrics fold left the oracle"
+    );
+    let mut lean = TraceLog::new();
+    lean.extend(trace.iter().copied());
+    assert_eq!(
+        MigrationMetrics::from_trace(&lean, &criteria, bucket),
+        metrics,
+        "the Metrics level lost a metric"
+    );
+    assert_eq!(
+        metrics_oracle::metrics(&lean, &criteria, bucket),
+        metrics,
+        "the oracle left the fold at the Metrics level"
     );
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for ev in trace.iter() {
@@ -64,12 +83,18 @@ fn strategies() -> Vec<Box<dyn MigrationStrategy>> {
     vec![Box::new(Dsm::new()), Box::new(Dcr::new()), Box::new(Ccr::new())]
 }
 
+/// The default engine configuration, tracing every event.
+fn full() -> EngineConfig {
+    EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() }
+}
+
 /// A shortened paper protocol (migration at 1 min, 5-minute horizon) keeps
 /// the 5 × 3 × 2 run matrix fast while still crossing every phase:
 /// steady state, checkpoint waves, rebalance, restore, and re-stabilized
 /// flow.
 fn controller(seed: u64) -> MigrationController {
     MigrationController::new()
+        .with_engine_config(full())
         .with_request_at(SimTime::from_secs(60))
         .with_horizon(SimTime::from_secs(300))
         .with_seed(seed)
@@ -412,7 +437,7 @@ fn ccr_key_range_matrix_is_pinned_and_deterministic() {
 fn skewed_grid_key_range_timeline_is_pinned() {
     const PINNED: u64 = 0x65299689230df4fd;
     let run = || {
-        let config = EngineConfig { transport_buffer: 2048, ..EngineConfig::default() };
+        let config = EngineConfig { transport_buffer: 2048, ..full() };
         controller(7)
             .with_engine_config(config)
             .with_horizon(SimTime::from_secs(400))
@@ -447,7 +472,7 @@ fn skewed_grid_key_range_timeline_is_pinned() {
 fn large_scope_rebalance_traces_are_identical_and_pinned() {
     const PINNED: u64 = 0x0250af2cd6231029;
     let run = |backend: QueueBackend| {
-        let config = EngineConfig { transport_buffer: 4096, ..EngineConfig::default() };
+        let config = EngineConfig { transport_buffer: 4096, ..full() };
         controller(7)
             .with_engine_config(config)
             .with_queue_backend(backend)
@@ -513,6 +538,48 @@ fn calendar_backend_reproduces_every_default_pin() {
     );
 }
 
+/// The trace level changes only what the trace keeps. One seed run at
+/// both levels gives the same stats, store counters and metrics, and the
+/// Metrics trace is exactly the Full trace without the per-root acker
+/// outcomes and the per-instance lifecycle. DSM's kill fails roots, so
+/// all six left-out kinds occur in its run; CCR-P adds windowed waves.
+#[test]
+fn the_metrics_level_keeps_the_full_trace_but_six_kinds() {
+    let full_only = |e: &TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::RootAcked { .. }
+                | TraceEvent::RootFailed { .. }
+                | TraceEvent::ControlAcked { .. }
+                | TraceEvent::InstanceKilled { .. }
+                | TraceEvent::WorkerReady { .. }
+                | TraceEvent::InstanceRestored { .. }
+        )
+    };
+    for strategy in [&Dsm::new() as &dyn MigrationStrategy, &CcrPipelined::new()] {
+        let run = |trace| {
+            controller(7)
+                .with_engine_config(EngineConfig { trace, ..EngineConfig::default() })
+                .run(&library::grid(), strategy, ScaleDirection::In)
+                .expect("paper scenario placeable")
+        };
+        let (lean, full) = (run(TraceLevel::Metrics), run(TraceLevel::Full));
+        let name = full.strategy;
+        assert_eq!(lean.stats, full.stats, "{name}: stats");
+        assert_eq!(lean.shard_stats, full.shard_stats, "{name}: store counters");
+        assert_eq!(lean.metrics, full.metrics, "{name}: metrics");
+        assert_eq!(lean.completed, full.completed, "{name}: completion");
+        let kept: Vec<TraceEvent> = full.trace.iter().copied().filter(|e| !full_only(e)).collect();
+        assert_eq!(lean.trace.iter().copied().collect::<Vec<_>>(), kept, "{name}: kept events");
+        assert_eq!(lean.trace.last_at(), full.trace.last_at(), "{name}: last instant");
+        if name == "DSM" {
+            let left_out: std::collections::HashSet<_> =
+                full.trace.iter().filter(|e| full_only(e)).map(std::mem::discriminant).collect();
+            assert_eq!(left_out.len(), 6, "DSM's run records every left-out kind");
+        }
+    }
+}
+
 #[test]
 fn different_seeds_actually_diverge() {
     // Sanity check that the equality above is meaningful: jitter draws
@@ -530,7 +597,7 @@ fn different_seeds_actually_diverge() {
 fn budget_exhaustion_stops_at_the_budget_and_is_reported() {
     const BUDGET: u64 = 50_000;
     let run = |event_budget: u64| {
-        let config = EngineConfig { event_budget, ..EngineConfig::default() };
+        let config = EngineConfig { event_budget, ..full() };
         controller(7)
             .with_engine_config(config)
             .run(&library::traffic(), &Ccr::new(), ScaleDirection::In)

@@ -350,7 +350,11 @@ fn quorum_replication_rides_out_a_mid_wave_replica_loss() {
 /// times out into ROLLBACK at 230 s, and the ROLLBACK fetches that 60 s
 /// blob. Its 16 event equivalents (64 counters) cost 16 × 50 µs on top of
 /// the 230.003000 s an empty blob would restore at, and it replays
-/// nothing: the captured event was handed to the instance once.
+/// nothing: the captured event was handed to the instance once. The
+/// re-init rolls the victim's processed count back from the 1,070 events
+/// it had processed by its crash to the 480 the blob holds, and the run's
+/// stats count those 590 events. The run is traced at `Full` to read the
+/// restores.
 fn ccr_rollback_re_init_is_priced_by_the_committed_blob(service: StoreServiceModel) {
     let dag = library::zipf_keyed(&library::linear(), 64, 1);
     let instances = InstanceSet::plan(&dag);
@@ -363,7 +367,7 @@ fn ccr_rollback_re_init_is_priced_by_the_committed_blob(service: StoreServiceMod
         dag.clone(),
         instances.clone(),
         &plan,
-        config_with(service),
+        EngineConfig { trace: TraceLevel::Full, ..config_with(service) },
         strategy.protocol(),
         strategy.coordinator(),
         6,
@@ -403,6 +407,11 @@ fn ccr_rollback_re_init_is_priced_by_the_committed_blob(service: StoreServiceMod
         "the ROLLBACK fetch pays for the 64 counters it reads"
     );
     assert!(engine.is_initialized(victim), "ROLLBACK re-initialized the victim");
+    assert_eq!(
+        engine.stats().processed_rolled_back,
+        590,
+        "the re-init discarded the 1,070 − 480 events processed since the commit"
+    );
     check_queue_accounting(&engine, service);
 }
 

@@ -105,7 +105,7 @@ fn logic_update_rejects_kind_change() {
 /// A staged logic update may change a task's key space between its COMMIT
 /// and its INIT. The restore still reads the blob the COMMIT wrote: each
 /// migrated instance comes back with the event count it committed and
-/// replays every event it captured.
+/// replays every event it captured. Traced at `Full` to read the restores.
 #[test]
 fn a_re_keyed_task_restores_the_state_it_committed() {
     let dag = library::linear();
@@ -122,7 +122,7 @@ fn a_re_keyed_task_restores_the_state_it_committed() {
                 dag.clone(),
                 instances.clone(),
                 &plan,
-                EngineConfig::default(),
+                EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() },
                 strategy.protocol(),
                 strategy.coordinator(),
                 24,
@@ -174,7 +174,8 @@ fn a_re_keyed_task_restores_the_state_it_committed() {
 /// commits under one partition, so its blob carries no per-partition
 /// counters; staging a re-key to 4 partitions before the INIT must not
 /// charge the fetch for 4. Each `t3` instance therefore restores at the
-/// same instant with and without the staged re-key.
+/// same instant with and without the staged re-key. Traced at `Full` to
+/// read the restores.
 #[test]
 fn a_re_keyed_restore_is_priced_by_the_blob_it_reads() {
     let dag = library::linear();
@@ -191,7 +192,7 @@ fn a_re_keyed_restore_is_priced_by_the_blob_it_reads() {
                 dag.clone(),
                 instances.clone(),
                 &plan,
-                EngineConfig::default(),
+                EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() },
                 strategy.protocol(),
                 strategy.coordinator(),
                 24,

@@ -72,7 +72,9 @@ pub fn metrics(
 }
 
 /// Time shards spent with replicas down: each shard's outage runs from its
-/// first `ShardDown` to the next `ShardUp`, or to the last event if none.
+/// first `ShardDown` to the next `ShardUp`, or if none to the log's last
+/// recorded instant (its last event's, unless the log's level left that
+/// event out).
 fn shard_downtime(log: &TraceLog) -> SimDuration {
     let mut total = SimDuration::ZERO;
     let mut open: Vec<(usize, SimTime)> = Vec::new();
@@ -89,6 +91,6 @@ fn shard_downtime(log: &TraceLog) -> SimDuration {
             _ => {}
         }
     }
-    let last = log.iter().next_back().map_or(SimTime::ZERO, TraceEvent::at);
+    let last = log.last_at();
     open.iter().fold(total, |total, &(_, went_down)| total + (last - went_down))
 }

@@ -202,7 +202,7 @@ fn phase_ordering_is_pause_drain_commit_rebalance_restore_resume() {
 }
 
 /// Deploys `dag` under `strategy` on the paper's scale-in scenario, with
-/// the migration requested at 60 s.
+/// the migration requested at 60 s and every trace event kept.
 fn keyed_engine(dag: &Dataflow, strategy: &dyn MigrationStrategy, seed: u64) -> Engine {
     let instances = InstanceSet::plan(dag);
     let plan =
@@ -211,7 +211,7 @@ fn keyed_engine(dag: &Dataflow, strategy: &dyn MigrationStrategy, seed: u64) -> 
         dag.clone(),
         instances,
         &plan,
-        EngineConfig::default(),
+        EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() },
         strategy.protocol(),
         strategy.coordinator(),
         seed,
@@ -290,5 +290,42 @@ fn ccr_pipelined_restores_committed_key_counters_exactly() {
         assert_eq!(engine.key_processed(i), &blob.key_counts[..], "{i} counters restored");
         assert_eq!(engine.processed_count(i), blob.processed, "{i} count restored");
         assert!(blob.processed > 0, "{i} restored real state");
+    }
+}
+
+/// A reliable strategy restores each migrated instance to the state it
+/// committed after the last event it processed, so no restore discards
+/// processed work: `processed_rolled_back` stays 0 on every paper dataflow
+/// in both directions. DSM restores from its last periodic checkpoint and
+/// rolls back the work done since, which keeps the check from passing
+/// vacuously.
+#[test]
+fn only_dsm_restores_roll_processed_events_back() {
+    let reliable: [&dyn MigrationStrategy; 5] = [
+        &Dcr::new(),
+        &DcrParallelInit::new(),
+        &Ccr::new(),
+        &CcrPipelined::new(),
+        &CcrKeyRange::new(),
+    ];
+    let controller = MigrationController::new()
+        .with_request_at(SimTime::from_secs(60))
+        .with_horizon(SimTime::from_secs(300))
+        .with_seed(3);
+    for dag in library::paper_dataflows() {
+        for direction in [ScaleDirection::In, ScaleDirection::Out] {
+            for strategy in reliable {
+                let outcome = controller.run(&dag, strategy, direction).expect("placeable");
+                let label = format!("{} {direction} {}", dag.name(), outcome.strategy);
+                assert!(outcome.completed, "{label}: completed");
+                assert_eq!(outcome.stats.processed_rolled_back, 0, "{label}: nothing rolled back");
+            }
+            let dsm = controller.run(&dag, &Dsm::new(), direction).expect("placeable");
+            assert!(
+                dsm.stats.processed_rolled_back > 0,
+                "{} {direction} DSM: restores roll back to the periodic checkpoint",
+                dag.name()
+            );
+        }
     }
 }

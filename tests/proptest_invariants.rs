@@ -788,8 +788,8 @@ fn random_trace_event(kind: u8, at: SimTime, a: u8, b: u64) -> TraceEvent {
     }
 }
 
-/// A time-ordered trace of `(kind, gap, a, b)` steps; half the gaps are
-/// zero, so instants repeat. A non-zero `quiet` appends one source
+/// A time-ordered `Full` trace of `(kind, gap, a, b)` steps; half the
+/// gaps are zero, so instants repeat. A non-zero `quiet` appends one source
 /// emission that long after the last step, so the timeline runs past the
 /// last arrival. The starts of each phase whose bit is set in
 /// `dropped_starts` are left out, and so are those of a phase whose every
@@ -828,7 +828,7 @@ fn random_trace(steps: &[(u8, u64, u8, u64)], quiet: SimDuration, dropped_starts
     if !quiet.is_zero() {
         events.push(TraceEvent::SourceEmit { root: RootId(0), at: at + quiet, replay: false });
     }
-    let mut log = TraceLog::new();
+    let mut log = TraceLog::with_level(TraceLevel::Full);
     log.extend(events);
     log
 }
@@ -867,6 +867,50 @@ proptest! {
             metrics_oracle::metrics(&log, &criteria, bucket),
             "trace: {:?}",
             log
+        );
+    }
+
+    /// The Metrics trace level keeps every metric: on the same random
+    /// traces, the events of a `Full` trace that a Metrics-level log keeps
+    /// give the same `MigrationMetrics` and the same throughput and
+    /// latency timelines as the whole trace. The traces draw the six kinds
+    /// the Metrics level leaves out at every position and leave outages
+    /// unclosed, and each ends on a left-out `WorkerReady`, mostly after
+    /// its last kept event: an open outage must still run to that last
+    /// recorded instant.
+    #[test]
+    fn metrics_level_keeps_every_metric(
+        // (bucket seconds, expected-rate pick, window seconds, dropped starts)
+        shape in (1u64..4, 0usize..4, 1u64..9, 0u8..64),
+        // (event kind, gap in 250 ms units, parameter a, parameter b)
+        steps in proptest::collection::vec((0u8..34, 0u64..8, 0u8..8, 0u64..64), 0..160),
+        tail_secs in 0u64..8,
+    ) {
+        let (bucket_secs, rate, window_secs, dropped_starts) = shape;
+        let mut full = random_trace(&steps, SimDuration::ZERO, dropped_starts);
+        let end = full.last_at() + SimDuration::from_secs(tail_secs);
+        full.record(TraceEvent::WorkerReady { instance: InstanceId::from_index(0), at: end });
+        let mut lean = TraceLog::new();
+        lean.extend(full.iter().copied());
+        let criteria = StabilityCriteria {
+            expected_rate_hz: [0.0, 0.5, 1.0, 2.0][rate],
+            tolerance: 0.2,
+            window: SimDuration::from_secs(window_secs),
+        };
+        let bucket = SimDuration::from_secs(bucket_secs);
+        prop_assert_eq!(
+            MigrationMetrics::from_trace(&lean, &criteria, bucket),
+            MigrationMetrics::from_trace(&full, &criteria, bucket),
+            "trace: {:?}",
+            full
+        );
+        prop_assert_eq!(
+            RateTimeline::from_trace(&lean, bucket),
+            RateTimeline::from_trace(&full, bucket)
+        );
+        prop_assert_eq!(
+            LatencyTimeline::from_trace(&lean, bucket),
+            LatencyTimeline::from_trace(&full, bucket)
         );
     }
 }
