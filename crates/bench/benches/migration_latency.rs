@@ -29,14 +29,12 @@
 //! * `BENCH_MIGRATION_JSON=path` writes a machine-readable summary
 //!   including per-shard queueing stats (CI uploads it as
 //!   `BENCH_migration.json`);
-//! * exits non-zero if the plan validator rejects any built-in registry
-//!   strategy's plan (the declarative IR's CI gate), or on any
-//!   perf/model-regression tripwire: parallel COMMIT not faster than
-//!   sequential at the largest size (192 instances), commit+restore
-//!   speedup below 3x at 96 instances / 8 shards, or — the contention
-//!   gate — the 192-instance/1-shard `CCR-P` row *not* penalized vs
-//!   8 shards under FIFO queueing (which would mean contention no longer
-//!   binds).
+//! * exits non-zero on any perf/model-regression tripwire: parallel
+//!   COMMIT not faster than sequential at the largest size (192
+//!   instances), commit+restore speedup below 3x at 96 instances /
+//!   8 shards, or — the contention gate — the 192-instance/1-shard
+//!   `CCR-P` row *not* penalized vs 8 shards under FIFO queueing (which
+//!   would mean contention no longer binds).
 //!
 //! The replication rows re-run CCR-P at 96 instances / 8 shards with a
 //! 3-replica store at write quorum 2 vs 3, and two realism-tier tripwires
@@ -66,9 +64,7 @@
 
 use flowmig_bench::{banner, BENCH_SEEDS};
 use flowmig_cluster::ScaleDirection;
-use flowmig_core::{
-    strategies, Ccr, CcrKeyRange, CcrPipelined, Dcr, MigrationController, MigrationStrategy,
-};
+use flowmig_core::{Ccr, CcrKeyRange, CcrPipelined, Dcr, MigrationController, MigrationStrategy};
 use flowmig_engine::{EngineConfig, StoreLatencyModel, StoreServiceModel};
 use flowmig_metrics::{ControlKind, TraceEvent};
 use flowmig_sim::{QueueBackend, SimDuration, SimTime};
@@ -462,28 +458,11 @@ fn find_replicated<'a>(cells: &'a [Cell], replication: &str) -> &'a Cell {
     cells.iter().find(|c| c.replication == replication).expect("replicated cell measured")
 }
 
-/// CI gate for the plan IR: every registry strategy's plan must pass the
-/// validator, or the bench step fails.
-fn validate_built_in_plans() {
-    for info in strategies() {
-        let strategy = info.build_default();
-        if let Err(err) = strategy.plan().validate() {
-            eprintln!(
-                "PLAN VALIDATION FAILURE: built-in strategy `{}` ({}) rejected: {err}",
-                info.cli_name, info.paper_name
-            );
-            std::process::exit(1);
-        }
-    }
-    println!("plan validation: all {} registry strategies accepted", strategies().len());
-}
-
 fn main() {
     banner(
         "migration_latency",
         "simulated COMMIT+INIT wave time: sequential vs parallel vs pipelined, flat vs fifo store",
     );
-    validate_built_in_plans();
     let flat = StoreServiceModel::Unqueued;
     let fifo = StoreServiceModel::FifoPerShard;
     let mut cells: Vec<Cell> = Vec::new();

@@ -33,7 +33,6 @@ use flowmig_sim::SimDuration;
 /// assert_eq!(ccr.kind(), StrategyKind::Ccr);
 /// // Capture is what distinguishes CCR's protocol:
 /// assert!(ccr.protocol().capture_on_prepare);
-/// assert!(ccr.protocol().persist_pending);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ccr {
@@ -73,16 +72,6 @@ impl Ccr {
         self
     }
 
-    /// The configured INIT resend interval.
-    pub fn init_resend(&self) -> SimDuration {
-        self.init_resend
-    }
-
-    /// The configured checkpoint-wave timeout, if any.
-    pub fn wave_timeout(&self) -> Option<SimDuration> {
-        self.wave_timeout
-    }
-
     /// Disables the checkpoint-wave timeout (the migration waits out any
     /// stall indefinitely).
     pub fn without_wave_timeout(mut self) -> Self {
@@ -101,12 +90,6 @@ impl Ccr {
     pub fn with_parallel_waves(mut self, fan_out: usize) -> Self {
         self.parallel_fan_out = Some(fan_out);
         self
-    }
-
-    /// The configured per-shard parallel-wave fan-out, if parallel waves
-    /// are enabled.
-    pub fn parallel_fan_out(&self) -> Option<usize> {
-        self.parallel_fan_out
     }
 }
 
@@ -129,7 +112,7 @@ impl MigrationStrategy for Ccr {
         prepare.timeout = self.wave_timeout;
         let mut commit = PlanPhase::wave(WaveKind::Commit, commit).scoped(MigrationPhase::Commit);
         commit.timeout = self.wave_timeout;
-        MigrationPlan::new("CCR", ProtocolConfig::ccr())
+        MigrationPlan::new(ProtocolConfig::ccr())
             .pause(PausePolicy::UntilComplete)
             .phase(prepare)
             .phase(commit)
@@ -148,33 +131,31 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let c = Ccr::new();
-        assert_eq!(c.init_resend(), SimDuration::from_secs(1));
-        assert_eq!(c.name(), "CCR");
+        assert_eq!(Ccr::new().plan().phases()[2].resend, Some(SimDuration::from_secs(1)));
+        assert_eq!(Ccr::new().name(), "CCR");
     }
 
     #[test]
     fn protocol_enables_capture() {
         let p = Ccr::new().protocol();
         assert!(p.capture_on_prepare);
-        assert!(p.persist_pending);
         assert!(!p.ack_user_events);
     }
 
     #[test]
     fn parallel_waves_builder() {
-        let c = Ccr::new();
-        assert_eq!(c.parallel_fan_out(), None, "sequential COMMIT by default");
-        let p = c.with_parallel_waves(4);
-        assert_eq!(p.parallel_fan_out(), Some(4));
+        let commit = |c: Ccr| c.plan().phases()[1].routing;
+        assert_eq!(commit(Ccr::new()), WaveRouting::Sequential, "sequential COMMIT by default");
+        assert_eq!(commit(Ccr::new().with_parallel_waves(4)), WaveRouting::Parallel { fan_out: 4 });
         // 0 derives the window from the store topology.
-        assert_eq!(c.with_parallel_waves(0).parallel_fan_out(), Some(0));
+        assert_eq!(commit(Ccr::new().with_parallel_waves(0)), WaveRouting::Parallel { fan_out: 0 });
     }
 
     #[test]
     fn wave_timeout_builder() {
-        let c = Ccr::new().with_wave_timeout(SimDuration::from_secs(15));
-        assert_eq!(c.wave_timeout(), Some(SimDuration::from_secs(15)));
+        let plan = Ccr::new().with_wave_timeout(SimDuration::from_secs(15)).plan();
+        assert_eq!(plan.phases()[0].timeout, Some(SimDuration::from_secs(15)));
+        assert_eq!(plan.phases()[1].timeout, Some(SimDuration::from_secs(15)));
     }
 
     #[test]

@@ -16,13 +16,11 @@
 //! degenerates to the migrating-instance set and the strategy behaves like
 //! CCR-P.
 //!
-//! The plan declares [`RangeRouting::OwnerRespawn`]: migrated ranges
-//! return to their respawned owners, the only placement the engine's
-//! slot-stable keyed shuffle can serve — and the validator proves it
-//! (routing ranges to retired instances is rejected as
-//! [`PlanError::RangeRoutedToDeadInstance`](crate::PlanError::RangeRoutedToDeadInstance)).
+//! Migrated ranges return to their respawned owners, the only placement
+//! the engine's slot-stable keyed shuffle can serve: partition `p` belongs
+//! to replica `p mod k` before and after the rebalance.
 
-use crate::plan::{MigrationPlan, PausePolicy, PlanPhase, RangeRouting, WaveKind};
+use crate::plan::{MigrationPlan, PausePolicy, PlanPhase, WaveKind};
 use crate::strategy::{MigrationStrategy, StrategyKind};
 use flowmig_engine::{resend, KeyRangeScope, ProtocolConfig, WaveRouting, WaveScope};
 use flowmig_metrics::MigrationPhase;
@@ -44,7 +42,6 @@ use flowmig_sim::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CcrKeyRange {
     hot_permille: u16,
-    init_resend: SimDuration,
     wave_timeout: Option<SimDuration>,
     /// Per-shard window for all three waves; 0 derives it from the store
     /// shard count at the engine — against the *scoped* participant count.
@@ -55,7 +52,6 @@ impl Default for CcrKeyRange {
     fn default() -> Self {
         CcrKeyRange {
             hot_permille: KeyRangeScope::DEFAULT_HOT_PERMILLE,
-            init_resend: resend::FAST,
             wave_timeout: Some(resend::ACK_TIMEOUT),
             fan_out: 0,
         }
@@ -83,43 +79,10 @@ impl CcrKeyRange {
         self
     }
 
-    /// Overrides the INIT re-emission interval.
-    pub fn with_init_resend(mut self, interval: SimDuration) -> Self {
-        self.init_resend = interval;
-        self
-    }
-
-    /// Aborts the migration with a ROLLBACK wave if PREPARE/COMMIT do not
-    /// complete within `timeout`.
-    pub fn with_wave_timeout(mut self, timeout: SimDuration) -> Self {
-        self.wave_timeout = Some(timeout);
-        self
-    }
-
     /// Disables the checkpoint-wave timeout.
     pub fn without_wave_timeout(mut self) -> Self {
         self.wave_timeout = None;
         self
-    }
-
-    /// The configured hot-weight target in permille.
-    pub fn hot_permille(&self) -> u16 {
-        self.hot_permille
-    }
-
-    /// The configured per-shard window (0 = derived from shard count).
-    pub fn fan_out(&self) -> usize {
-        self.fan_out
-    }
-
-    /// The configured INIT resend interval.
-    pub fn init_resend(&self) -> SimDuration {
-        self.init_resend
-    }
-
-    /// The configured checkpoint-wave timeout, if any.
-    pub fn wave_timeout(&self) -> Option<SimDuration> {
-        self.wave_timeout
     }
 }
 
@@ -144,9 +107,8 @@ impl MigrationStrategy for CcrKeyRange {
             .scoped(MigrationPhase::Commit)
             .with_scope(scope);
         commit.timeout = self.wave_timeout;
-        MigrationPlan::new("CCR-KR", ProtocolConfig::ccr())
+        MigrationPlan::new(ProtocolConfig::ccr())
             .pause(PausePolicy::UntilComplete)
-            .route_ranges(RangeRouting::OwnerRespawn)
             .phase(prepare)
             .phase(commit)
             .phase(
@@ -154,7 +116,7 @@ impl MigrationStrategy for CcrKeyRange {
                     .after_rebalance()
                     .scoped(MigrationPhase::Restore)
                     .with_scope(scope)
-                    .with_resend(self.init_resend),
+                    .with_resend(resend::FAST),
             )
     }
 }
@@ -166,52 +128,65 @@ mod tests {
 
     #[test]
     fn defaults_target_sixty_percent_hot_weight() {
-        let s = CcrKeyRange::new();
-        assert_eq!(s.hot_permille(), 600);
-        assert_eq!(s.fan_out(), 0, "0 = derive from store shards");
-        assert_eq!(s.init_resend(), SimDuration::from_secs(1));
-        assert_eq!(s.wave_timeout(), Some(SimDuration::from_secs(30)));
-        assert_eq!(s.name(), "CCR-KR");
+        let plan = CcrKeyRange::new().plan();
+        let phases = plan.phases();
+        assert!(phases
+            .iter()
+            .all(|p| p.wave_scope == WaveScope::KeyRanges(KeyRangeScope::hot(600))));
+        assert!(phases.iter().all(|p| p.routing == WaveRouting::Parallel { fan_out: 0 }));
+        assert_eq!(phases[2].resend, Some(SimDuration::from_secs(1)));
+        assert_eq!(phases[0].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(phases[1].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(CcrKeyRange::new().name(), "CCR-KR");
     }
 
     #[test]
     fn builders_adjust_scope_and_window() {
         let s = CcrKeyRange::new().with_hot_permille(900).with_fan_out(4);
-        assert_eq!(s.hot_permille(), 900);
-        assert_eq!(s.fan_out(), 4);
-        assert_eq!(s.with_hot_permille(2000).hot_permille(), 1000, "permille clamps");
         let plan = s.plan();
         assert!(plan
             .phases()
             .iter()
             .all(|p| p.wave_scope
                 == WaveScope::KeyRanges(KeyRangeScope { hot_weight_permille: 900 })));
+        assert!(plan.phases().iter().all(|p| p.routing == WaveRouting::Parallel { fan_out: 4 }));
+        let clamped = s.with_hot_permille(2000).plan();
+        assert_eq!(
+            clamped.phases()[0].wave_scope,
+            WaveScope::KeyRanges(KeyRangeScope::hot(1000)),
+            "permille clamps"
+        );
     }
 
     #[test]
     fn plan_validates_with_owner_respawn_routing() {
+        // Ranges return to their respawned owners when the INIT re-reads
+        // every range the COMMIT persisted.
         let plan = CcrKeyRange::new().plan();
-        assert_eq!(plan.range_routing(), Some(RangeRouting::OwnerRespawn));
+        assert!(plan.phases()[2].wave_scope.covers_commit(plan.phases()[1].wave_scope));
         assert!(plan.validate().is_ok());
     }
 
     #[test]
     fn dropping_the_routing_or_capture_invalidates_the_plan() {
-        // Same phases, no route_ranges declaration.
-        let s = CcrKeyRange::new();
-        let base = s.plan();
+        // Same phases with an unscoped INIT: the hot ranges the COMMIT
+        // persisted are never routed back to their owners.
+        let base = CcrKeyRange::new().plan();
         let mut unrouted =
-            MigrationPlan::new("CCR-KR", ProtocolConfig::ccr()).pause(PausePolicy::UntilComplete);
+            MigrationPlan::new(ProtocolConfig::ccr()).pause(PausePolicy::UntilComplete);
         for &ph in base.phases() {
-            unrouted = unrouted.phase(ph);
+            let mut unscoped_init = ph;
+            if ph.wave == WaveKind::Init {
+                unscoped_init.wave_scope = WaveScope::AllParticipants;
+            }
+            unrouted = unrouted.phase(unscoped_init);
         }
-        assert_eq!(unrouted.validate().unwrap_err(), PlanError::MissingRangeRouting);
+        assert_eq!(unrouted.validate().unwrap_err(), PlanError::ScopedCommitUncovered);
 
         // A capture-less protocol cannot scope by key range even when its
         // PREPARE is a safe sequential drain.
-        let mut uncaptured = MigrationPlan::new("CCR-KR", ProtocolConfig::dcr())
-            .pause(PausePolicy::UntilComplete)
-            .route_ranges(RangeRouting::OwnerRespawn);
+        let mut uncaptured =
+            MigrationPlan::new(ProtocolConfig::dcr()).pause(PausePolicy::UntilComplete);
         for &ph in base.phases() {
             let mut drained = ph;
             drained.routing = WaveRouting::Sequential;

@@ -45,7 +45,6 @@ use flowmig_sim::SimDuration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CcrPipelined {
-    init_resend: SimDuration,
     wave_timeout: Option<SimDuration>,
     /// Per-shard window for all three waves; 0 derives it from the store
     /// shard count at the engine.
@@ -54,11 +53,7 @@ pub struct CcrPipelined {
 
 impl Default for CcrPipelined {
     fn default() -> Self {
-        CcrPipelined {
-            init_resend: resend::FAST,
-            wave_timeout: Some(resend::ACK_TIMEOUT),
-            fan_out: 0,
-        }
+        CcrPipelined { wave_timeout: Some(resend::ACK_TIMEOUT), fan_out: 0 }
     }
 }
 
@@ -76,38 +71,10 @@ impl CcrPipelined {
         self
     }
 
-    /// Overrides the INIT re-emission interval.
-    pub fn with_init_resend(mut self, interval: SimDuration) -> Self {
-        self.init_resend = interval;
-        self
-    }
-
-    /// Aborts the migration with a ROLLBACK wave if PREPARE/COMMIT do not
-    /// complete within `timeout`.
-    pub fn with_wave_timeout(mut self, timeout: SimDuration) -> Self {
-        self.wave_timeout = Some(timeout);
-        self
-    }
-
     /// Disables the checkpoint-wave timeout.
     pub fn without_wave_timeout(mut self) -> Self {
         self.wave_timeout = None;
         self
-    }
-
-    /// The configured per-shard window (0 = derived from shard count).
-    pub fn fan_out(&self) -> usize {
-        self.fan_out
-    }
-
-    /// The configured INIT resend interval.
-    pub fn init_resend(&self) -> SimDuration {
-        self.init_resend
-    }
-
-    /// The configured checkpoint-wave timeout, if any.
-    pub fn wave_timeout(&self) -> Option<SimDuration> {
-        self.wave_timeout
     }
 }
 
@@ -126,7 +93,7 @@ impl MigrationStrategy for CcrPipelined {
         prepare.timeout = self.wave_timeout;
         let mut commit = PlanPhase::wave(WaveKind::Commit, paced).scoped(MigrationPhase::Commit);
         commit.timeout = self.wave_timeout;
-        MigrationPlan::new("CCR-P", ProtocolConfig::ccr())
+        MigrationPlan::new(ProtocolConfig::ccr())
             .pause(PausePolicy::UntilComplete)
             .phase(prepare)
             .phase(commit)
@@ -134,7 +101,7 @@ impl MigrationStrategy for CcrPipelined {
                 PlanPhase::wave(WaveKind::Init, paced)
                     .after_rebalance()
                     .scoped(MigrationPhase::Restore)
-                    .with_resend(self.init_resend),
+                    .with_resend(resend::FAST),
             )
     }
 }
@@ -145,24 +112,24 @@ mod tests {
 
     #[test]
     fn defaults_derive_the_fan_out() {
-        let s = CcrPipelined::new();
-        assert_eq!(s.fan_out(), 0, "0 = derive from store shards");
-        assert_eq!(s.init_resend(), SimDuration::from_secs(1));
-        assert_eq!(s.wave_timeout(), Some(SimDuration::from_secs(30)));
-        assert_eq!(s.name(), "CCR-P");
+        let plan = CcrPipelined::new().plan();
+        let phases = plan.phases();
+        assert!(phases.iter().all(|p| p.routing == WaveRouting::Parallel { fan_out: 0 }));
+        assert_eq!(phases[2].resend, Some(SimDuration::from_secs(1)));
+        assert_eq!(phases[0].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(phases[1].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(CcrPipelined::new().name(), "CCR-P");
     }
 
     #[test]
     fn builders_pin_the_window() {
-        let s = CcrPipelined::new().with_fan_out(6).with_wave_timeout(SimDuration::from_secs(9));
-        assert_eq!(s.fan_out(), 6);
-        assert_eq!(s.wave_timeout(), Some(SimDuration::from_secs(9)));
-        assert_eq!(s.without_wave_timeout().wave_timeout(), None);
+        let s = CcrPipelined::new().with_fan_out(6);
         assert!(s
             .plan()
             .phases()
             .iter()
-            .all(|p| p.routing == flowmig_engine::WaveRouting::Parallel { fan_out: 6 }));
+            .all(|p| p.routing == WaveRouting::Parallel { fan_out: 6 }));
+        assert!(s.without_wave_timeout().plan().phases().iter().all(|p| p.timeout.is_none()));
     }
 
     #[test]

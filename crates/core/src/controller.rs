@@ -402,11 +402,11 @@ mod tests {
         }
 
         fn plan(&self) -> crate::MigrationPlan {
-            use crate::{MigrationPlan, PausePolicy, PlanPhase, RangeRouting, WaveKind};
+            use crate::{MigrationPlan, PausePolicy, PlanPhase, WaveKind};
             use flowmig_engine::{ProtocolConfig, WaveRouting};
             use flowmig_metrics::MigrationPhase;
             let wave = |kind, routing| PlanPhase::wave(kind, routing).with_scope(self.0);
-            let mut plan = MigrationPlan::new("CCR-scoped", ProtocolConfig::ccr())
+            MigrationPlan::new(ProtocolConfig::ccr())
                 .pause(PausePolicy::UntilComplete)
                 .phase(
                     wave(WaveKind::Prepare, WaveRouting::Broadcast).scoped(MigrationPhase::Drain),
@@ -419,21 +419,17 @@ mod tests {
                         .after_rebalance()
                         .scoped(MigrationPhase::Restore)
                         .with_resend(SimDuration::from_secs(1)),
-                );
-            if self.0.is_key_range() {
-                plan = plan.route_ranges(RangeRouting::OwnerRespawn);
-            }
-            plan
+                )
         }
     }
 
     #[test]
     fn scoped_waves_complete_on_a_dataflow_without_operators() {
-        // Source → sink: no instance migrates, so both scope kinds resolve
-        // to no participant. A wave with no member would wait forever for
-        // an ack; it degrades to every participant (here, the sink), as
-        // plain CCR addresses them.
-        use flowmig_engine::{InstanceScope, KeyRangeScope, WaveScope};
+        // Source → sink: no instance migrates, so a key-range scope
+        // resolves to no participant. A wave with no member would wait
+        // forever for an ack; it degrades to every participant (here, the
+        // sink), as plain CCR addresses them.
+        use flowmig_engine::{KeyRangeScope, WaveScope};
         use flowmig_topology::{DataflowBuilder, TaskSpec};
         let mut b = DataflowBuilder::new("src-sink");
         let src = b.add(TaskSpec::source("src", 8.0));
@@ -443,16 +439,11 @@ mod tests {
         let controller = MigrationController::new()
             .with_request_at(SimTime::from_secs(60))
             .with_horizon(SimTime::from_secs(600));
-        for scope in [
-            WaveScope::Instances(InstanceScope::Migrating),
-            WaveScope::KeyRanges(KeyRangeScope::hot(600)),
-        ] {
-            let strategy = ScopedCcr(scope);
-            strategy.plan().validate().expect("the scoped plan validates");
-            let out = controller.run(&dag, &strategy, ScaleDirection::In).unwrap();
-            assert!(out.completed, "{scope:?} wedged");
-            assert_eq!(out.stats.events_dropped, 0, "{scope:?}");
-        }
+        let strategy = ScopedCcr(WaveScope::KeyRanges(KeyRangeScope::hot(600)));
+        strategy.plan().validate().expect("the scoped plan validates");
+        let out = controller.run(&dag, &strategy, ScaleDirection::In).unwrap();
+        assert!(out.completed, "the key-range scope wedged");
+        assert_eq!(out.stats.events_dropped, 0);
         assert!(controller.run(&dag, &Ccr::new(), ScaleDirection::In).unwrap().completed);
     }
 

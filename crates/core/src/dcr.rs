@@ -70,16 +70,6 @@ impl Dcr {
         self
     }
 
-    /// The configured INIT resend interval.
-    pub fn init_resend(&self) -> SimDuration {
-        self.init_resend
-    }
-
-    /// The configured checkpoint-wave timeout, if any.
-    pub fn wave_timeout(&self) -> Option<SimDuration> {
-        self.wave_timeout
-    }
-
     /// Disables the checkpoint-wave timeout (the migration waits out any
     /// stall indefinitely).
     pub fn without_wave_timeout(mut self) -> Self {
@@ -99,12 +89,6 @@ impl Dcr {
     pub fn with_parallel_waves(mut self, fan_out: usize) -> Self {
         self.parallel_fan_out = Some(fan_out);
         self
-    }
-
-    /// The configured per-shard parallel-wave fan-out, if parallel waves
-    /// are enabled.
-    pub fn parallel_fan_out(&self) -> Option<usize> {
-        self.parallel_fan_out
     }
 }
 
@@ -131,7 +115,7 @@ impl MigrationStrategy for Dcr {
         let mut commit =
             PlanPhase::wave(WaveKind::Commit, store_wave).scoped(MigrationPhase::Commit);
         commit.timeout = self.wave_timeout;
-        MigrationPlan::new("DCR", ProtocolConfig::dcr())
+        MigrationPlan::new(ProtocolConfig::dcr())
             .pause(PausePolicy::UntilComplete)
             .phase(prepare)
             .phase(commit)
@@ -150,33 +134,37 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let d = Dcr::new();
-        assert_eq!(d.init_resend(), SimDuration::from_secs(1));
-        assert_eq!(d.wave_timeout(), Some(SimDuration::from_secs(30)));
-        assert_eq!(d.without_wave_timeout().wave_timeout(), None);
-        assert_eq!(d.name(), "DCR");
+        let plan = Dcr::new().plan();
+        assert_eq!(plan.phases()[2].resend, Some(SimDuration::from_secs(1)));
+        assert_eq!(plan.phases()[0].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(plan.phases()[1].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(Dcr::new().name(), "DCR");
     }
 
     #[test]
     fn builders_configure_ablations() {
-        let d = Dcr::new()
+        let plan = Dcr::new()
             .with_init_resend(SimDuration::from_secs(30))
-            .with_wave_timeout(SimDuration::from_secs(20));
-        assert_eq!(d.init_resend(), SimDuration::from_secs(30));
-        assert_eq!(d.wave_timeout(), Some(SimDuration::from_secs(20)));
+            .with_wave_timeout(SimDuration::from_secs(20))
+            .plan();
+        assert_eq!(plan.phases()[2].resend, Some(SimDuration::from_secs(30)));
+        assert_eq!(plan.phases()[0].timeout, Some(SimDuration::from_secs(20)));
     }
 
     #[test]
     fn parallel_waves_builder() {
-        let d = Dcr::new();
-        assert_eq!(d.parallel_fan_out(), None, "fully sequential by default");
-        assert_eq!(d.with_parallel_waves(8).parallel_fan_out(), Some(8));
+        let routing = |d: Dcr| d.plan().phases()[1].routing;
+        assert_eq!(routing(Dcr::new()), WaveRouting::Sequential, "fully sequential by default");
+        assert_eq!(
+            routing(Dcr::new().with_parallel_waves(8)),
+            WaveRouting::Parallel { fan_out: 8 }
+        );
     }
 
     #[test]
     fn protocol_has_no_capture() {
         let p = Dcr::new().protocol();
-        assert!(!p.capture_on_prepare && !p.persist_pending);
+        assert!(!p.capture_on_prepare);
         assert!(!p.periodic_checkpoint);
     }
 

@@ -47,7 +47,6 @@ use flowmig_sim::SimDuration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DcrParallelInit {
-    init_resend: SimDuration,
     wave_timeout: Option<SimDuration>,
     /// Per-shard INIT window; 0 derives it from the store shard count at
     /// the engine.
@@ -56,11 +55,7 @@ pub struct DcrParallelInit {
 
 impl Default for DcrParallelInit {
     fn default() -> Self {
-        DcrParallelInit {
-            init_resend: resend::FAST,
-            wave_timeout: Some(resend::ACK_TIMEOUT),
-            fan_out: 0,
-        }
+        DcrParallelInit { wave_timeout: Some(resend::ACK_TIMEOUT), fan_out: 0 }
     }
 }
 
@@ -78,39 +73,10 @@ impl DcrParallelInit {
         self
     }
 
-    /// Overrides the INIT re-emission interval.
-    pub fn with_init_resend(mut self, interval: SimDuration) -> Self {
-        self.init_resend = interval;
-        self
-    }
-
-    /// Aborts the migration with a ROLLBACK wave if PREPARE/COMMIT do not
-    /// complete within `timeout`.
-    pub fn with_wave_timeout(mut self, timeout: SimDuration) -> Self {
-        self.wave_timeout = Some(timeout);
-        self
-    }
-
     /// Disables the checkpoint-wave timeout.
     pub fn without_wave_timeout(mut self) -> Self {
         self.wave_timeout = None;
         self
-    }
-
-    /// The configured per-shard INIT window (0 = derived from shard
-    /// count).
-    pub fn fan_out(&self) -> usize {
-        self.fan_out
-    }
-
-    /// The configured INIT resend interval.
-    pub fn init_resend(&self) -> SimDuration {
-        self.init_resend
-    }
-
-    /// The configured checkpoint-wave timeout, if any.
-    pub fn wave_timeout(&self) -> Option<SimDuration> {
-        self.wave_timeout
     }
 }
 
@@ -129,7 +95,7 @@ impl MigrationStrategy for DcrParallelInit {
         let mut commit = PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential)
             .scoped(MigrationPhase::Commit);
         commit.timeout = self.wave_timeout;
-        MigrationPlan::new("DCR-PI", ProtocolConfig::dcr())
+        MigrationPlan::new(ProtocolConfig::dcr())
             .pause(PausePolicy::UntilComplete)
             .phase(prepare)
             .phase(commit)
@@ -137,7 +103,7 @@ impl MigrationStrategy for DcrParallelInit {
                 PlanPhase::wave(WaveKind::Init, WaveRouting::Parallel { fan_out: self.fan_out })
                     .after_rebalance()
                     .scoped(MigrationPhase::Restore)
-                    .with_resend(self.init_resend),
+                    .with_resend(resend::FAST),
             )
     }
 }
@@ -148,24 +114,19 @@ mod tests {
 
     #[test]
     fn defaults_derive_the_init_window() {
-        let s = DcrParallelInit::new();
-        assert_eq!(s.fan_out(), 0, "0 = derive from store shards");
-        assert_eq!(s.init_resend(), SimDuration::from_secs(1));
-        assert_eq!(s.wave_timeout(), Some(SimDuration::from_secs(30)));
-        assert_eq!(s.name(), "DCR-PI");
+        let plan = DcrParallelInit::new().plan();
+        assert_eq!(plan.phases()[2].routing, WaveRouting::Parallel { fan_out: 0 });
+        assert_eq!(plan.phases()[2].resend, Some(SimDuration::from_secs(1)));
+        assert_eq!(plan.phases()[0].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(plan.phases()[1].timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(DcrParallelInit::new().name(), "DCR-PI");
     }
 
     #[test]
     fn builders_configure_window_and_timeout() {
-        let s = DcrParallelInit::new()
-            .with_fan_out(6)
-            .with_init_resend(SimDuration::from_secs(2))
-            .with_wave_timeout(SimDuration::from_secs(9));
-        assert_eq!(s.fan_out(), 6);
-        assert_eq!(s.init_resend(), SimDuration::from_secs(2));
-        assert_eq!(s.wave_timeout(), Some(SimDuration::from_secs(9)));
-        assert_eq!(s.without_wave_timeout().wave_timeout(), None);
+        let s = DcrParallelInit::new().with_fan_out(6);
         assert_eq!(s.plan().phases()[2].routing, WaveRouting::Parallel { fan_out: 6 });
+        assert!(s.without_wave_timeout().plan().phases().iter().all(|p| p.timeout.is_none()));
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl Dsm {
         Dsm { pause_timeout, parallel_fan_out: None }
     }
 
-    /// The configured pause timeout.
-    pub fn pause_timeout(&self) -> SimDuration {
-        self.pause_timeout
-    }
-
     /// Parallelizes DSM's store-bound waves: the periodic-checkpoint COMMIT
     /// and the post-rebalance INIT switch to [`WaveRouting::Parallel`] with
     /// `fan_out` in-flight store operations per shard (0 = derived from
@@ -68,12 +63,6 @@ impl Dsm {
     pub fn with_parallel_waves(mut self, fan_out: usize) -> Self {
         self.parallel_fan_out = Some(fan_out);
         self
-    }
-
-    /// The configured per-shard parallel-wave fan-out, if parallel waves
-    /// are enabled.
-    pub fn parallel_fan_out(&self) -> Option<usize> {
-        self.parallel_fan_out
     }
 }
 
@@ -99,7 +88,7 @@ impl MigrationStrategy for Dsm {
             // completes, as with Storm's deactivate→rebalance→activate.
             PausePolicy::Timed(self.pause_timeout)
         };
-        MigrationPlan::new("DSM", ProtocolConfig::dsm())
+        MigrationPlan::new(ProtocolConfig::dsm())
             .pause(pause)
             .phase(
                 PlanPhase::wave(WaveKind::Init, store_wave)
@@ -117,9 +106,9 @@ mod tests {
 
     #[test]
     fn default_timeout_is_zero() {
-        assert!(Dsm::new().pause_timeout().is_zero());
-        let d = Dsm::with_pause_timeout(SimDuration::from_secs(10));
-        assert_eq!(d.pause_timeout(), SimDuration::from_secs(10));
+        // A zero rebalance timeout kills at once: the plan never pauses.
+        assert_eq!(Dsm::new(), Dsm::with_pause_timeout(SimDuration::ZERO));
+        assert_eq!(Dsm::new().plan().pause_policy(), PausePolicy::None);
     }
 
     #[test]
@@ -131,14 +120,18 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_name() {
-        assert_eq!(Dsm::new().coordinator().name(), "DSM");
-    }
-
-    #[test]
     fn parallel_waves_builder() {
-        assert_eq!(Dsm::new().parallel_fan_out(), None);
-        assert_eq!(Dsm::new().with_parallel_waves(2).parallel_fan_out(), Some(2));
+        // The store-bound waves: the INIT phase and the periodic COMMIT.
+        let store_waves = |plan: MigrationPlan| {
+            (plan.phases()[0].routing, plan.periodic_checkpoint().map(|p| p.commit_routing))
+        };
+        let sequential = WaveRouting::Sequential;
+        assert_eq!(store_waves(Dsm::new().plan()), (sequential, Some(sequential)));
+        let parallel = WaveRouting::Parallel { fan_out: 2 };
+        assert_eq!(
+            store_waves(Dsm::new().with_parallel_waves(2).plan()),
+            (parallel, Some(parallel))
+        );
     }
 
     #[test]
@@ -155,6 +148,5 @@ mod tests {
         let timed = Dsm::with_pause_timeout(SimDuration::from_secs(10)).plan();
         assert_eq!(timed.pause_policy(), PausePolicy::Timed(SimDuration::from_secs(10)));
         assert!(timed.validate().is_ok());
-        assert_eq!(Dsm::new().plan().pause_policy(), PausePolicy::None);
     }
 }

@@ -11,8 +11,8 @@
 //! the strategy-specific coordinators they replaced (pinned by
 //! `tests/determinism.rs`).
 
-use crate::plan::{Barrier, PausePolicy, PlanPhase, TimeoutAction, ValidPlan};
-use flowmig_engine::{EngineCtl, MigrationCoordinator, WaveRouting};
+use crate::plan::{Barrier, MigrationPlan, PausePolicy, PlanPhase, ValidPlan};
+use flowmig_engine::{resend, EngineCtl, MigrationCoordinator, WaveRouting};
 use flowmig_metrics::{ControlKind, MigrationPhase};
 
 /// Timer token for the [`PausePolicy::Timed`] wait; phase-deadline tokens
@@ -51,7 +51,8 @@ enum RunState {
 /// and a worked example).
 #[derive(Debug)]
 pub struct PlanCoordinator {
-    plan: ValidPlan,
+    /// The plan, validated when the coordinator was built.
+    plan: MigrationPlan,
     state: RunState,
     /// A [`PausePolicy::Timed`] pause is active and must be lifted when
     /// the rebalance completes.
@@ -61,7 +62,7 @@ pub struct PlanCoordinator {
 impl PlanCoordinator {
     /// A coordinator ready to run one migration of `plan`.
     pub fn new(plan: ValidPlan) -> Self {
-        PlanCoordinator { plan, state: RunState::Idle, timed_pause: false }
+        PlanCoordinator { plan: plan.0, state: RunState::Idle, timed_pause: false }
     }
 
     /// The current phase index, if a phase's wave is in flight.
@@ -125,7 +126,7 @@ impl PlanCoordinator {
     /// the duration, and record completion.
     fn finish(&mut self, ctl: &mut EngineCtl<'_, '_>) {
         self.state = RunState::Done;
-        if self.plan.pause() == PausePolicy::UntilComplete {
+        if self.plan.pause_policy() == PausePolicy::UntilComplete {
             ctl.phase_started(MigrationPhase::Resume);
             ctl.unpause_sources();
             ctl.phase_ended(MigrationPhase::Pause);
@@ -139,17 +140,13 @@ impl PlanCoordinator {
         self.state = RunState::Aborting;
         ctl.reset_wave(ControlKind::Rollback);
         ctl.start_wave(ControlKind::Rollback, WaveRouting::Broadcast);
-        ctl.schedule_resend(ControlKind::Rollback, self.plan.rollback_resend());
+        ctl.schedule_resend(ControlKind::Rollback, resend::FAST);
     }
 }
 
 impl MigrationCoordinator for PlanCoordinator {
-    fn name(&self) -> &'static str {
-        self.plan.name()
-    }
-
     fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
-        match self.plan.pause() {
+        match self.plan.pause_policy() {
             PausePolicy::None => {
                 self.enter(0, ctl);
                 self.arm_deadlines(ctl);
@@ -179,8 +176,10 @@ impl MigrationCoordinator for PlanCoordinator {
                 self.enter(i + 1, ctl);
             }
             RunState::PeriodicPrepare if kind == ControlKind::Prepare => {
-                let routing =
-                    self.plan.periodic().map_or(WaveRouting::Sequential, |p| p.commit_routing);
+                let routing = self
+                    .plan
+                    .periodic_checkpoint()
+                    .map_or(WaveRouting::Sequential, |p| p.commit_routing);
                 self.state = RunState::PeriodicCommit;
                 ctl.reset_wave(ControlKind::Commit);
                 ctl.start_wave(ControlKind::Commit, routing);
@@ -196,7 +195,8 @@ impl MigrationCoordinator for PlanCoordinator {
                 // Resume the sources only if this plan paused them — a
                 // PausePolicy::None plan never opened a Pause span, and
                 // closing one here would corrupt the trace.
-                let paused = self.timed_pause || self.plan.pause() == PausePolicy::UntilComplete;
+                let paused =
+                    self.timed_pause || self.plan.pause_policy() == PausePolicy::UntilComplete;
                 self.timed_pause = false;
                 if paused {
                     ctl.unpause_sources();
@@ -238,14 +238,14 @@ impl MigrationCoordinator for PlanCoordinator {
                 if kind == ControlKind::Rollback && !ctl.wave_complete(ControlKind::Rollback) =>
             {
                 ctl.start_wave(ControlKind::Rollback, WaveRouting::Broadcast);
-                ctl.schedule_resend(ControlKind::Rollback, self.plan.rollback_resend());
+                ctl.schedule_resend(ControlKind::Rollback, resend::FAST);
             }
             _ => {}
         }
     }
 
     fn on_checkpoint_timer(&mut self, ctl: &mut EngineCtl<'_, '_>) {
-        if self.plan.periodic().is_none() {
+        if self.plan.periodic_checkpoint().is_none() {
             return;
         }
         match self.state {
@@ -279,16 +279,14 @@ impl MigrationCoordinator for PlanCoordinator {
             return;
         }
         // Deadline for phase `token`: if the plan has not progressed past
-        // that phase, the timed-out phase's action runs. (With several
-        // phases sharing one deadline value this reproduces a joint budget:
+        // that phase, the migration rolls back. (With several phases
+        // sharing one deadline value this reproduces a joint budget:
         // whichever of them is still running when the timers fire aborts.)
         let RunState::Running(current) = self.state else {
             return;
         };
         if current as u32 <= token {
-            match self.phase(token as usize).on_timeout {
-                TimeoutAction::Rollback => self.abort(ctl),
-            }
+            self.abort(ctl);
         }
     }
 }
@@ -296,14 +294,7 @@ impl MigrationCoordinator for PlanCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Ccr, Dcr, Dsm, MigrationStrategy};
-
-    #[test]
-    fn built_in_plans_interpret_with_their_paper_names() {
-        assert_eq!(Dsm::new().coordinator().name(), "DSM");
-        assert_eq!(Dcr::new().coordinator().name(), "DCR");
-        assert_eq!(Ccr::new().coordinator().name(), "CCR");
-    }
+    use crate::{Dcr, MigrationStrategy};
 
     #[test]
     fn coordinator_starts_idle() {
@@ -337,7 +328,7 @@ mod tests {
             fn plan(&self) -> MigrationPlan {
                 let mut prepare = PlanPhase::wave(WaveKind::Prepare, WaveRouting::Sequential);
                 prepare.timeout = Some(SimDuration::from_secs(10));
-                MigrationPlan::new("DSM+JIT", ProtocolConfig::dsm())
+                MigrationPlan::new(ProtocolConfig::dsm())
                     .pause(PausePolicy::None)
                     .phase(prepare)
                     .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))

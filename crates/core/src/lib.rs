@@ -77,7 +77,7 @@ pub use dsm::Dsm;
 pub use interp::PlanCoordinator;
 pub use plan::{
     Barrier, MigrationPlan, PausePolicy, PeriodicCheckpoint, PlanError, PlanPhase, PlanValidator,
-    RangeRouting, TimeoutAction, ValidPlan, WaveKind,
+    ValidPlan, WaveKind,
 };
 pub use strategy::{
     default_strategy, strategies, strategy_named, MigrationStrategy, StrategyInfo, StrategyKind,

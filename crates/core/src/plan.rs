@@ -25,7 +25,7 @@
 //! use flowmig_cluster::ScaleDirection;
 //! use flowmig_core::{
 //!     MigrationController, MigrationPlan, MigrationStrategy, PausePolicy, PlanPhase,
-//!     RangeRouting, StrategyKind, WaveKind,
+//!     StrategyKind, WaveKind,
 //! };
 //! use flowmig_engine::{KeyRangeScope, ProtocolConfig, WaveRouting, WaveScope};
 //! use flowmig_metrics::MigrationPhase;
@@ -48,9 +48,8 @@
 //!
 //!     fn plan(&self) -> MigrationPlan {
 //!         let hot = WaveScope::KeyRanges(KeyRangeScope::hot(600));
-//!         MigrationPlan::new("CCR+SR", ProtocolConfig::ccr())
+//!         MigrationPlan::new(ProtocolConfig::ccr())
 //!             .pause(PausePolicy::UntilComplete)
-//!             .route_ranges(RangeRouting::OwnerRespawn) // ranges return to respawned owners
 //!             .phase(
 //!                 PlanPhase::wave(WaveKind::Prepare, WaveRouting::Broadcast)
 //!                     .scoped(MigrationPhase::Drain)
@@ -91,10 +90,12 @@
 //! PREPARE above (and `ProtocolConfig::dcr()` for the protocol) gives DCR;
 //! the validator is what keeps such edits honest — e.g. a non-sequential
 //! PREPARE without capture is rejected because in-flight events would be
-//! neither drained nor captured, and a key-range scope without a
-//! [`route_ranges`](MigrationPlan::route_ranges) declaration (or without
-//! capture semantics at all) is rejected before it can strand hot-range
-//! state.
+//! neither drained nor captured, and a key-range scope without capture
+//! semantics, or a key-range COMMIT whose INIT does not restore every
+//! range it persisted, is rejected before it can strand hot-range state.
+//! Migrated ranges always return to their respawned owners: the engine's
+//! keyed shuffle is slot-stable, so partition `p` belongs to replica
+//! `p mod k` before and after the rebalance.
 
 use flowmig_engine::{ProtocolConfig, WaveRouting, WaveScope};
 use flowmig_metrics::{ControlKind, MigrationPhase};
@@ -102,7 +103,8 @@ use flowmig_sim::SimDuration;
 use std::fmt;
 
 /// The wave a [`PlanPhase`] sends. ROLLBACK is deliberately absent: it is
-/// the abort path, reachable only through [`TimeoutAction::Rollback`].
+/// the abort path, reachable only through an expired
+/// [`PlanPhase::timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WaveKind {
     /// Snapshot (or start capturing) at every participant.
@@ -138,20 +140,6 @@ pub enum Barrier {
     Rebalance,
 }
 
-/// What happens when a [`PlanPhase`]'s deadline expires before the phase
-/// completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimeoutAction {
-    /// Abort the migration with §2's three-phase-commit failure handling:
-    /// broadcast a ROLLBACK wave (re-sent every
-    /// [`MigrationPlan::rollback_resend`]) until every participant
-    /// restores its pre-migration behaviour, then resume the sources. Only
-    /// reachable before the rebalance — afterwards the old deployment no
-    /// longer exists to roll back to, and the validator rejects it.
-    #[default]
-    Rollback,
-}
-
 /// One step of a [`MigrationPlan`]: a routed control wave plus its
 /// synchronization, metric scope, failure deadline and re-emission cadence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,11 +157,15 @@ pub struct PlanPhase {
     /// Deadline, measured from the start of the plan's checkpoint
     /// sequence — the migration request or, under
     /// [`PausePolicy::Timed`], the end of the timed pause — by which this
-    /// phase must have completed; expiry while this phase — or an earlier
-    /// one — is still in flight triggers [`Self::on_timeout`].
+    /// phase must have completed. Expiry while this phase — or an earlier
+    /// one — is still in flight aborts the migration with §2's
+    /// three-phase-commit failure handling: a ROLLBACK wave is broadcast
+    /// (re-sent every [`resend::FAST`](flowmig_engine::resend::FAST))
+    /// until every participant restores its pre-migration behaviour, then
+    /// the sources resume. Only reachable before the rebalance — afterwards
+    /// the old deployment no longer exists to roll back to, and the
+    /// validator rejects a deadline there.
     pub timeout: Option<SimDuration>,
-    /// Failure handling when [`Self::timeout`] expires.
-    pub on_timeout: TimeoutAction,
     /// Re-emit the wave at this cadence until every participant acks
     /// (already-done participants skip duplicates, so an aggressive
     /// cadence is cheap — §3.1).
@@ -195,7 +187,6 @@ impl PlanPhase {
             barrier: Barrier::Wave,
             scope: None,
             timeout: None,
-            on_timeout: TimeoutAction::Rollback,
             resend: None,
             wave_scope: WaveScope::AllParticipants,
         }
@@ -231,21 +222,6 @@ impl PlanPhase {
         self.wave_scope = scope;
         self
     }
-}
-
-/// Where a key-range-scoped plan places the migrated hot ranges when the
-/// rebalance respawns workers. A plan that scopes any wave to key ranges
-/// must declare its placement so the validator can prove every migrated
-/// range lands on an instance that exists after the rebalance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeRouting {
-    /// Hot ranges return to their respawned owner instances — the only
-    /// placement the engine's slot-stable keyed shuffle can serve.
-    OwnerRespawn,
-    /// Hot ranges are handed to instances retired by the scale-in. Those
-    /// instances are dead after the rebalance, so the validator rejects
-    /// this placement ([`PlanError::RangeRoutedToDeadInstance`]).
-    RetiredInstances,
 }
 
 /// How a plan handles the sources while migrating.
@@ -287,28 +263,17 @@ impl Default for PeriodicCheckpoint {
 /// [`PlanCoordinator`](crate::PlanCoordinator).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationPlan {
-    name: &'static str,
     protocol: ProtocolConfig,
     pause: PausePolicy,
     phases: Vec<PlanPhase>,
     periodic: Option<PeriodicCheckpoint>,
-    rollback_resend: SimDuration,
-    range_routing: Option<RangeRouting>,
 }
 
 impl MigrationPlan {
-    /// An empty plan named `name` running under `protocol`, with no pause,
-    /// no periodic checkpointing and the paper's 1 s ROLLBACK resend.
-    pub fn new(name: &'static str, protocol: ProtocolConfig) -> Self {
-        MigrationPlan {
-            name,
-            protocol,
-            pause: PausePolicy::None,
-            phases: Vec::new(),
-            periodic: None,
-            rollback_resend: SimDuration::from_secs(1),
-            range_routing: None,
-        }
+    /// An empty plan running under `protocol`, with no pause and no
+    /// periodic checkpointing.
+    pub fn new(protocol: ProtocolConfig) -> Self {
+        MigrationPlan { protocol, pause: PausePolicy::None, phases: Vec::new(), periodic: None }
     }
 
     /// Sets the source pause policy.
@@ -327,30 +292,6 @@ impl MigrationPlan {
     pub fn periodic(mut self, periodic: PeriodicCheckpoint) -> Self {
         self.periodic = Some(periodic);
         self
-    }
-
-    /// Overrides the abort-path ROLLBACK re-emission cadence.
-    pub fn rollback_resend(mut self, cadence: SimDuration) -> Self {
-        self.rollback_resend = cadence;
-        self
-    }
-
-    /// Declares where migrated key ranges land after the rebalance —
-    /// required whenever any phase carries a [`WaveScope::KeyRanges`]
-    /// scope.
-    pub fn route_ranges(mut self, routing: RangeRouting) -> Self {
-        self.range_routing = Some(routing);
-        self
-    }
-
-    /// The declared key-range placement, if any.
-    pub fn range_routing(&self) -> Option<RangeRouting> {
-        self.range_routing
-    }
-
-    /// The plan's display name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// The engine protocol flags the plan runs under.
@@ -388,32 +329,12 @@ impl MigrationPlan {
 /// A [`MigrationPlan`] that passed [`MigrationPlan::validate`] — the only
 /// thing a [`PlanCoordinator`](crate::PlanCoordinator) will interpret.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ValidPlan(MigrationPlan);
+pub struct ValidPlan(pub(crate) MigrationPlan);
 
 impl ValidPlan {
     /// The underlying plan.
     pub fn plan(&self) -> &MigrationPlan {
         &self.0
-    }
-
-    pub(crate) fn name(&self) -> &'static str {
-        self.0.name
-    }
-
-    pub(crate) fn pause(&self) -> PausePolicy {
-        self.0.pause
-    }
-
-    pub(crate) fn phases(&self) -> &[PlanPhase] {
-        &self.0.phases
-    }
-
-    pub(crate) fn periodic(&self) -> Option<PeriodicCheckpoint> {
-        self.0.periodic
-    }
-
-    pub(crate) fn rollback_resend(&self) -> SimDuration {
-        self.0.rollback_resend
     }
 }
 
@@ -444,17 +365,14 @@ pub enum PlanError {
     /// in-flight events would be neither drained (no rearguard sweep) nor
     /// captured — they would be silently lost.
     UnsafePrepareRouting,
-    /// `persist_pending` without `capture_on_prepare`: there would never
-    /// be a pending list to persist.
-    PendingWithoutCapture,
     /// The protocol's `periodic_checkpoint` flag disagrees with the
     /// plan's [`PeriodicCheckpoint`] section.
     PeriodicMismatch,
     /// Neither a COMMIT phase nor periodic checkpointing: the INIT phase
     /// would restore from a store nobody ever writes.
     NothingToRestore,
-    /// A deadline with [`TimeoutAction::Rollback`] on a phase at or after
-    /// the rebalance barrier — the rollback target is unreachable there.
+    /// A deadline on a phase at or after the rebalance barrier: an expired
+    /// deadline rolls back, and the rollback target is unreachable there.
     UnreachableRollback,
     /// The final phase has no resend cadence: post-rebalance workers drop
     /// control events while starting, so a single un-resent wave can
@@ -472,13 +390,6 @@ pub enum PlanError {
     /// hot-range pending lists the scope migrates only exist under capture
     /// semantics.
     KeyRangeScopeWithoutCapture,
-    /// A [`WaveScope::KeyRanges`] scope without a
-    /// [`route_ranges`](MigrationPlan::route_ranges) declaration: the
-    /// validator cannot prove the migrated ranges land anywhere.
-    MissingRangeRouting,
-    /// The declared [`RangeRouting`] places migrated ranges on instances
-    /// that are dead after the rebalance.
-    RangeRoutedToDeadInstance,
 }
 
 impl fmt::Display for PlanError {
@@ -502,9 +413,6 @@ impl fmt::Display for PlanError {
             PlanError::UnsafePrepareRouting => f.write_str(
                 "non-sequential PREPARE without capture: in-flight events would be lost",
             ),
-            PlanError::PendingWithoutCapture => {
-                f.write_str("persist_pending without capture_on_prepare")
-            }
             PlanError::PeriodicMismatch => f.write_str(
                 "protocol periodic_checkpoint flag disagrees with the plan's periodic section",
             ),
@@ -525,12 +433,6 @@ impl fmt::Display for PlanError {
             ),
             PlanError::KeyRangeScopeWithoutCapture => f.write_str(
                 "key-range scope without capture_on_prepare: hot-range pending lists need capture",
-            ),
-            PlanError::MissingRangeRouting => f.write_str(
-                "key-range scope without a route_ranges declaration: migrated ranges are unplaced",
-            ),
-            PlanError::RangeRoutedToDeadInstance => f.write_str(
-                "range routing targets instances retired by the rebalance: ranges would be lost",
             ),
         }
     }
@@ -606,15 +508,11 @@ impl PlanValidator {
                 return Err(PlanError::UnsafePrepareRouting);
             }
         }
-        if plan.protocol.persist_pending && !plan.protocol.capture_on_prepare {
-            return Err(PlanError::PendingWithoutCapture);
-        }
-        // Scope rules: a narrowed COMMIT must be restored by an INIT whose
-        // scope covers it, and key-range scopes need capture semantics plus
-        // a range placement that survives the rebalance.
+        // Scope rules: a key-range COMMIT must be restored by an INIT whose
+        // scope covers it, and key-range scopes need capture semantics.
         if let Some(c) = commit_idx {
             let commit_scope = phases[c].wave_scope;
-            if commit_scope.is_scoped() {
+            if commit_scope.is_key_range() {
                 let init_scope =
                     phases.iter().find(|p| p.wave == WaveKind::Init).map(|p| p.wave_scope);
                 if !init_scope.is_some_and(|s| s.covers_commit(commit_scope)) {
@@ -622,17 +520,8 @@ impl PlanValidator {
                 }
             }
         }
-        if phases.iter().any(|p| p.wave_scope.is_key_range()) {
-            if !plan.protocol.capture_on_prepare {
-                return Err(PlanError::KeyRangeScopeWithoutCapture);
-            }
-            match plan.range_routing {
-                None => return Err(PlanError::MissingRangeRouting),
-                Some(RangeRouting::RetiredInstances) => {
-                    return Err(PlanError::RangeRoutedToDeadInstance);
-                }
-                Some(RangeRouting::OwnerRespawn) => {}
-            }
+        if phases.iter().any(|p| p.wave_scope.is_key_range()) && !plan.protocol.capture_on_prepare {
+            return Err(PlanError::KeyRangeScopeWithoutCapture);
         }
         if plan.protocol.periodic_checkpoint != plan.periodic.is_some() {
             return Err(PlanError::PeriodicMismatch);
@@ -642,10 +531,7 @@ impl PlanValidator {
         }
 
         for (i, ph) in phases.iter().enumerate() {
-            if ph.timeout.is_some()
-                && ph.on_timeout == TimeoutAction::Rollback
-                && i >= rebalance_idx
-            {
+            if ph.timeout.is_some() && i >= rebalance_idx {
                 return Err(PlanError::UnreachableRollback);
             }
             if let Some(scope) = ph.scope {
@@ -677,7 +563,7 @@ mod tests {
     }
 
     fn dcr_like() -> MigrationPlan {
-        MigrationPlan::new("T", ProtocolConfig::dcr())
+        MigrationPlan::new(ProtocolConfig::dcr())
             .pause(PausePolicy::UntilComplete)
             .phase(
                 PlanPhase::wave(WaveKind::Prepare, WaveRouting::Sequential)
@@ -697,13 +583,13 @@ mod tests {
 
     #[test]
     fn empty_plan_is_rejected() {
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr());
+        let plan = MigrationPlan::new(ProtocolConfig::dcr());
         assert_eq!(plan.validate().unwrap_err(), PlanError::Empty);
     }
 
     #[test]
     fn a_plan_needs_exactly_one_rebalance() {
-        let none = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let none = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(
                 PlanPhase::wave(WaveKind::Init, WaveRouting::Broadcast)
@@ -711,7 +597,7 @@ mod tests {
             );
         assert_eq!(none.validate().unwrap_err(), PlanError::NoRebalance);
 
-        let two = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let two = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential).after_rebalance())
             .phase(restore_phase());
         assert_eq!(two.validate().unwrap_err(), PlanError::MultipleRebalances);
@@ -719,7 +605,7 @@ mod tests {
 
     #[test]
     fn duplicate_wave_kinds_are_rejected() {
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Broadcast))
             .phase(restore_phase());
@@ -729,21 +615,21 @@ mod tests {
     #[test]
     fn routing_phase_compatibility_guards_the_drain() {
         // A broadcast PREPARE without capture loses in-flight events.
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Broadcast))
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(restore_phase());
         assert_eq!(plan.validate().unwrap_err(), PlanError::UnsafePrepareRouting);
 
         // The same routing is fine once capture is on (CCR semantics).
-        let captured = MigrationPlan::new("T", ProtocolConfig::ccr())
+        let captured = MigrationPlan::new(ProtocolConfig::ccr())
             .phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Broadcast))
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(restore_phase());
         assert!(captured.validate().is_ok());
 
         // Parallel PREPARE (CcrPipelined's signature move) is also capture-only.
-        let parallel = MigrationPlan::new("T", ProtocolConfig::ccr())
+        let parallel = MigrationPlan::new(ProtocolConfig::ccr())
             .phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Parallel { fan_out: 0 }))
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(restore_phase());
@@ -752,7 +638,7 @@ mod tests {
 
     #[test]
     fn checkpoint_waves_must_precede_the_rebalance() {
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Sequential))
             .phase(
                 PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential)
@@ -764,7 +650,7 @@ mod tests {
             PlanError::CheckpointAfterRebalance(WaveKind::Commit)
         );
 
-        let init_early = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let init_early = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Init, WaveRouting::Broadcast))
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential).after_rebalance());
         assert_eq!(init_early.validate().unwrap_err(), PlanError::RestoreBeforeRebalance);
@@ -772,7 +658,7 @@ mod tests {
 
     #[test]
     fn commit_cannot_precede_prepare() {
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Sequential))
             .phase(restore_phase());
@@ -781,7 +667,7 @@ mod tests {
 
     #[test]
     fn rollback_must_be_reachable() {
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(restore_phase().with_timeout(SimDuration::from_secs(30)));
         assert_eq!(plan.validate().unwrap_err(), PlanError::UnreachableRollback);
@@ -789,7 +675,7 @@ mod tests {
 
     #[test]
     fn final_phase_must_resend() {
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential))
             .phase(PlanPhase::wave(WaveKind::Init, WaveRouting::Broadcast).after_rebalance());
         assert_eq!(plan.validate().unwrap_err(), PlanError::FinalPhaseWithoutResend);
@@ -798,12 +684,12 @@ mod tests {
     #[test]
     fn protocol_consistency_is_enforced() {
         // periodic flag without a periodic section…
-        let plan = MigrationPlan::new("T", ProtocolConfig::dsm())
+        let plan = MigrationPlan::new(ProtocolConfig::dsm())
             .phase(restore_phase().with_resend(SimDuration::from_secs(30)));
         assert_eq!(plan.validate().unwrap_err(), PlanError::PeriodicMismatch);
 
         // …and a JIT plan without any COMMIT has nothing to restore.
-        let no_commit = MigrationPlan::new("T", ProtocolConfig::dcr()).phase(restore_phase());
+        let no_commit = MigrationPlan::new(ProtocolConfig::dcr()).phase(restore_phase());
         assert_eq!(no_commit.validate().unwrap_err(), PlanError::NothingToRestore);
     }
 
@@ -812,7 +698,7 @@ mod tests {
         let plan = dcr_like();
         let mut phases: Vec<PlanPhase> = plan.phases().to_vec();
         phases[0].scope = Some(MigrationPhase::Rebalance);
-        let mut bad = MigrationPlan::new("T", ProtocolConfig::dcr()).pause(PausePolicy::None);
+        let mut bad = MigrationPlan::new(ProtocolConfig::dcr()).pause(PausePolicy::None);
         for p in phases {
             bad = bad.phase(p);
         }
@@ -828,8 +714,7 @@ mod tests {
         let kr = |permille| WaveScope::KeyRanges(KeyRangeScope::hot(permille));
         let scoped = |wave, routing, scope| PlanPhase::wave(wave, routing).with_scope(scope);
         let base = |init: PlanPhase| {
-            MigrationPlan::new("T", ProtocolConfig::ccr())
-                .route_ranges(RangeRouting::OwnerRespawn)
+            MigrationPlan::new(ProtocolConfig::ccr())
                 .phase(scoped(WaveKind::Prepare, WaveRouting::Broadcast, kr(600)))
                 .phase(scoped(WaveKind::Commit, WaveRouting::Sequential, kr(600)))
                 .phase(init)
@@ -854,41 +739,11 @@ mod tests {
         let scope = WaveScope::KeyRanges(KeyRangeScope::hot(600));
         // Sequential drain keeps UnsafePrepareRouting quiet; the scope rule
         // itself must fire: no capture means no hot-range pending lists.
-        let plan = MigrationPlan::new("T", ProtocolConfig::dcr())
-            .route_ranges(RangeRouting::OwnerRespawn)
+        let plan = MigrationPlan::new(ProtocolConfig::dcr())
             .phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Sequential).with_scope(scope))
             .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential).with_scope(scope))
             .phase(restore_phase().with_scope(scope));
         assert_eq!(plan.validate().unwrap_err(), PlanError::KeyRangeScopeWithoutCapture);
-    }
-
-    #[test]
-    fn migrated_ranges_must_route_to_live_instances() {
-        use flowmig_engine::KeyRangeScope;
-        let scope = WaveScope::KeyRanges(KeyRangeScope::hot(600));
-        let phases = |plan: MigrationPlan| {
-            plan.phase(PlanPhase::wave(WaveKind::Prepare, WaveRouting::Broadcast).with_scope(scope))
-                .phase(PlanPhase::wave(WaveKind::Commit, WaveRouting::Sequential).with_scope(scope))
-                .phase(restore_phase().with_scope(scope))
-        };
-
-        // No placement declared: the validator cannot prove the ranges land.
-        let unrouted = phases(MigrationPlan::new("T", ProtocolConfig::ccr()));
-        assert_eq!(unrouted.validate().unwrap_err(), PlanError::MissingRangeRouting);
-
-        // Routing the hot ranges to scale-in retirees sends them to
-        // instances that are dead after the rebalance.
-        let dead = phases(
-            MigrationPlan::new("T", ProtocolConfig::ccr())
-                .route_ranges(RangeRouting::RetiredInstances),
-        );
-        assert_eq!(dead.validate().unwrap_err(), PlanError::RangeRoutedToDeadInstance);
-
-        // Owner respawn is the provable placement.
-        let owners = phases(
-            MigrationPlan::new("T", ProtocolConfig::ccr()).route_ranges(RangeRouting::OwnerRespawn),
-        );
-        assert!(owners.validate().is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::event::{ControlEvent, ControlSender, DataEvent, Ev, QueueItem};
 use crate::fasthash::FastHashMap;
 use crate::instance::{InstanceRuntime, Work, WorkerStatus};
 use crate::protocol::{
-    InstanceScope, MigrationCoordinator, ProtocolConfig, WaveDiscipline, WaveRouting, WaveScope,
+    MigrationCoordinator, ProtocolConfig, WaveDiscipline, WaveRouting, WaveScope,
 };
 use crate::stats::EngineStats;
 use crate::store::{AdmitOutcome, ShardedStateStore, StateBlob, StoreOpKind};
@@ -204,11 +204,6 @@ impl EngineCtl<'_, '_> {
         self.sched.now()
     }
 
-    /// When the migration was requested, if it has been.
-    pub fn migration_requested_at(&self) -> Option<SimTime> {
-        self.model.migration_requested_at
-    }
-
     /// Pauses all source tasks: generated events accumulate in the source
     /// backlog instead of entering the dataflow.
     pub fn pause_sources(&mut self) {
@@ -232,12 +227,12 @@ impl EngineCtl<'_, '_> {
 
     /// Starts a control wave addressing only the participants `scope`
     /// resolves to. [`WaveScope::AllParticipants`] is byte-identical to
-    /// [`Self::start_wave`]; an instance scope restricts the wave to the
-    /// migrating participants; a key-range scope additionally restricts
-    /// keyed tasks to the instances owning a hot partition and slices
-    /// their persists/fetches to those ranges (and narrows the rebalance
-    /// to the scoped members). A scope that resolves to no participant
-    /// addresses every participant instead, as [`Self::start_wave`] does.
+    /// [`Self::start_wave`]; a key-range scope restricts the wave to the
+    /// migrating participants, keyed tasks to the instances owning a hot
+    /// partition, slices their persists/fetches to those ranges and
+    /// narrows the rebalance to the scoped members. A scope that resolves
+    /// to no participant addresses every participant instead, as
+    /// [`Self::start_wave`] does.
     /// The scope is re-resolved on every call, so resends stay consistent
     /// with the first emission.
     pub fn start_scoped_wave(
@@ -852,9 +847,6 @@ impl EngineModel {
     fn install_scope(&mut self, kind: ControlKind, scope: WaveScope) {
         let set = match scope {
             WaveScope::AllParticipants => None,
-            WaveScope::Instances(InstanceScope::Migrating) => {
-                Some(ScopeSet { members: self.migrating_participants(), ranges: Vec::new() })
-            }
             WaveScope::KeyRanges(kr) => {
                 let set = self.resolve_key_range_scope(kr.hot_weight_permille);
                 self.rebalance_scope =
@@ -883,7 +875,7 @@ impl EngineModel {
     /// `p % replicas`), sliced to those partitions; unkeyed tasks migrate
     /// whole-instance. Falls back to the full migrating set if no instance
     /// owns any hot partition (e.g. a key-range scope over an unkeyed DAG
-    /// degenerates to an instance scope).
+    /// degenerates to the migrating instances).
     fn resolve_key_range_scope(&self, permille: u16) -> ScopeSet {
         let n = self.instances.len();
         let mut members = InstanceBitset::with_capacity(n);
@@ -915,7 +907,7 @@ impl EngineModel {
         }
         if members.is_empty() {
             // Nothing owns a hot partition (all-cold edge case): degrade
-            // to the instance scope rather than wedge a zero-target wave.
+            // to the migrating instances rather than wedge a zero-target wave.
             return ScopeSet { members: self.migrating_participants(), ranges: Vec::new() };
         }
         ScopeSet { members, ranges }
@@ -1270,7 +1262,7 @@ impl EngineModel {
                 // per-partition counters of the ranges the wave moves, so
                 // a key-range persist is priced by the bytes actually
                 // moving.
-                let pending_len = if self.protocol.persist_pending {
+                let pending_len = if self.protocol.capture_on_prepare {
                     self.runtimes[instance].pending.len()
                 } else {
                     0
@@ -1373,7 +1365,7 @@ impl EngineModel {
         } else if counts.len() < parts {
             counts.resize(parts, 0);
         }
-        let mut pending = if self.protocol.persist_pending {
+        let mut pending = if self.protocol.capture_on_prepare {
             std::mem::take(&mut rt.pending)
         } else {
             Vec::new()
@@ -2053,10 +2045,6 @@ mod tests {
     struct RebalanceOnly;
 
     impl MigrationCoordinator for RebalanceOnly {
-        fn name(&self) -> &'static str {
-            "rebalance-only"
-        }
-
         fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
             ctl.start_rebalance();
         }

@@ -142,8 +142,8 @@ pub use event::{ControlEvent, ControlSender, DataEvent, QueueItem};
 pub use flowmig_sim::fasthash::{self, FastHashMap, FastHashSet, FxHasher};
 pub use instance::WorkerStatus;
 pub use protocol::{
-    resend, InstanceScope, KeyRangeScope, MigrationCoordinator, NoopCoordinator, ProtocolConfig,
-    WaveDiscipline, WaveRouting, WaveScope,
+    resend, KeyRangeScope, MigrationCoordinator, NoopCoordinator, ProtocolConfig, WaveDiscipline,
+    WaveRouting, WaveScope,
 };
 pub use stats::EngineStats;
 pub use store::{AdmitOutcome, ShardStats, ShardedStateStore, StateBlob, StoreOpKind};

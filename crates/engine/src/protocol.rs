@@ -42,28 +42,27 @@ pub enum WaveRouting {
     },
 }
 
-/// Which slice of the dataflow a control wave touches.
+/// Which slice of the dataflow a control wave touches: every participant,
+/// or the hot key ranges of the migrating instances.
 ///
 /// The scope is orthogonal to the routing: routing says *how* a wave
 /// travels, scope says *who* must act on and ack it. The default
 /// ([`AllParticipants`](WaveScope::AllParticipants)) reproduces the
-/// whole-instance protocols byte-for-byte; the narrower scopes are what
+/// whole-instance protocols byte-for-byte; the key-range scope is what
 /// key-range migration (CCR-KR) uses to touch only the state that actually
 /// moves.
 ///
-/// Scopes are symbolic selectors, resolved by the engine against the run's
-/// scale plan and key spaces when the wave starts — a plan stays static
-/// strategy data and never embeds concrete instance ids. A scope that
-/// resolves to no participant (a dataflow where nothing migrates) widens
-/// to every participant, so the wave still completes.
+/// A key-range scope is a symbolic selector, resolved by the engine
+/// against the run's scale plan and key spaces when the wave starts — a
+/// plan stays static strategy data and never embeds concrete instance ids.
+/// A scope that resolves to no participant (a dataflow where nothing
+/// migrates) widens to every participant, so the wave still completes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WaveScope {
-    /// Every non-source participant (operators + sinks) — the pre-scope
-    /// behaviour of all whole-instance strategies.
+    /// Every non-source participant (operators + sinks) — the behaviour of
+    /// all whole-instance strategies.
     #[default]
     AllParticipants,
-    /// Only a selected subset of instances.
-    Instances(InstanceScope),
     /// Only selected key ranges of the migrating instances: instances that
     /// own none of the ranges are skipped entirely, and the ones in scope
     /// capture, persist, and restore just the scoped ranges' state.
@@ -71,45 +70,26 @@ pub enum WaveScope {
 }
 
 impl WaveScope {
-    /// Whether the scope narrows the wave below the full participant set.
-    pub fn is_scoped(self) -> bool {
-        self != WaveScope::AllParticipants
-    }
-
-    /// Whether this scope selects at key-range granularity.
+    /// Whether this scope selects at key-range granularity, narrowing the
+    /// wave below the full participant set.
     pub fn is_key_range(self) -> bool {
         matches!(self, WaveScope::KeyRanges(_))
     }
 
     /// Whether an INIT with scope `self` restores everything a COMMIT with
     /// scope `commit` persisted. Scopes address different store entries —
-    /// a whole-instance restore cannot read range-addressed blobs and vice
-    /// versa — so coverage requires matching granularity:
-    ///
-    /// * an unscoped or migrating-instances INIT covers any instance-level
-    ///   COMMIT (the store key is the instance either way);
-    /// * a key-range COMMIT is covered only by a key-range INIT whose hot
-    ///   target is at least as wide.
+    /// a whole-instance restore cannot read range-addressed blobs — so a
+    /// key-range COMMIT is covered only by a key-range INIT whose hot
+    /// target is at least as wide.
     pub fn covers_commit(self, commit: WaveScope) -> bool {
-        match commit {
-            WaveScope::AllParticipants => true,
-            WaveScope::Instances(_) => {
-                matches!(self, WaveScope::AllParticipants | WaveScope::Instances(_))
+        match (self, commit) {
+            (_, WaveScope::AllParticipants) => true,
+            (WaveScope::KeyRanges(i), WaveScope::KeyRanges(c)) => {
+                i.hot_weight_permille >= c.hot_weight_permille
             }
-            WaveScope::KeyRanges(c) => match self {
-                WaveScope::KeyRanges(i) => i.hot_weight_permille >= c.hot_weight_permille,
-                _ => false,
-            },
+            (WaveScope::AllParticipants, WaveScope::KeyRanges(_)) => false,
         }
     }
-}
-
-/// Instance-level wave scope selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum InstanceScope {
-    /// The instances the scale plan migrates (killed + respawned by the
-    /// rebalance). Sinks and non-moving operators skip the wave.
-    Migrating,
 }
 
 /// Key-range wave scope selector: the hottest ranges of each migrating
@@ -197,11 +177,10 @@ pub struct ProtocolConfig {
     /// Run periodic checkpoints at `EngineConfig::checkpoint_interval`
     /// (DSM's always-on 30 s checkpointing).
     pub periodic_checkpoint: bool,
-    /// PREPARE starts capture (CCR) instead of snapshotting state (DCR).
+    /// PREPARE starts capture (CCR) instead of snapshotting state (DCR),
+    /// and COMMIT persists the captured pending-event list along with the
+    /// user state.
     pub capture_on_prepare: bool,
-    /// COMMIT persists the captured pending-event list along with the user
-    /// state (CCR).
-    pub persist_pending: bool,
 }
 
 impl ProtocolConfig {
@@ -212,7 +191,6 @@ impl ProtocolConfig {
             ack_user_events: true,
             periodic_checkpoint: true,
             capture_on_prepare: false,
-            persist_pending: false,
         }
     }
 
@@ -223,7 +201,6 @@ impl ProtocolConfig {
             ack_user_events: false,
             periodic_checkpoint: false,
             capture_on_prepare: false,
-            persist_pending: false,
         }
     }
 
@@ -234,7 +211,6 @@ impl ProtocolConfig {
             ack_user_events: false,
             periodic_checkpoint: false,
             capture_on_prepare: true,
-            persist_pending: true,
         }
     }
 }
@@ -246,9 +222,6 @@ impl ProtocolConfig {
 /// The engine performs all per-instance mechanics; the coordinator only
 /// sequences phases.
 pub trait MigrationCoordinator {
-    /// Strategy name for reports (e.g. `"DSM"`).
-    fn name(&self) -> &'static str;
-
     /// The user requested the migration (the paper's time 0).
     fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>);
 
@@ -278,10 +251,6 @@ pub trait MigrationCoordinator {
 pub struct NoopCoordinator;
 
 impl MigrationCoordinator for NoopCoordinator {
-    fn name(&self) -> &'static str {
-        "noop"
-    }
-
     fn on_migration_requested(&mut self, _ctl: &mut EngineCtl<'_, '_>) {}
 
     fn on_wave_complete(&mut self, _kind: ControlKind, _ctl: &mut EngineCtl<'_, '_>) {}
@@ -310,15 +279,15 @@ mod tests {
     fn strategy_protocol_matrix() {
         let dsm = ProtocolConfig::dsm();
         assert!(dsm.ack_user_events && dsm.periodic_checkpoint);
-        assert!(!dsm.capture_on_prepare && !dsm.persist_pending);
+        assert!(!dsm.capture_on_prepare);
 
         let dcr = ProtocolConfig::dcr();
         assert!(!dcr.ack_user_events && !dcr.periodic_checkpoint);
-        assert!(!dcr.capture_on_prepare && !dcr.persist_pending);
+        assert!(!dcr.capture_on_prepare);
 
         let ccr = ProtocolConfig::ccr();
         assert!(!ccr.ack_user_events && !ccr.periodic_checkpoint);
-        assert!(ccr.capture_on_prepare && ccr.persist_pending);
+        assert!(ccr.capture_on_prepare);
     }
 
     #[test]
@@ -351,30 +320,24 @@ mod tests {
     #[test]
     fn default_scope_is_all_participants() {
         assert_eq!(WaveScope::default(), WaveScope::AllParticipants);
-        assert!(!WaveScope::AllParticipants.is_scoped());
-        assert!(WaveScope::Instances(InstanceScope::Migrating).is_scoped());
+        assert!(!WaveScope::AllParticipants.is_key_range());
         assert!(WaveScope::KeyRanges(KeyRangeScope::default()).is_key_range());
     }
 
     #[test]
     fn scope_coverage_requires_matching_granularity() {
         let all = WaveScope::AllParticipants;
-        let migrating = WaveScope::Instances(InstanceScope::Migrating);
         let hot600 = WaveScope::KeyRanges(KeyRangeScope::hot(600));
         let hot400 = WaveScope::KeyRanges(KeyRangeScope::hot(400));
 
-        // Instance-level commits: any instance-level init covers them.
+        // An unscoped commit is covered by any init.
         assert!(all.covers_commit(all));
-        assert!(all.covers_commit(migrating));
-        assert!(migrating.covers_commit(migrating));
-        assert!(migrating.covers_commit(all));
 
         // Key-range commits need a key-range init at least as wide.
         assert!(hot600.covers_commit(hot600));
         assert!(hot600.covers_commit(hot400));
         assert!(!hot400.covers_commit(hot600), "narrower init leaves ranges stranded");
         assert!(!all.covers_commit(hot600), "whole-instance fetch cannot read range blobs");
-        assert!(!hot600.covers_commit(migrating), "range fetch cannot read instance blobs");
     }
 
     #[test]

@@ -21,10 +21,6 @@ struct OneWave {
 }
 
 impl MigrationCoordinator for OneWave {
-    fn name(&self) -> &'static str {
-        "one-wave"
-    }
-
     fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
         ctl.reset_wave(self.kind);
         ctl.start_wave(self.kind, self.routing);
@@ -155,9 +151,6 @@ fn duplicate_broadcast_waves_are_idempotent() {
     // at most once per instance.
     struct TwoInits;
     impl MigrationCoordinator for TwoInits {
-        fn name(&self) -> &'static str {
-            "two-inits"
-        }
         fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
             ctl.reset_wave(ControlKind::Init);
             ctl.start_wave(ControlKind::Init, WaveRouting::Broadcast);
@@ -196,9 +189,6 @@ fn duplicate_broadcast_waves_are_idempotent() {
 fn commit_persists_state_for_every_participant() {
     struct PrepareThenCommit;
     impl MigrationCoordinator for PrepareThenCommit {
-        fn name(&self) -> &'static str {
-            "prep-commit"
-        }
         fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
             ctl.reset_wave(ControlKind::Prepare);
             ctl.start_wave(ControlKind::Prepare, WaveRouting::Sequential);
@@ -239,9 +229,6 @@ struct CommitProbe {
 }
 
 impl MigrationCoordinator for CommitProbe {
-    fn name(&self) -> &'static str {
-        "commit-probe"
-    }
     fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
         ctl.pause_sources();
         ctl.reset_wave(ControlKind::Prepare);
@@ -337,9 +324,6 @@ fn duplicate_parallel_waves_are_idempotent() {
     // initialized instances skip the restore and just re-ack.
     struct TwoParallelInits;
     impl MigrationCoordinator for TwoParallelInits {
-        fn name(&self) -> &'static str {
-            "two-parallel-inits"
-        }
         fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
             ctl.reset_wave(ControlKind::Init);
             ctl.start_wave(ControlKind::Init, WaveRouting::Parallel { fan_out: 2 });
@@ -415,9 +399,6 @@ struct KrCycle {
 }
 
 impl MigrationCoordinator for KrCycle {
-    fn name(&self) -> &'static str {
-        "kr-cycle"
-    }
     fn on_migration_requested(&mut self, ctl: &mut EngineCtl<'_, '_>) {
         ctl.reset_wave(ControlKind::Prepare);
         ctl.start_scoped_wave(ControlKind::Prepare, WaveRouting::Broadcast, self.prepare);

@@ -14,7 +14,8 @@
 //!   same order* as [`TaskSpec::partition_of`], so lookups are
 //!   bitwise-identical while skipping the per-call re-normalization
 //!   (`TaskSpec::key_weight` re-sums the weight total on every call,
-//!   making the dynamic path O(partitions²) per event).
+//!   making the dynamic path O(partitions²) per event). The weights are
+//!   normalized once per table build, so a build is O(partitions).
 //!
 //! Tables hold plain indices, not references, so a consumer can rebuild
 //! them whenever the dataflow or instance expansion changes (rebalance,
@@ -50,18 +51,17 @@ pub struct KeyPartitioner {
 }
 
 impl KeyPartitioner {
-    /// Builds the threshold table for `spec`'s key space.
+    /// Builds the threshold table for `spec`'s key space in
+    /// O(partitions).
     pub fn of(spec: &TaskSpec) -> Self {
         let partitions = spec.key_partitions();
-        let mut cum = Vec::with_capacity(partitions as usize);
+        let mut cum = if partitions > 1 { spec.normalized_key_weights() } else { Vec::new() };
+        // Identical accumulation to `TaskSpec::partition_of`: each step
+        // adds `key_weight(p)`, normalized here once for all `p`.
         let mut acc = 0.0;
-        if partitions > 1 {
-            for p in 0..partitions {
-                // Identical accumulation to `TaskSpec::partition_of`:
-                // each step adds the freshly normalized `key_weight(p)`.
-                acc += spec.key_weight(p);
-                cum.push(acc);
-            }
+        for c in &mut cum {
+            acc += *c;
+            *c = acc;
         }
         KeyPartitioner { partitions, cum }
     }
@@ -223,6 +223,35 @@ mod tests {
             for h in [0u64, 1, u64::MAX - 1, u64::MAX] {
                 assert_eq!(table.partition_of(h), spec.partition_of(h));
             }
+        }
+    }
+
+    #[test]
+    fn partitioner_thresholds_are_the_running_sum_of_key_weights() {
+        // Bit for bit: the thresholds normalize the weights once, and must
+        // still be the very sums `TaskSpec::partition_of` accumulates.
+        let explicit: Vec<f64> = (0..4_096u32).map(|i| f64::from(i % 7) * 0.37 + 0.01).collect();
+        let mut specs = vec![
+            TaskSpec::operator("explicit").with_key_weights(vec![3.0, 0.0, 1.0, 0.25, 3.0]),
+            TaskSpec::operator("explicit-4096").with_key_weights(explicit),
+        ];
+        for partitions in [2, 3, 64, 1_000, 4_096] {
+            specs.push(TaskSpec::operator("uniform").with_key_partitions(partitions));
+            for exponent in 0..4 {
+                specs.push(TaskSpec::operator("zipf").with_zipf_keys(partitions, exponent));
+            }
+        }
+        for spec in &specs {
+            let table = KeyPartitioner::of(spec);
+            let mut acc = 0.0;
+            let running: Vec<u64> = (0..spec.key_partitions())
+                .map(|p| {
+                    acc += spec.key_weight(p);
+                    f64::to_bits(acc)
+                })
+                .collect();
+            let cum: Vec<u64> = table.cum.iter().map(|&c| f64::to_bits(c)).collect();
+            assert_eq!(cum, running, "{} over {} partitions", spec.name(), spec.key_partitions());
         }
     }
 

@@ -343,6 +343,18 @@ impl TaskSpec {
         self.key_weights[p as usize] / total
     }
 
+    /// Every partition's [`key_weight`](Self::key_weight), in partition
+    /// order, with the weight total summed once instead of once per
+    /// partition. Each value comes from the same float operations as
+    /// `key_weight`, so it is bit-identical.
+    pub(crate) fn normalized_key_weights(&self) -> Vec<f64> {
+        if self.key_weights.is_empty() {
+            return vec![1.0 / f64::from(self.key_partitions); self.key_partitions as usize];
+        }
+        let total: f64 = self.key_weights.iter().sum();
+        self.key_weights.iter().map(|w| w / total).collect()
+    }
+
     /// Maps a uniformly-distributed 64-bit hash onto a key partition,
     /// respecting the per-partition weights: a partition with weight `w`
     /// receives a `w` fraction of the hash space. Cumulative sums are
@@ -370,18 +382,18 @@ impl TaskSpec {
     /// a prefix, so this is typically a single range. Always returns at
     /// least one partition; `permille >= 1000` returns the whole space.
     pub fn hot_ranges(&self, permille: u16) -> Vec<KeyRange> {
-        let n = self.key_partitions;
-        let mut order: Vec<u32> = (0..n).collect();
+        let weights = self.normalized_key_weights();
+        let mut order: Vec<u32> = (0..self.key_partitions).collect();
         // Stable sort by descending weight; equal weights keep index order.
         order.sort_by(|&a, &b| {
-            self.key_weight(b).partial_cmp(&self.key_weight(a)).expect("finite weights")
+            weights[b as usize].partial_cmp(&weights[a as usize]).expect("finite weights")
         });
         let target = f64::from(permille) / 1000.0;
         let mut picked = Vec::new();
         let mut acc = 0.0;
         for p in order {
             picked.push(p);
-            acc += self.key_weight(p);
+            acc += weights[p as usize];
             if acc >= target {
                 break;
             }
@@ -539,6 +551,54 @@ mod tests {
     fn hot_ranges_compress_non_contiguous_picks() {
         let t = TaskSpec::operator("t").with_key_weights(vec![4.0, 1.0, 4.0, 1.0]);
         assert_eq!(t.hot_ranges(800), vec![KeyRange::new(0, 1), KeyRange::new(2, 3)]);
+    }
+
+    #[test]
+    fn hot_ranges_match_a_reference_that_sorts_by_key_weight() {
+        // The reference reads `key_weight` in the sort and in the
+        // accumulation, where `hot_ranges` reads the weights it normalized
+        // once: the picks must match for every target.
+        let reference = |t: &TaskSpec, permille: u16| {
+            let mut order: Vec<u32> = (0..t.key_partitions()).collect();
+            order.sort_by(|&a, &b| t.key_weight(b).partial_cmp(&t.key_weight(a)).unwrap());
+            let mut picked = Vec::new();
+            let mut acc = 0.0;
+            for p in order {
+                picked.push(p);
+                acc += t.key_weight(p);
+                if acc >= f64::from(permille) / 1000.0 {
+                    break;
+                }
+            }
+            picked.sort_unstable();
+            picked
+        };
+        // Equal weights must keep index order: the explicit key spaces tie.
+        let ties: Vec<f64> = (0..1_000u32).map(|i| f64::from(i % 7)).collect();
+        let mut specs = vec![
+            TaskSpec::operator("unkeyed"),
+            TaskSpec::operator("explicit").with_key_weights(vec![0.0, 3.0, 1.0, 3.0, 0.5, 0.0]),
+            TaskSpec::operator("explicit-1000").with_key_weights(ties),
+        ];
+        for partitions in [2, 7, 64, 1000] {
+            specs.push(TaskSpec::operator("uniform").with_key_partitions(partitions));
+            for exponent in 0..4 {
+                specs.push(TaskSpec::operator("zipf").with_zipf_keys(partitions, exponent));
+            }
+        }
+        for t in &specs {
+            for permille in [1, 300, 600, 999, 1000] {
+                let picked: Vec<u32> =
+                    t.hot_ranges(permille).iter().flat_map(|r| r.start..r.end).collect();
+                assert_eq!(
+                    picked,
+                    reference(t, permille),
+                    "{} over {} partitions at {permille}‰",
+                    t.name(),
+                    t.key_partitions()
+                );
+            }
+        }
     }
 
     #[test]

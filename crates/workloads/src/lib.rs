@@ -42,5 +42,5 @@ mod table;
 
 pub use experiment::{Experiment, ExperimentReport};
 pub use export::{latency_csv, throughput_csv};
-pub use sweep::{drain_time_sweep, strategy_matrix, strategy_of, DrainRow};
+pub use sweep::{drain_time_sweep, strategy_matrix, DrainRow};
 pub use table::{secs_cell, TextTable};

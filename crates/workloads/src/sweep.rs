@@ -2,7 +2,7 @@
 
 use crate::experiment::{Experiment, ExperimentReport};
 use flowmig_cluster::{ScaleDirection, ScheduleError};
-use flowmig_core::{Ccr, Dcr, MigrationController, MigrationStrategy, StrategyKind};
+use flowmig_core::{default_strategy, Ccr, Dcr, MigrationController, StrategyKind};
 use flowmig_topology::{library, Dataflow};
 
 /// Runs the full strategy × dataflow matrix for one scaling direction —
@@ -26,7 +26,7 @@ pub fn strategy_matrix(
             let experiment = Experiment::paper(dag.clone(), direction)
                 .with_seeds(seeds)
                 .with_controller(controller.clone());
-            let report = experiment.run(strategy_of(kind).as_ref())?;
+            let report = experiment.run(default_strategy(kind).as_ref())?;
             reports.push(report);
         }
     }
@@ -82,13 +82,6 @@ pub fn drain_time_sweep(
     Ok(rows)
 }
 
-/// Convenience: the paper-default strategy instance for each
-/// [`StrategyKind`] — a thin alias of the core registry
-/// ([`flowmig_core::default_strategy`]).
-pub fn strategy_of(kind: StrategyKind) -> Box<dyn MigrationStrategy> {
-    flowmig_core::default_strategy(kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,12 +124,5 @@ mod tests {
         // The delta grows sharply with the critical path (paper: 905 ms
         // drain for linear-5 vs a 4.3 s delta for linear-50).
         assert!(rows[1].delta_ms() > 4.0 * rows[0].delta_ms());
-    }
-
-    #[test]
-    fn strategy_of_round_trips() {
-        for kind in StrategyKind::ALL {
-            assert_eq!(strategy_of(kind).kind(), kind);
-        }
     }
 }

@@ -7,7 +7,8 @@
 //!           [--horizon-secs N] [--shards N] [--parallel-waves FANOUT]
 //!           [--store-queueing] [--store-replicas N] [--store-quorum K]
 //!           [--shard-outage SHARD:AT_SECS:DOWN_SECS]
-//!           [--key-skew PARTITIONS:EXPONENT] [--scope all|hot|hot:PERMILLE]
+//!           [--key-skew PARTITIONS:EXPONENT (PARTITIONS <= 65536)]
+//!           [--scope all|hot|hot:PERMILLE]
 //!           [--no-wave-timeout] [--transport-buffer N]
 //!           [--queue-backend heap|calendar]
 //!           [--csv throughput|latency]
@@ -22,6 +23,13 @@ use flowmig::core::{strategies, strategy_named};
 use flowmig::prelude::*;
 use flowmig::workloads::{latency_csv, throughput_csv};
 use std::process::ExitCode;
+
+/// The largest key space `--key-skew` accepts. Every keyed task keeps
+/// per-partition weights and thresholds, and each of its instances
+/// per-partition counters: at this bound a `--dag gridx64` run peaks near
+/// 1 GB of memory, and a key space of 4e9 partitions would need a 32-GB
+/// weight vector per task.
+const MAX_KEY_PARTITIONS: u32 = 65_536;
 
 struct Args {
     dag: String,
@@ -55,13 +63,14 @@ fn usage() -> ExitCode {
          [--store-replicas N (replicate each shard N ways)] \
          [--store-quorum K (persists complete at the K-th fastest replica)] \
          [--shard-outage SHARD:AT_SECS:DOWN_SECS (repeatable; kill a shard mid-run)] \
-         [--key-skew PARTITIONS:EXPONENT (Zipf-key every operator task)] \
+         [--key-skew PARTITIONS:EXPONENT (Zipf-key every operator task; PARTITIONS <= {})] \
          [--scope all|hot|hot:PERMILLE (ccr-key-range hot-weight target; all = 1000)] \
          [--no-wave-timeout (ccr-key-range: wait out saturated hot owners)] \
          [--transport-buffer N (channel rerouting buffer slots)] \
          [--queue-backend heap|calendar (future-event list; identical results, different speed)] \
          [--csv throughput|latency]\n\nstrategies:",
-        names.join("|")
+        names.join("|"),
+        MAX_KEY_PARTITIONS
     );
     for info in strategies() {
         eprintln!("  {:<14} {}", info.cli_name, info.paper_name);
@@ -158,6 +167,12 @@ fn parse_args() -> Result<Args, String> {
                     partitions.parse().map_err(|e| format!("bad key partitions: {e}"))?;
                 if partitions == 0 {
                     return Err("a keyed task needs at least one key partition".to_owned());
+                }
+                if partitions > MAX_KEY_PARTITIONS {
+                    return Err(format!(
+                        "--key-skew allows at most {MAX_KEY_PARTITIONS} key partitions, \
+                         got {partitions}"
+                    ));
                 }
                 args.key_skew = Some((
                     partitions,

@@ -70,6 +70,31 @@ fn key_skew_past_the_u64_power_range_runs() {
 }
 
 #[test]
+fn key_skew_beyond_the_partition_bound_is_rejected_before_the_run() {
+    // 4e9 partitions would need a 32-GB weight vector per keyed task.
+    let out = flowmig(&["--key-skew", "4000000000:1"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "rejected before the run");
+    assert!(stderr(&out).contains("at most 65536 key partitions"), "{}", stderr(&out));
+}
+
+#[test]
+fn key_skew_at_the_partition_bound_runs() {
+    let out = flowmig(&[
+        "--dag",
+        "linear",
+        "--key-skew",
+        "65536:1",
+        "--request-secs",
+        "60",
+        "--horizon-secs",
+        "150",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("completed:"));
+}
+
+#[test]
 fn transport_buffer_keeps_the_store_shard_count() {
     // One queueing shard makes the shard count visible in the store-queue
     // line; the default transport buffer (10 slots) must not change it.

@@ -927,11 +927,12 @@ proptest! {
     /// [`KeyPartitioner`] for key→partition mapping — agree with the
     /// dynamic `downstream`/`of_task`/`spec().partition_of` lookup chains
     /// they replaced, over random layered DAGs with randomly keyed
-    /// operators (unkeyed, uniform, and Zipf-weighted key spaces).
+    /// operators (unkeyed, uniform, and Zipf-weighted key spaces of up to
+    /// 64 partitions at exponents 0–3).
     #[test]
     fn flat_tables_agree_with_dynamic_lookups_on_random_dags(
         widths in proptest::collection::vec(1usize..4, 1..4),
-        keys in proptest::collection::vec((1u32..9, 0u32..3), 12..13),
+        keys in proptest::collection::vec((1u32..65, 0u32..3, 0u32..4), 12..13),
         hashes in proptest::collection::vec(0u64..u64::MAX, 8..33),
     ) {
         use flowmig::topology::{EdgeTable, KeyPartitioner};
@@ -943,12 +944,12 @@ proptest! {
         for (l, &w) in widths.iter().enumerate() {
             let layer: Vec<TaskId> = (0..w)
                 .map(|i| {
-                    let (parts, style) = keys[k % keys.len()];
+                    let (parts, style, exponent) = keys[k % keys.len()];
                     k += 1;
                     let spec = TaskSpec::operator(format!("l{l}n{i}"));
                     b.add(match style {
                         0 => spec.with_key_partitions(parts),
-                        1 => spec.with_zipf_keys(parts, 2),
+                        1 => spec.with_zipf_keys(parts, exponent),
                         _ => spec, // unkeyed
                     })
                 })
