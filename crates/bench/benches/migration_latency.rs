@@ -65,7 +65,7 @@
 use flowmig_bench::{banner, BENCH_SEEDS};
 use flowmig_cluster::ScaleDirection;
 use flowmig_core::{Ccr, CcrKeyRange, CcrPipelined, Dcr, MigrationController, MigrationStrategy};
-use flowmig_engine::{EngineConfig, StoreLatencyModel, StoreServiceModel};
+use flowmig_engine::{EngineConfig, StoreLatencyModel, StoreReplication, StoreServiceModel};
 use flowmig_metrics::{ControlKind, TraceEvent};
 use flowmig_sim::{QueueBackend, SimDuration, SimTime};
 use flowmig_topology::library;
@@ -143,18 +143,22 @@ fn store_label(service: StoreServiceModel) -> &'static str {
     }
 }
 
-fn controller(shards: usize, seed: u64, service: StoreServiceModel) -> MigrationController {
-    // Isolate the wave critical path: zero worker-ready delay (identical
-    // for both routings), everything else at paper defaults.
-    let config = EngineConfig {
+/// `shards` store shards served under `service`. The wave critical path is
+/// isolated by a zero worker-ready delay (identical for both routings);
+/// everything else is at paper defaults.
+fn engine_config(shards: usize, service: StoreServiceModel) -> EngineConfig {
+    EngineConfig {
         worker_ready_min: SimDuration::ZERO,
         worker_ready_max: SimDuration::ZERO,
+        store_shards: shards,
+        store_service: service,
         ..EngineConfig::default()
-    };
+    }
+}
+
+fn controller(config: EngineConfig, seed: u64) -> MigrationController {
     MigrationController::new()
         .with_engine_config(config)
-        .with_store_shards(shards)
-        .with_store_service(service)
         .with_request_at(SimTime::from_secs(30))
         .with_horizon(SimTime::from_secs(90))
         .with_seed(seed)
@@ -184,11 +188,13 @@ fn measure_replicated(
     let (mut moved_bytes, mut sim_events) = (0.0, 0.0);
     for &seed in &BENCH_SEEDS {
         let started = Instant::now();
-        let mut c = controller(shards, seed, service);
+        let mut config = engine_config(shards, service);
         if let Some((replicas, quorum)) = replication {
-            c = c.with_store_replication(replicas, quorum);
+            config.store_replication = StoreReplication::new(replicas, quorum);
         }
-        let out = c.run(&dag, strategy, ScaleDirection::In).expect("scaled grid placeable");
+        let out = controller(config, seed)
+            .run(&dag, strategy, ScaleDirection::In)
+            .expect("scaled grid placeable");
         wall += started.elapsed().as_secs_f64() * 1e3;
         assert!(out.completed, "migration completes ({} {waves} w{width} s{shards})", out.strategy);
         assert_eq!(out.stats.events_dropped, 0, "reliable migration drops nothing");
@@ -244,6 +250,8 @@ fn measure_skew(strategy: &dyn MigrationStrategy, scope: &str) -> Cell {
         worker_ready_min: SimDuration::ZERO,
         worker_ready_max: SimDuration::ZERO,
         transport_buffer: 2048,
+        store_shards: shards,
+        store_service: StoreServiceModel::FifoPerShard,
         store: StoreLatencyModel {
             per_event: SimDuration::from_micros(5),
             ..StoreLatencyModel::default()
@@ -257,8 +265,6 @@ fn measure_skew(strategy: &dyn MigrationStrategy, scope: &str) -> Cell {
         let started = Instant::now();
         let out = MigrationController::new()
             .with_engine_config(config)
-            .with_store_shards(shards)
-            .with_store_service(StoreServiceModel::FifoPerShard)
             .with_request_at(SimTime::from_secs(10))
             .with_horizon(SimTime::from_secs(300))
             .with_seed(seed)
@@ -315,8 +321,9 @@ fn measure_scale(backend: QueueBackend) -> Cell {
     let shards = 32;
     let seed = BENCH_SEEDS[0];
     let started = Instant::now();
-    let out = controller(shards, seed, StoreServiceModel::Unqueued)
-        .with_queue_backend(backend)
+    let unqueued = engine_config(shards, StoreServiceModel::Unqueued);
+    let config = EngineConfig { queue_backend: backend, ..unqueued };
+    let out = controller(config, seed)
         .run(&dag, &CcrPipelined::new(), ScaleDirection::In)
         .expect("10k-instance grid placeable");
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -675,7 +682,7 @@ fn main() {
     // `measure`, which asserts completion): if the run completes anyway,
     // or no ROLLBACK wave is traced, the failure model is broken.
     {
-        let out = controller(8, BENCH_SEEDS[0], flat)
+        let out = controller(engine_config(8, flat), BENCH_SEEDS[0])
             .with_shard_outage(0, SimTime::from_secs(25), SimDuration::from_secs(60))
             .run(&library::grid_scaled(6), &CcrPipelined::new(), ScaleDirection::In)
             .expect("scaled grid placeable");

@@ -2,11 +2,9 @@
 
 use crate::strategy::MigrationStrategy;
 use flowmig_cluster::{ScaleDirection, ScalePlan, ScheduleError};
-use flowmig_engine::{
-    Engine, EngineConfig, EngineStats, ShardStats, StoreReplication, StoreServiceModel,
-};
+use flowmig_engine::{Engine, EngineConfig, EngineStats, ShardStats};
 use flowmig_metrics::{MigrationMetrics, StabilityCriteria, TraceLog};
-use flowmig_sim::{QueueBackend, RunOutcome, SimDuration, SimTime};
+use flowmig_sim::{RunOutcome, SimDuration, SimTime};
 use flowmig_topology::{Dataflow, InstanceSet, RatePlan};
 
 /// Everything measured from one migration run.
@@ -14,9 +12,11 @@ use flowmig_topology::{Dataflow, InstanceSet, RatePlan};
 pub struct MigrationOutcome {
     /// Strategy display name (`"DSM"`, `"DCR"`, `"CCR"`).
     pub strategy: &'static str,
-    /// The §4 metrics computed from the trace.
+    /// The §4 spans computed from the trace.
     pub metrics: MigrationMetrics,
-    /// Engine counters (includes Fig. 6's replayed message count).
+    /// The run's totals: §4's loss and replay counts (`events_dropped`,
+    /// `replayed_roots`), Fig. 6's replayed messages and the store
+    /// counters.
     pub stats: EngineStats,
     /// Whether the migration reached completion before the horizon.
     pub completed: bool,
@@ -86,57 +86,10 @@ impl MigrationController {
         Self::default()
     }
 
-    /// Overrides the engine timing model.
+    /// Overrides the engine configuration: the timing model, the store
+    /// (shards, service model, replication) and the trace level.
     pub fn with_engine_config(mut self, config: EngineConfig) -> Self {
         self.engine_config = config;
-        self
-    }
-
-    /// Selects the simulation's future-event-list backend. Backends are
-    /// provably order-identical (see the `flowmig_sim::queue` module
-    /// docs): traces and stats do not change, only wall-clock speed —
-    /// `Calendar` pays off at thousands of instances.
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.engine_config.queue_backend = backend;
-        self
-    }
-
-    /// Overrides the checkpoint-store shard count (see
-    /// [`flowmig_engine::ShardedStateStore`]): COMMIT waves spread their
-    /// persists over this many shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a sharded store needs at least one shard");
-        self.engine_config.store_shards = shards;
-        self
-    }
-
-    /// Selects the store's service model: the zero-queueing compatibility
-    /// default prices every persist/fetch independently of concurrent
-    /// load, while [`StoreServiceModel::FifoPerShard`] runs each shard as
-    /// a FIFO single-server queue — over-wide parallel-wave windows then
-    /// queue, and the derived fan-out's per-shard fair share actually
-    /// binds.
-    pub fn with_store_service(mut self, model: StoreServiceModel) -> Self {
-        self.engine_config.store_service = model;
-        self
-    }
-
-    /// Replicates the checkpoint store: every persist becomes a quorum
-    /// write over `replicas` per-shard replicas and completes at the
-    /// `write_quorum`-th fastest one (see
-    /// [`flowmig_engine::StoreReplication`]). The default (1, 1) is the
-    /// historical unreplicated store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero or `write_quorum` is not in
-    /// `1..=replicas`.
-    pub fn with_store_replication(mut self, replicas: usize, write_quorum: usize) -> Self {
-        self.engine_config.store_replication = StoreReplication::new(replicas, write_quorum);
         self
     }
 
@@ -144,7 +97,8 @@ impl MigrationController {
     /// down at `at` and recovers `downtime` later (see
     /// [`flowmig_engine::Engine::schedule_shard_outage`]). May be called
     /// multiple times for multiple outages. A run panics before it starts
-    /// if `shard` is not below [`store_shards`](Self::store_shards).
+    /// if `shard` is not below the engine config's
+    /// [`store_shards`](EngineConfig::store_shards).
     pub fn with_shard_outage(mut self, shard: usize, at: SimTime, downtime: SimDuration) -> Self {
         self.shard_outages.push((shard, usize::MAX, at, downtime));
         self
@@ -154,7 +108,8 @@ impl MigrationController {
     /// fastest first) go down at `at` and recover `downtime` later. With
     /// replication configured, persists whose quorum fits in the
     /// survivors complete degraded instead of failing. A run panics before
-    /// it starts if `shard` is not below [`store_shards`](Self::store_shards).
+    /// it starts if `shard` is not below the engine config's
+    /// [`store_shards`](EngineConfig::store_shards).
     pub fn with_shard_degradation(
         mut self,
         shard: usize,
@@ -184,19 +139,9 @@ impl MigrationController {
         self
     }
 
-    /// The configured migration request time.
-    pub fn request_at(&self) -> SimTime {
-        self.request_at
-    }
-
     /// The configured horizon.
     pub fn horizon(&self) -> SimTime {
         self.horizon
-    }
-
-    /// The shard count of the checkpoint store a run builds.
-    pub fn store_shards(&self) -> usize {
-        self.engine_config.store_shards
     }
 
     /// Runs one migration of `dag` under `strategy` for the Table 1
@@ -264,8 +209,14 @@ impl MigrationController {
 mod tests {
     use super::*;
     use crate::{Ccr, Dcr};
-    use flowmig_metrics::TraceEvent;
+    use flowmig_engine::{StoreReplication, StoreServiceModel};
+    use flowmig_metrics::{TraceEvent, TraceLevel};
     use flowmig_topology::library;
+
+    /// The default engine config, tracing every event.
+    fn full() -> EngineConfig {
+        EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() }
+    }
 
     #[test]
     fn controller_builder_round_trips() {
@@ -273,7 +224,6 @@ mod tests {
             .with_request_at(SimTime::from_secs(60))
             .with_horizon(SimTime::from_secs(300))
             .with_seed(9);
-        assert_eq!(c.request_at(), SimTime::from_secs(60));
         assert_eq!(c.horizon(), SimTime::from_secs(300));
     }
 
@@ -303,8 +253,7 @@ mod tests {
         // replayed, every captured event resumed.
         let c = MigrationController::new()
             .with_request_at(SimTime::from_secs(60))
-            .with_horizon(SimTime::from_secs(400))
-            .with_store_shards(8);
+            .with_horizon(SimTime::from_secs(400));
         let out = c.run(&library::grid(), &crate::CcrPipelined::new(), ScaleDirection::In).unwrap();
         assert!(out.completed, "pipelined migration completes");
         assert_eq!(out.strategy, "CCR-P");
@@ -326,16 +275,12 @@ mod tests {
         // 100 ms service), so the checkpoint drain outlives the default
         // 30 s wave timeout and the replay burst outgrows the steady-state
         // transport buffer — the skew scenario sizes both for it.
-        let cfg = flowmig_engine::EngineConfig {
-            transport_buffer: 2048,
-            ..flowmig_engine::EngineConfig::default()
-        };
+        let cfg = EngineConfig { transport_buffer: 2048, ..EngineConfig::default() };
         let run = |strategy: &dyn crate::MigrationStrategy| {
             MigrationController::new()
                 .with_engine_config(cfg)
                 .with_request_at(SimTime::from_secs(60))
                 .with_horizon(SimTime::from_secs(400))
-                .with_store_shards(8)
                 .run(&library::grid_zipf(3, 8, 2), strategy, ScaleDirection::In)
                 .unwrap()
         };
@@ -351,7 +296,6 @@ mod tests {
         // cold partitions stayed in place instead of riding the store.
         assert!(kr.metrics.ranges_moved > 0, "hot ranges moved through the store");
         assert!(kr.metrics.moved_bytes > 0);
-        assert!(kr.metrics.resident_bytes > 0, "cold partitions stayed resident");
         assert_eq!(p.metrics.ranges_moved, 0, "whole-instance CCR-P never range-persists");
         // Fewer participants pay the checkpoint: scoped persists must be a
         // strict subset of CCR-P's whole-instance persists, and the durable
@@ -472,12 +416,11 @@ mod tests {
         // critical path must be strictly worse on 1 shard, the queueing
         // observables must show the wait, and the compatibility model
         // must remain a lower bound.
-        let run = |shards, model| {
+        let run = |store_shards, store_service| {
             MigrationController::new()
+                .with_engine_config(EngineConfig { store_shards, store_service, ..full() })
                 .with_request_at(SimTime::from_secs(60))
                 .with_horizon(SimTime::from_secs(400))
-                .with_store_shards(shards)
-                .with_store_service(model)
                 .run(&library::grid(), &crate::CcrPipelined::new(), ScaleDirection::In)
                 .unwrap()
         };
@@ -501,9 +444,13 @@ mod tests {
             total(&flat)
         );
         // The wait is observable at every layer: engine counters, trace
-        // metrics, and the exported per-shard snapshot.
+        // events, and the exported per-shard snapshot.
         assert!(one.stats.store_ops_queued > 0, "ops queued on the saturated shard");
-        assert_eq!(one.stats.store_wait_us, one.metrics.store_wait.unwrap().as_micros());
+        let traced = one.trace.iter().fold((0, 0), |(ops, us), e| match *e {
+            TraceEvent::StoreQueueWait { wait, .. } => (ops + 1, us + wait.as_micros()),
+            _ => (ops, us),
+        });
+        assert_eq!(traced, (one.stats.store_ops_queued, one.stats.store_wait_us), "one per op");
         assert_eq!(one.shard_stats.len(), 1);
         assert!(one.shard_stats[0].queued_wait > SimDuration::ZERO);
         assert!(one.shard_stats[0].max_queue_depth > 1);
@@ -517,14 +464,15 @@ mod tests {
     fn quorum_replication_surfaces_end_to_end_and_beats_full_replica_waits() {
         // The realism-tier accounting pattern: a 2-of-3 replicated store
         // prices every persist as the 2nd-fastest replica (1.25× service),
-        // visible in engine counters, trace events, and §4 metrics — and
-        // the quorum's whole point holds: its checkpoint critical path is
-        // strictly cheaper than waiting on all 3 replicas.
+        // visible in engine counters and trace events — and the quorum's
+        // whole point holds: its checkpoint critical path is strictly
+        // cheaper than waiting on all 3 replicas.
         let run = |quorum| {
+            let store_replication = StoreReplication::new(3, quorum);
             MigrationController::new()
+                .with_engine_config(EngineConfig { store_replication, ..full() })
                 .with_request_at(SimTime::from_secs(60))
                 .with_horizon(SimTime::from_secs(400))
-                .with_store_replication(3, quorum)
                 .run(&library::grid(), &Ccr::new(), ScaleDirection::In)
                 .unwrap()
         };
@@ -534,13 +482,9 @@ mod tests {
         assert!(q2.stats.store_quorum_persists > 0, "replicated persists counted");
         assert_eq!(q2.stats.store_degraded_persists, 0, "no outage, nothing degraded");
         assert_eq!(q2.stats.store_ops_failed, 0);
-        assert_eq!(
-            q2.stats.store_quorum_persists, q2.metrics.quorum_persists,
-            "engine counter and trace-derived metric agree"
-        );
         let traced =
             q2.trace.iter().filter(|e| matches!(e, TraceEvent::QuorumPersist { .. })).count();
-        assert_eq!(traced as u64, q2.stats.store_quorum_persists);
+        assert_eq!(traced as u64, q2.stats.store_quorum_persists, "one event per quorum persist");
         let commit = |o: &MigrationOutcome| o.metrics.commit_wave.expect("commit span");
         assert!(
             commit(&q2) < commit(&q3),
@@ -558,11 +502,15 @@ mod tests {
         // One replica of every shard is down for the whole migration
         // window. With a 2-of-3 quorum the surviving replicas still
         // satisfy every persist: the migration completes, but the
-        // degradation is visible in the counters and metrics.
+        // degradation is visible in the counters, the trace and the
+        // metrics.
         let mut c = MigrationController::new()
+            .with_engine_config(EngineConfig {
+                store_replication: StoreReplication::new(3, 2),
+                ..full()
+            })
             .with_request_at(SimTime::from_secs(60))
-            .with_horizon(SimTime::from_secs(400))
-            .with_store_replication(3, 2);
+            .with_horizon(SimTime::from_secs(400));
         for shard in 0..8 {
             c = c.with_shard_degradation(
                 shard,
@@ -575,7 +523,12 @@ mod tests {
         assert!(out.completed, "a quorum-satisfying subset must let the migration complete");
         assert_eq!(out.stats.store_ops_failed, 0, "nothing fell below quorum");
         assert!(out.stats.store_degraded_persists > 0, "the degraded mode was exercised");
-        assert_eq!(out.stats.store_degraded_persists, out.metrics.degraded_persists);
+        let degraded = out
+            .trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::QuorumPersist { degraded: true, .. }))
+            .count();
+        assert_eq!(degraded as u64, out.stats.store_degraded_persists, "one event per degraded");
         assert!(out.metrics.shard_downtime.is_some(), "downtime surfaced in metrics");
         assert_eq!(out.stats.events_dropped, 0, "reliability holds degraded");
     }
@@ -584,11 +537,11 @@ mod tests {
     fn store_shard_count_does_not_change_outcomes() {
         // Sharding only partitions the store's bookkeeping; the simulated
         // timeline must be bit-identical regardless of shard count.
-        let run = |shards| {
+        let run = |store_shards| {
             MigrationController::new()
+                .with_engine_config(EngineConfig { store_shards, ..EngineConfig::default() })
                 .with_request_at(SimTime::from_secs(60))
                 .with_horizon(SimTime::from_secs(300))
-                .with_store_shards(shards)
                 .run(&library::linear(), &Dcr::new(), ScaleDirection::In)
                 .unwrap()
         };

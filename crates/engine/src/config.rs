@@ -1,7 +1,8 @@
 //! Engine timing model and calibration constants.
 //!
 //! Defaults are calibrated so the simulated Storm cluster reproduces the
-//! *shape* of the paper's measurements (see `DESIGN.md` §5 and
+//! *shape* of the paper's measurements (see the `drain_time`,
+//! `rebalance_duration` and `micro_redis_checkpoint` entries in
 //! `EXPERIMENTS.md`): 100 ms dummy tasks, 30 s ack timeout, ~7.26 s
 //! rebalance command, multi-second worker JVM spawn delays, and a Redis
 //! round-trip that checkpoints 2 000 events in ~100 ms.
@@ -249,11 +250,13 @@ pub struct EngineConfig {
     pub sim_workers: SimExecutor,
     /// Which events the engine's trace keeps. The default,
     /// [`TraceLevel::Metrics`], keeps every event the metrics and timelines
-    /// read; [`TraceLevel::Full`] adds the per-root acker outcomes and the
-    /// per-instance lifecycle. Only recording changes: no engine or
-    /// coordinator decision reads the trace, so stats, metrics and the
-    /// kept events are the same at either level. See the crate-level
-    /// "Trace levels" section.
+    /// read; [`TraceLevel::Full`] adds ten kinds: the per-root acker
+    /// outcomes, the per-instance lifecycle, and the drops and store
+    /// events (queue waits, quorum persists, failed operations) that
+    /// [`EngineStats`](crate::EngineStats) counts. Only recording changes:
+    /// no engine or coordinator decision reads the trace, so stats, metrics
+    /// and the kept events are the same at either level. See the
+    /// crate-level "Trace levels" section.
     pub trace: TraceLevel,
 }
 

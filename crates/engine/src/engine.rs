@@ -12,9 +12,7 @@ use crate::dispatch::{DispatchTables, InstanceBitset};
 use crate::event::{ControlEvent, ControlSender, DataEvent, Ev, QueueItem};
 use crate::fasthash::FastHashMap;
 use crate::instance::{InstanceRuntime, Work, WorkerStatus};
-use crate::protocol::{
-    MigrationCoordinator, ProtocolConfig, WaveDiscipline, WaveRouting, WaveScope,
-};
+use crate::protocol::{MigrationCoordinator, ProtocolConfig, WaveRouting, WaveScope};
 use crate::stats::EngineStats;
 use crate::store::{AdmitOutcome, ShardedStateStore, StateBlob, StoreOpKind};
 use flowmig_cluster::{Assignment, ScalePlan, VmId, VmRole};
@@ -980,12 +978,7 @@ impl EngineModel {
         self.trackers[kind.index()].get_or_insert_with(|| WaveTracker::new(n));
         self.trace.record(TraceEvent::ControlWave { kind, wave, at: sched.now() });
 
-        // Wave setup is driven entirely by the routing's interpreted
-        // descriptor: entry point (DAG roots vs hub-and-spoke), window
-        // pacing, and rearguard guard are discipline flags, not
-        // strategy-specific branches.
-        let disc = routing.discipline();
-        let injections: Vec<(usize, ControlSender)> = if disc.edge_forwarded {
+        let injections: Vec<(usize, ControlSender)> = if routing == WaveRouting::Sequential {
             // Enter at root operator tasks: one injection per (source
             // upstream, instance), impersonating that source for the
             // alignment accounting.
@@ -1001,7 +994,7 @@ impl EngineModel {
         } else {
             // Hub-and-spoke from the checkpoint source; sender identity is
             // irrelevant (no alignment). A scoped wave targets only the
-            // scope's members. Re-sent *windowed* waves target only the
+            // scope's members. Re-sent parallel waves target only the
             // instances still missing (e.g. workers that dropped the INIT
             // while starting): already-acked instances would ack as
             // duplicates without advancing any window, wedging the shard
@@ -1009,7 +1002,7 @@ impl EngineModel {
             let members =
                 self.scope_sets[kind.index()].as_ref().map_or(&self.participants, |s| &s.members);
             let from = ControlSender::CheckpointSource(TaskId::from_index(0));
-            if disc.windowed {
+            if let WaveRouting::Parallel { fan_out } = routing {
                 // Paced by the sharded store: every shard serves at most
                 // `fan_out` in-flight operations; the rest of the shard's
                 // instances queue in `parallel_pending` and are injected
@@ -1020,13 +1013,7 @@ impl EngineModel {
                 // count: a scoped wave with the full-set window would let
                 // every operation through at once.
                 let scoped_participants = self.wave_target_count(kind);
-                let window = self.effective_fan_out(
-                    match routing {
-                        WaveRouting::Parallel { fan_out } => fan_out,
-                        _ => 0,
-                    },
-                    scoped_participants,
-                );
+                let window = self.effective_fan_out(fan_out, scoped_participants);
                 let acked = self.trackers[kind.index()].as_ref().map(|t| &t.acked);
                 let is_target =
                     |i: usize| members.contains(i) && !acked.is_some_and(|a| a.contains(i));
@@ -1048,11 +1035,14 @@ impl EngineModel {
                 members.iter().map(|to| (to, from)).collect()
             }
         };
-        // One remote-network epoch of head start keeps a guarded wave a
+        // One remote-network epoch of head start keeps a parallel wave a
         // rearguard: every data event still in flight when the wave began
         // (emissions have ceased by then for the strategies that window
         // their waves) reaches its queue first.
-        let guard = if disc.guarded { self.config.net_latency_remote } else { SimDuration::ZERO };
+        let guard = match routing {
+            WaveRouting::Parallel { .. } => self.config.net_latency_remote,
+            _ => SimDuration::ZERO,
+        };
         self.deliver_wave_batch(injections, kind, wave, guard, sched);
         wave
     }
@@ -1071,10 +1061,13 @@ impl EngineModel {
         self.config.derived_fan_out(participants)
     }
 
-    /// The discipline of the most recent `kind` wave (sequential before
-    /// any wave of that kind has started).
-    fn wave_discipline(&self, kind: ControlKind) -> WaveDiscipline {
-        self.wave_routing[kind.index()].unwrap_or(WaveRouting::Sequential).discipline()
+    /// The routing of the most recent `kind` wave (sequential before any
+    /// wave of that kind has started). A sequential wave is forwarded hop
+    /// by hop and aligned at every instance; a parallel one runs in
+    /// store-paced windows behind a one-epoch guard; a broadcast is
+    /// neither.
+    fn routing(&self, kind: ControlKind) -> WaveRouting {
+        self.wave_routing[kind.index()].unwrap_or(WaveRouting::Sequential)
     }
 
     /// Prices one store round-trip for `instance`: the latency model's
@@ -1142,7 +1135,7 @@ impl EngineModel {
         instance: usize,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        if !self.wave_discipline(kind).windowed {
+        if !matches!(self.routing(kind), WaveRouting::Parallel { .. }) {
             return;
         }
         let shard = self.tables.meta(instance).store_shard as usize;
@@ -1218,8 +1211,8 @@ impl EngineModel {
                 if self.already_acked(ControlKind::Prepare, instance) {
                     return;
                 }
-                let disc = self.wave_discipline(ControlKind::Prepare);
-                if disc.aligned {
+                let sequential = self.routing(ControlKind::Prepare) == WaveRouting::Sequential;
+                if sequential {
                     let seen = self.runtimes[instance].record_sender(ControlKind::Prepare, c.from);
                     if seen < self.expected_senders[instance] {
                         return; // waiting for the barrier to align
@@ -1236,7 +1229,7 @@ impl EngineModel {
                     // COMMIT, so snapshot the state it persists now.
                     self.runtimes[instance].snapshot_prepared();
                 }
-                if disc.edge_forwarded {
+                if sequential {
                     self.forward_control(instance, c, sched);
                 }
                 self.ack_control(instance, ControlKind::Prepare, sched);
@@ -1248,7 +1241,7 @@ impl EngineModel {
                 if self.already_acked(ControlKind::Commit, instance) {
                     return;
                 }
-                if self.wave_discipline(ControlKind::Commit).aligned {
+                if self.routing(ControlKind::Commit) == WaveRouting::Sequential {
                     // Barrier alignment only applies to the hop-by-hop
                     // sweep; hub-and-spoke COMMITs act on first receipt.
                     let seen = self.runtimes[instance].record_sender(ControlKind::Commit, c.from);
@@ -1306,7 +1299,7 @@ impl EngineModel {
                     // Duplicate INIT: skip restore, still forward + ack
                     // (§3.1: "skips processing this event if the task has
                     // already restored its state").
-                    if self.wave_discipline(ControlKind::Init).edge_forwarded {
+                    if self.routing(ControlKind::Init) == WaveRouting::Sequential {
                         self.forward_control(instance, c, sched);
                     }
                     self.ack_control(instance, ControlKind::Init, sched);
@@ -1424,7 +1417,7 @@ impl EngineModel {
                 at: sched.now(),
             });
         }
-        if self.wave_discipline(ControlKind::Commit).edge_forwarded {
+        if self.routing(ControlKind::Commit) == WaveRouting::Sequential {
             self.forward_control(instance, c, sched);
         }
         self.ack_control(instance, ControlKind::Commit, sched);
@@ -1492,7 +1485,7 @@ impl EngineModel {
             at: sched.now(),
             pending_replayed,
         });
-        if c.kind == ControlKind::Init && self.wave_discipline(ControlKind::Init).edge_forwarded {
+        if c.kind == ControlKind::Init && self.routing(c.kind) == WaveRouting::Sequential {
             self.forward_control(instance, c, sched);
         }
         self.ack_control(instance, c.kind, sched);

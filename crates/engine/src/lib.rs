@@ -5,7 +5,7 @@
 //! reproduction of *"Toward Reliable and Rapid Elasticity for Streaming
 //! Dataflows on Clouds"* (Shukla & Simmhan, ICDCS 2018).
 //!
-//! Faithfully modelled mechanisms (see `DESIGN.md` §5):
+//! Faithfully modelled mechanisms:
 //!
 //! * **task instances** with single-threaded FIFO input queues shared by
 //!   data and control events;
@@ -96,18 +96,22 @@
 //! [`TraceLevel::Metrics`](flowmig_metrics::TraceLevel::Metrics), keeps
 //! every event that `MigrationMetrics`, the throughput and latency
 //! timelines and the CLI's CSV exports read: source emissions, sink
-//! arrivals, drops, migration and phase marks, control waves and the store
-//! events. It leaves out six kinds that no metric reads: the acker's
-//! per-root `RootAcked` and `RootFailed`, and the per-instance
-//! `ControlAcked`, `InstanceKilled`, `WorkerReady` and `InstanceRestored`.
-//! Those are most of a large migration's trace: perfbench's
+//! arrivals, migration and phase marks, control waves, shard outages and
+//! key-range moves. It leaves out ten kinds that no metric reads: the
+//! acker's per-root `RootAcked` and `RootFailed`; the per-instance
+//! `ControlAcked`, `InstanceKilled`, `WorkerReady` and `InstanceRestored`;
+//! and `EventDropped`, `StoreQueueWait`, `QuorumPersist` and
+//! `StoreOpFailed`, which [`EngineStats`] counts (`events_dropped`,
+//! `store_wait_us`, `store_quorum_persists` and `store_degraded_persists`,
+//! `store_ops_failed`). The per-root and per-instance kinds are most of a
+//! large migration's trace: perfbench's
 //! 10,000-instance CCR-P run (`scale-10k`) records about 1,100 events at
 //! the default level and 60,000 at
 //! [`TraceLevel::Full`](flowmig_metrics::TraceLevel::Full), which keeps
 //! every event. The level changes only what is recorded — no engine or
 //! coordinator decision reads the trace — so stats, metrics and the kept
 //! events are identical at both levels, and a Metrics trace is the Full
-//! trace without the six kinds. The determinism pins hash Full traces. To
+//! trace without the ten kinds. The determinism pins hash Full traces. To
 //! read the left-out kinds, opt in with
 //! `EngineConfig { trace: TraceLevel::Full, ..EngineConfig::default() }`.
 //!
@@ -142,8 +146,8 @@ pub use event::{ControlEvent, ControlSender, DataEvent, QueueItem};
 pub use flowmig_sim::fasthash::{self, FastHashMap, FastHashSet, FxHasher};
 pub use instance::WorkerStatus;
 pub use protocol::{
-    resend, KeyRangeScope, MigrationCoordinator, NoopCoordinator, ProtocolConfig, WaveDiscipline,
-    WaveRouting, WaveScope,
+    resend, KeyRangeScope, MigrationCoordinator, NoopCoordinator, ProtocolConfig, WaveRouting,
+    WaveScope,
 };
 pub use stats::EngineStats;
 pub use store::{AdmitOutcome, ShardStats, ShardedStateStore, StateBlob, StoreOpKind};

@@ -120,54 +120,6 @@ impl Default for KeyRangeScope {
     }
 }
 
-/// The mechanical behaviours the engine derives from a wave's routing —
-/// the interpreted descriptor that drives wave setup, alignment,
-/// forwarding, and window pacing. Adding a routing means describing it
-/// here once; the engine's wave state machine branches only on these
-/// flags, never on the routing variant itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaveDiscipline {
-    /// Injected at the root operator tasks and forwarded hop-by-hop along
-    /// the DAG edges (false: hub-and-spoke from the checkpoint source).
-    pub edge_forwarded: bool,
-    /// Each instance barrier-aligns on all expected upstream senders
-    /// before acting — the rearguard that sweeps behind in-flight events.
-    pub aligned: bool,
-    /// Store-shard windows pace the injections: at most `fan_out`
-    /// instances of a shard are in flight, and completions advance the
-    /// window. Re-sent windowed waves re-target only unacked instances.
-    pub windowed: bool,
-    /// The first injections get a fixed head start (one remote-network
-    /// epoch) so any data event already in network flight lands first.
-    pub guarded: bool,
-}
-
-impl WaveRouting {
-    /// The engine behaviours this routing implies.
-    pub fn discipline(self) -> WaveDiscipline {
-        match self {
-            WaveRouting::Sequential => WaveDiscipline {
-                edge_forwarded: true,
-                aligned: true,
-                windowed: false,
-                guarded: false,
-            },
-            WaveRouting::Broadcast => WaveDiscipline {
-                edge_forwarded: false,
-                aligned: false,
-                windowed: false,
-                guarded: false,
-            },
-            WaveRouting::Parallel { .. } => WaveDiscipline {
-                edge_forwarded: false,
-                aligned: false,
-                windowed: true,
-                guarded: true,
-            },
-        }
-    }
-}
-
 /// Static protocol behaviour selected by a strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
@@ -288,18 +240,6 @@ mod tests {
         let ccr = ProtocolConfig::ccr();
         assert!(!ccr.ack_user_events && !ccr.periodic_checkpoint);
         assert!(ccr.capture_on_prepare);
-    }
-
-    #[test]
-    fn disciplines_describe_the_three_routings() {
-        let seq = WaveRouting::Sequential.discipline();
-        assert!(seq.edge_forwarded && seq.aligned && !seq.windowed && !seq.guarded);
-        let bc = WaveRouting::Broadcast.discipline();
-        assert!(!bc.edge_forwarded && !bc.aligned && !bc.windowed && !bc.guarded);
-        let par = WaveRouting::Parallel { fan_out: 0 }.discipline();
-        assert!(!par.edge_forwarded && !par.aligned && par.windowed && par.guarded);
-        // The window size does not change the discipline.
-        assert_eq!(par, WaveRouting::Parallel { fan_out: 7 }.discipline());
     }
 
     #[test]

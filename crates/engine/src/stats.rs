@@ -2,8 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Counters accumulated over a run.
+/// Counters accumulated over a run: the one home of its totals.
 ///
+/// `events_dropped` and `replayed_roots` are §4's seventh metric, the
+/// messages lost and replayed; `MigrationMetrics` holds only the spans.
 /// `replayed_event_messages` is the paper's Fig. 6 quantity: the number of
 /// *messages* (per-task deliveries) belonging to failed-and-replayed root
 /// trees — i.e. work redone because of the migration.

@@ -587,19 +587,9 @@ impl ShardedStateStore {
         self.shards.iter().map(|s| s.gets).sum()
     }
 
-    /// Total fetch operations that found no blob, across all shards.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.misses).sum()
-    }
-
     /// Total bytes written across all shards.
     pub fn bytes_written(&self) -> u64 {
         self.shards.iter().map(|s| s.bytes_written).sum()
-    }
-
-    /// Total bytes read across all shards.
-    pub fn bytes_read(&self) -> u64 {
-        self.shards.iter().map(|s| s.bytes_read).sum()
     }
 
     /// Total operations that waited behind a busy shard, across all
@@ -617,24 +607,6 @@ impl ShardedStateStore {
     /// Deepest concurrent in-flight window observed on any shard.
     pub fn max_queue_depth(&self) -> usize {
         self.shards.iter().map(|s| s.max_queue_depth).max().unwrap_or(0)
-    }
-
-    /// Total operations rejected for lack of live replicas, across all
-    /// shards.
-    pub fn failed_ops(&self) -> u64 {
-        self.shards.iter().map(|s| s.failed_ops).sum()
-    }
-
-    /// Total quorum-priced persists across all shards (0 for the default
-    /// unreplicated store).
-    pub fn quorum_persists(&self) -> u64 {
-        self.shards.iter().map(|s| s.quorum_persists).sum()
-    }
-
-    /// Total quorum persists served while a replica was down, across all
-    /// shards.
-    pub fn degraded_persists(&self) -> u64 {
-        self.shards.iter().map(|s| s.degraded_persists).sum()
     }
 
     /// Per-shard counter snapshots for every shard, in shard order — the
@@ -725,15 +697,17 @@ mod tests {
         let blob =
             StateBlob { processed: 7, pending: vec![event(1), event(2)], key_counts: vec![3, 4] };
         let size = blob.byte_size();
+        let shard = store.shard_of(i);
         store.put(i, WHOLE, blob.clone());
         assert_eq!(store.restore(i, WHOLE), Some(blob.clone()));
-        assert_eq!(store.bytes_read(), size, "the first restore reads the whole blob");
+        assert_eq!(store.shard_stats(shard).bytes_read, size, "the first restore reads it all");
         // A second restore from the same blob replays nothing, yet still
         // finds the user state and counters.
         let again = StateBlob { pending: Vec::new(), ..blob };
         assert_eq!(store.restore(i, WHOLE), Some(again.clone()));
-        assert_eq!(store.bytes_read(), size + again.byte_size());
-        assert_eq!((store.gets(), store.misses(), store.len()), (2, 0, 1));
+        let stats = store.shard_stats(shard);
+        assert_eq!(stats.bytes_read, size + again.byte_size());
+        assert_eq!((stats.gets, stats.misses, store.len()), (2, 0, 1));
     }
 
     #[test]
@@ -809,12 +783,12 @@ mod tests {
         store.put(i, WHOLE, blob);
         assert_eq!(store.shard_stats(1).bytes_written, expected);
         assert_eq!(store.bytes_written(), expected);
-        assert_eq!(store.bytes_read(), 0);
+        assert_eq!(store.shard_stats(1).bytes_read, 0);
         let _ = store.restore(i, WHOLE);
-        assert_eq!(store.bytes_read(), expected);
+        assert_eq!(store.shard_stats(1).bytes_read, expected);
         // A miss reads nothing.
         let _ = store.restore(InstanceId::from_index(3), WHOLE);
-        assert_eq!(store.bytes_read(), expected);
+        assert_eq!(store.shard_stats(1).bytes_read, expected);
     }
 
     #[test]
@@ -841,9 +815,8 @@ mod tests {
         assert_eq!(stats.gets, 2);
         assert_eq!(stats.misses, 1, "hits don't count as misses");
         assert_eq!(stats.bytes_read, written);
-        // Other shards untouched; aggregates line up.
+        // Other shards untouched; the total lines up.
         assert_eq!(store.shard_stats(0).gets, 0);
-        assert_eq!(store.misses(), 1);
         assert_eq!(store.gets(), 2);
     }
 
@@ -888,7 +861,7 @@ mod tests {
         assert_eq!(stats.max_queue_depth, 3, "flat pricing absorbed 3 concurrent ops");
         assert_eq!(store.max_queue_depth(), 3);
         // The default unreplicated store prices no persist as a quorum.
-        assert_eq!(store.quorum_persists(), 0, "default replication never counts quorums");
+        assert_eq!(stats.quorum_persists, 0, "default replication never counts quorums");
     }
 
     #[test]
@@ -912,7 +885,11 @@ mod tests {
         assert_eq!(store.shard_stats(1).queued_ops, 0);
         assert_eq!(store.queued_ops(), 2);
         assert_eq!(store.queued_wait(), SimDuration::from_millis(30));
-        assert_eq!(store.quorum_persists(), 0, "default replication never counts quorums");
+        assert_eq!(
+            (stats.quorum_persists, store.shard_stats(1).quorum_persists),
+            (0, 0),
+            "default replication never counts quorums"
+        );
     }
 
     #[test]
@@ -1016,7 +993,7 @@ mod tests {
         };
         assert_eq!(delay, SimDuration::from_micros(1250), "degraded fetch pays replica 1's lag");
         assert!(degraded);
-        assert_eq!(store.failed_ops(), 0);
+        assert_eq!(store.shard_stats(0).failed_ops, 0);
     }
 
     #[test]
@@ -1040,7 +1017,6 @@ mod tests {
         store.fail_shard_replicas(0, usize::MAX);
         let outcome = store.admit(i, SimTime::from_secs(3), service, StoreOpKind::Fetch);
         assert_eq!(outcome, AdmitOutcome::Failed);
-        assert_eq!(store.failed_ops(), 2);
         assert_eq!(store.shard_stats(0).failed_ops, 2);
         // Restoring the shard brings the persist path back.
         store.restore_shard_replicas(0);

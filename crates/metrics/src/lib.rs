@@ -5,12 +5,13 @@
 //! (Shukla & Simmhan, ICDCS 2018).
 //!
 //! The engine appends [`TraceEvent`]s to a [`TraceLog`] as a run executes,
-//! keeping those its [`TraceLevel`] keeps; everything in the paper's
-//! evaluation is then a pure function of the log, and the default level
-//! keeps every event it reads:
+//! keeping those its [`TraceLevel`] keeps; the paper's spans and timelines
+//! are then pure functions of the log, and the default level keeps every
+//! event they read:
 //!
-//! * [`MigrationMetrics`] — the seven §4 metrics (restore, drain/capture,
-//!   rebalance, catchup, recovery, stabilization, loss/replay counts);
+//! * [`MigrationMetrics`] — the six §4 spans (restore, drain/capture,
+//!   rebalance, catchup, recovery, stabilization); §4's loss and replay
+//!   counts are the engine's run counters, not the trace's;
 //! * [`RateTimeline`] — the input/output throughput series of Fig. 7;
 //! * [`LatencyTimeline`] — the windowed latency series of Fig. 9;
 //! * [`find_stabilization`] — the 20 %-band / 60 s-window stability rule;

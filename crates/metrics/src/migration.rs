@@ -7,13 +7,18 @@ use flowmig_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// All seven §4 metrics for one migration run.
+/// The paper's six §4 migration spans for one run (1–6 below), plus the
+/// phase spans, shard downtime and key-range totals that only the trace
+/// records.
 ///
-/// Times 1–6 are reported **relative to the migration request** (the paper
-/// plots them on an axis where the request is time 0). `None` means the
-/// metric does not apply to the strategy (e.g. drain time for DSM, recovery
-/// time for DCR/CCR) or the run never reached the state (e.g. never
-/// stabilized before the horizon).
+/// §4's seventh metric, the messages lost and replayed, is a count the
+/// engine keeps: `EngineStats::replayed_roots` plus
+/// `EngineStats::events_dropped` (in `flowmig-engine`), beside its store
+/// counters. Spans 1–6 are reported **relative to the migration request**
+/// (the paper plots them on an axis where the request is time 0). `None`
+/// means the metric does not apply to the strategy (e.g. drain time for
+/// DSM, recovery time for DCR/CCR) or the run never reached the state
+/// (e.g. never stabilized before the horizon).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationMetrics {
     /// 1) Restore duration: request → first sink arrival after the request.
@@ -31,10 +36,6 @@ pub struct MigrationMetrics {
     /// 6) Rate stabilization time: request → start of the first 60 s window
     ///    with output within 20 % of expected.
     pub stabilization: Option<SimDuration>,
-    /// 7) Message loss/recovery count: roots failed and replayed.
-    pub replayed_messages: u64,
-    /// Data events dropped at dead/absent instances (component of 7).
-    pub dropped_messages: u64,
     /// Span of the COMMIT phase alone (checkpoint persist wave) — the
     /// quantity the parallel-wave work optimizes. `None` for strategies
     /// without an explicit commit phase (DSM migrations).
@@ -42,19 +43,6 @@ pub struct MigrationMetrics {
     /// Span of the Restore phase alone (rebalance completion → INIT wave
     /// fully acked), the other half of the parallel-wave critical path.
     pub restore_wave: Option<SimDuration>,
-    /// Total time store operations spent waiting in per-shard FIFO
-    /// queues over the whole run — the contention the parallel-wave
-    /// windows are fighting. `None` when nothing queued (always the case
-    /// under the zero-queueing store model).
-    pub store_wait: Option<SimDuration>,
-    /// Persists priced as a quorum over a replicated store (0 for
-    /// unreplicated runs).
-    pub quorum_persists: u64,
-    /// Quorum persists that completed while a shard replica was down.
-    pub degraded_persists: u64,
-    /// Store operations rejected for lack of live replicas (0 without a
-    /// shard outage).
-    pub store_failures: u64,
     /// Total time store shards spent with replicas down. `None` when no
     /// shard outage was injected.
     pub shard_downtime: Option<SimDuration>,
@@ -62,17 +50,13 @@ pub struct MigrationMetrics {
     /// restores (0 for whole-instance strategies, which never record
     /// range events).
     pub moved_bytes: u64,
-    /// Bytes of cold key-range state left in place by key-range persists
-    /// — what a whole-instance migration would additionally have moved
-    /// (0 for whole-instance strategies).
-    pub resident_bytes: u64,
     /// Contiguous key ranges persisted by key-range COMMITs (0 for
     /// whole-instance strategies).
     pub ranges_moved: u64,
 }
 
 impl MigrationMetrics {
-    /// Computes all metrics from a trace, in one pass over its events.
+    /// Computes the metrics from a trace, in one pass over its events.
     ///
     /// `criteria` supplies the expected output rate and stability band;
     /// `bucket` is the throughput bucket width (paper: 10 s).
@@ -116,13 +100,10 @@ impl PhaseSpan {
 }
 
 /// The one pass behind [`MigrationMetrics::from_trace`]: it observes each
-/// event once, in time order, and keeps only counters, a few instants and
-/// the throughput buckets.
+/// event once, in time order, and keeps only the range totals, a few
+/// instants and the throughput buckets.
 #[derive(Debug)]
 struct MetricsFold {
-    /// The counters, summed straight into their fields; [`Self::finish`]
-    /// fills in the request-relative spans.
-    counts: MigrationMetrics,
     timeline: RateTimeline,
     /// The first `MigrationRequested`; later ones are ignored.
     request: Option<SimTime>,
@@ -137,7 +118,9 @@ struct MetricsFold {
     first_after_rebalance: Option<SimTime>,
     last_old_arrival: Option<SimTime>,
     last_replayed_new_arrival: Option<SimTime>,
-    store_wait: SimDuration,
+    /// The key-range totals, summed from the range events.
+    moved_bytes: u64,
+    ranges_moved: u64,
     /// Shards with replicas down, and since when.
     down_since: Vec<(usize, SimTime)>,
     downtime: SimDuration,
@@ -146,7 +129,6 @@ struct MetricsFold {
 impl MetricsFold {
     fn new(bucket: SimDuration) -> Self {
         MetricsFold {
-            counts: MigrationMetrics::default(),
             timeline: RateTimeline::empty(bucket),
             request: None,
             drain: PhaseSpan::default(),
@@ -158,7 +140,8 @@ impl MetricsFold {
             first_after_rebalance: None,
             last_old_arrival: None,
             last_replayed_new_arrival: None,
-            store_wait: SimDuration::ZERO,
+            moved_bytes: 0,
+            ranges_moved: 0,
             down_since: Vec::new(),
             downtime: SimDuration::ZERO,
         }
@@ -176,7 +159,6 @@ impl MetricsFold {
 
     fn observe(&mut self, event: &TraceEvent) {
         self.timeline.observe(event);
-        let counts = &mut self.counts;
         match *event {
             TraceEvent::SinkArrival { at, old, replayed, .. } => {
                 self.last_arrival = Some(at);
@@ -211,20 +193,11 @@ impl MetricsFold {
                     self.first_after_rebalance = self.last_arrival.filter(|&a| a >= at);
                 }
             }
-            TraceEvent::SourceEmit { replay: true, .. } => counts.replayed_messages += 1,
-            TraceEvent::EventDropped { .. } => counts.dropped_messages += 1,
-            TraceEvent::StoreQueueWait { wait, .. } => self.store_wait += wait,
-            TraceEvent::StoreOpFailed { .. } => counts.store_failures += 1,
-            TraceEvent::QuorumPersist { degraded, .. } => {
-                counts.quorum_persists += 1;
-                counts.degraded_persists += u64::from(degraded);
+            TraceEvent::RangePersist { ranges, moved_bytes, .. } => {
+                self.ranges_moved += u64::from(ranges);
+                self.moved_bytes += moved_bytes;
             }
-            TraceEvent::RangePersist { ranges, moved_bytes, resident_bytes, .. } => {
-                counts.ranges_moved += u64::from(ranges);
-                counts.moved_bytes += moved_bytes;
-                counts.resident_bytes += resident_bytes;
-            }
-            TraceEvent::RangeRestore { moved_bytes, .. } => counts.moved_bytes += moved_bytes,
+            TraceEvent::RangeRestore { moved_bytes, .. } => self.moved_bytes += moved_bytes,
             // A repeated `ShardDown` keeps the outage's first instant.
             TraceEvent::ShardDown { shard, at, .. }
                 if !self.down_since.iter().any(|&(s, _)| s == shard) =>
@@ -278,9 +251,9 @@ impl MetricsFold {
             stabilization: find_stabilization(&self.timeline, criteria, req).map(rel),
             commit_wave: self.commit.length(),
             restore_wave: self.restore.length(),
-            store_wait: Some(self.store_wait).filter(|w| !w.is_zero()),
             shard_downtime: Some(downtime).filter(|d| !d.is_zero()),
-            ..self.counts
+            moved_bytes: self.moved_bytes,
+            ranges_moved: self.ranges_moved,
         }
     }
 }
@@ -297,7 +270,7 @@ impl fmt::Display for MigrationMetrics {
         write!(
             f,
             "restore={} drain={} rebalance={} catchup={} recovery={} stabilization={} \
-             commit_wave={} restore_wave={} store_wait={} replayed={} dropped={}",
+             commit_wave={} restore_wave={}",
             fmt_opt(self.restore),
             fmt_opt(self.drain_capture),
             fmt_opt(self.rebalance),
@@ -306,33 +279,10 @@ impl fmt::Display for MigrationMetrics {
             fmt_opt(self.stabilization),
             fmt_opt(self.commit_wave),
             fmt_opt(self.restore_wave),
-            fmt_opt(self.store_wait),
-            self.replayed_messages,
-            self.dropped_messages,
         )?;
-        // The realism-tier counters only print when the run exercised them,
-        // so unreplicated outage-free summaries stay byte-identical.
-        if self.quorum_persists > 0 {
-            write!(
-                f,
-                " quorum_persists={} degraded={}",
-                self.quorum_persists, self.degraded_persists
-            )?;
-        }
-        if self.store_failures > 0 || self.shard_downtime.is_some() {
-            write!(
-                f,
-                " store_failures={} shard_downtime={}",
-                self.store_failures,
-                fmt_opt(self.shard_downtime),
-            )?;
-        }
-        if self.ranges_moved > 0 {
-            write!(
-                f,
-                " ranges_moved={} moved_bytes={} resident_bytes={}",
-                self.ranges_moved, self.moved_bytes, self.resident_bytes,
-            )?;
+        // Only a run with a shard outage prints its downtime.
+        if self.shard_downtime.is_some() {
+            write!(f, " shard_downtime={}", fmt_opt(self.shard_downtime))?;
         }
         Ok(())
     }
@@ -425,7 +375,6 @@ mod tests {
         assert_eq!(m.catchup, Some(SimDuration::from_secs(80))); // 260-180
         assert_eq!(m.recovery, Some(SimDuration::from_secs(110))); // 290-180
         assert_eq!(m.stabilization, Some(SimDuration::from_secs(120))); // 300 s
-        assert_eq!(m.replayed_messages, 2);
         assert_eq!(m.total_migration(), Some(SimDuration::from_secs(110)));
     }
 
@@ -461,47 +410,15 @@ mod tests {
 
     #[test]
     fn display_renders_dashes_for_missing() {
-        let m = MigrationMetrics::default();
-        let s = m.to_string();
-        assert!(s.contains("restore=-"));
-        assert!(s.contains("store_wait=-"));
-        assert!(s.contains("replayed=0"));
+        assert_eq!(
+            MigrationMetrics::default().to_string(),
+            "restore=- drain=- rebalance=- catchup=- recovery=- stabilization=- \
+             commit_wave=- restore_wave=-"
+        );
     }
 
     #[test]
-    fn store_wait_sums_queue_events_and_stays_none_without_them() {
-        use flowmig_topology::InstanceId;
-        let mut log = TraceLog::new();
-        log.record(TraceEvent::MigrationRequested { at: t(10) });
-        let quiet = MigrationMetrics::from_trace(
-            &log,
-            &StabilityCriteria::paper(8.0),
-            SimDuration::from_secs(10),
-        );
-        assert_eq!(quiet.store_wait, None, "no queueing events → no span");
-
-        log.record(TraceEvent::StoreQueueWait {
-            instance: InstanceId::from_index(1),
-            shard: 1,
-            wait: SimDuration::from_millis(3),
-            at: t(11),
-        });
-        log.record(TraceEvent::StoreQueueWait {
-            instance: InstanceId::from_index(9),
-            shard: 1,
-            wait: SimDuration::from_millis(7),
-            at: t(12),
-        });
-        let m = MigrationMetrics::from_trace(
-            &log,
-            &StabilityCriteria::paper(8.0),
-            SimDuration::from_secs(10),
-        );
-        assert_eq!(m.store_wait, Some(SimDuration::from_millis(10)));
-    }
-
-    #[test]
-    fn range_ledger_surfaces_in_metrics_and_display_only_when_scoped() {
+    fn range_ledger_counts_only_key_range_events() {
         use flowmig_topology::InstanceId;
         let mut log = TraceLog::new();
         log.record(TraceEvent::MigrationRequested { at: t(10) });
@@ -510,11 +427,7 @@ mod tests {
             &StabilityCriteria::paper(8.0),
             SimDuration::from_secs(10),
         );
-        assert_eq!((whole.moved_bytes, whole.resident_bytes, whole.ranges_moved), (0, 0, 0));
-        assert!(
-            !whole.to_string().contains("moved_bytes"),
-            "whole-instance summaries stay byte-identical"
-        );
+        assert_eq!((whole.moved_bytes, whole.ranges_moved), (0, 0));
 
         log.record(TraceEvent::RangePersist {
             instance: InstanceId::from_index(4),
@@ -535,12 +448,7 @@ mod tests {
             SimDuration::from_secs(10),
         );
         assert_eq!(scoped.moved_bytes, 192, "persist + restore both ride the store");
-        assert_eq!(scoped.resident_bytes, 16);
         assert_eq!(scoped.ranges_moved, 2);
-        let s = scoped.to_string();
-        assert!(s.contains("ranges_moved=2"));
-        assert!(s.contains("moved_bytes=192"));
-        assert!(s.contains("resident_bytes=16"));
     }
 
     #[test]
@@ -556,6 +464,7 @@ mod tests {
             log.extend(events);
             let m = MigrationMetrics::from_trace(&log, &criteria, SimDuration::from_secs(10));
             assert_eq!(m.shard_downtime, Some(SimDuration::from_secs(28)), "{level:?}");
+            assert!(m.to_string().ends_with(" restore_wave=- shard_downtime=28.0s"), "{m}");
         }
     }
 

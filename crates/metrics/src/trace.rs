@@ -114,10 +114,13 @@ pub enum TraceLevel {
     /// Every event that [`MigrationMetrics`](crate::MigrationMetrics),
     /// [`RateTimeline`](crate::RateTimeline),
     /// [`LatencyTimeline`](crate::LatencyTimeline) or the stability rule
-    /// reads: emissions, arrivals, drops, migration and phase marks,
-    /// control waves and store events. The per-root acker outcomes and the
-    /// per-instance lifecycle (acks, kills, worker starts, restores) are
-    /// left out, so the metrics of a run are the same at either level.
+    /// reads: emissions, arrivals, migration and phase marks, control
+    /// waves, shard outages and key-range moves. Ten kinds are left out,
+    /// so the metrics of a run are the same at either level: the per-root
+    /// acker outcomes, the per-instance lifecycle (acks, kills, worker
+    /// starts, restores), drops, and the store's queue waits, quorum
+    /// persists and failed operations, which the engine's counters
+    /// already total.
     #[default]
     Metrics,
     /// Every event.
@@ -330,7 +333,9 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The leanest [`TraceLevel`] that keeps this event.
+    /// The leanest [`TraceLevel`] that keeps this event: [`TraceLevel::Full`]
+    /// for the ten kinds no analyzer reads, [`TraceLevel::Metrics`] for the
+    /// rest.
     #[inline]
     pub fn level(&self) -> TraceLevel {
         match self {
@@ -339,7 +344,11 @@ impl TraceEvent {
             | TraceEvent::ControlAcked { .. }
             | TraceEvent::InstanceKilled { .. }
             | TraceEvent::WorkerReady { .. }
-            | TraceEvent::InstanceRestored { .. } => TraceLevel::Full,
+            | TraceEvent::InstanceRestored { .. }
+            | TraceEvent::EventDropped { .. }
+            | TraceEvent::StoreQueueWait { .. }
+            | TraceEvent::QuorumPersist { .. }
+            | TraceEvent::StoreOpFailed { .. } => TraceLevel::Full,
             _ => TraceLevel::Metrics,
         }
     }
@@ -570,6 +579,23 @@ mod tests {
             TraceEvent::WorkerReady { instance: i, at: t(4) },
             TraceEvent::ControlWave { kind: ControlKind::Init, wave: 0, at: t(5) },
             TraceEvent::InstanceRestored { instance: i, at: t(6), pending_replayed: 0 },
+            TraceEvent::EventDropped { root: RootId(3), at: t(6) },
+            TraceEvent::StoreQueueWait {
+                instance: i,
+                shard: 1,
+                wait: SimDuration::from_millis(3),
+                at: t(7),
+            },
+            TraceEvent::ShardDown { shard: 1, down_replicas: 1, at: t(7) },
+            TraceEvent::QuorumPersist {
+                instance: i,
+                shard: 1,
+                replicas: 3,
+                quorum: 2,
+                degraded: true,
+                at: t(7),
+            },
+            TraceEvent::StoreOpFailed { instance: i, shard: 1, at: t(8) },
         ];
         let mut lean = TraceLog::new();
         let mut full = TraceLog::with_level(TraceLevel::Full);
@@ -577,8 +603,8 @@ mod tests {
         full.extend(events);
         assert_eq!((lean.level(), full.level()), (TraceLevel::Metrics, TraceLevel::Full));
         assert_eq!(full.iter().copied().collect::<Vec<_>>(), events);
-        assert_eq!(lean.iter().copied().collect::<Vec<_>>(), [events[0], events[6]]);
-        assert_eq!((lean.last_at(), full.last_at()), (t(6), t(6)), "both end at the restore");
+        assert_eq!(lean.iter().copied().collect::<Vec<_>>(), [events[0], events[6], events[10]]);
+        assert_eq!((lean.last_at(), full.last_at()), (t(8), t(8)), "both end at the failure");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The paper prints cumulative input rates per task and instance counts but
 //! not the full wiring of the application DAGs; the wirings here satisfy
 //! every published constraint (task counts, instance counts per Table 1,
-//! per-task rates, sink rates — see `DESIGN.md` §3):
+//! per-task rates, sink rates):
 //!
 //! | DAG     | user tasks | instances | sink rate |
 //! |---------|-----------|-----------|-----------|

@@ -408,16 +408,6 @@ impl TaskSpec {
         }
         ranges
     }
-
-    /// Cumulative normalized weight of the given ranges — the fraction of
-    /// the task's traffic and state they carry.
-    pub fn ranges_weight(&self, ranges: &[KeyRange]) -> f64 {
-        ranges
-            .iter()
-            .flat_map(|r| r.start..r.end.min(self.key_partitions))
-            .map(|p| self.key_weight(p))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -543,7 +533,7 @@ mod tests {
         let t = TaskSpec::operator("t").with_zipf_keys(8, 2);
         let hot = t.hot_ranges(600);
         assert_eq!(hot, vec![KeyRange::new(0, 1)], "partition 0 alone carries >60 %");
-        assert!(t.ranges_weight(&hot) >= 0.6);
+        assert!(t.key_weight(0) >= 0.6);
         assert_eq!(t.hot_ranges(1000), vec![KeyRange::new(0, 8)], "full target → whole space");
     }
 

@@ -258,24 +258,18 @@ fn main() -> ExitCode {
     if let Some((partitions, exponent)) = args.key_skew {
         dag = library::zipf_keyed(&dag, partitions, exponent);
     }
-    let mut controller = MigrationController::new()
-        .with_request_at(SimTime::from_secs(args.request_secs))
-        .with_horizon(SimTime::from_secs(args.horizon_secs))
-        .with_seed(args.seed);
-    // A whole engine config replaces every engine setting, so it goes
-    // first and the flags below refine it.
+    let mut config = EngineConfig::default();
     if let Some(slots) = args.transport_buffer {
-        let config = EngineConfig { transport_buffer: slots, ..EngineConfig::default() };
-        controller = controller.with_engine_config(config);
+        config.transport_buffer = slots;
     }
     if let Some(shards) = args.shards {
-        controller = controller.with_store_shards(shards);
+        config.store_shards = shards;
     }
     if let Some(backend) = args.queue_backend {
-        controller = controller.with_queue_backend(backend);
+        config.queue_backend = backend;
     }
     if args.store_queueing {
-        controller = controller.with_store_service(StoreServiceModel::FifoPerShard);
+        config.store_service = StoreServiceModel::FifoPerShard;
     }
     if args.store_quorum.is_some() && args.store_replicas.is_none() {
         eprintln!("error: --store-quorum needs --store-replicas");
@@ -288,11 +282,11 @@ fn main() -> ExitCode {
             eprintln!("error: --store-quorum {quorum} exceeds --store-replicas {replicas}");
             return usage();
         }
-        controller = controller.with_store_replication(replicas, quorum);
+        config.store_replication = StoreReplication::new(replicas, quorum);
     }
     // The run would panic on an outage of a shard the store does not have;
     // reject it here like any other bad flag.
-    let shards = controller.store_shards();
+    let shards = config.store_shards;
     if let Some(&(shard, ..)) = args.shard_outages.iter().find(|&&(shard, ..)| shard >= shards) {
         eprintln!(
             "error: --shard-outage names shard {shard}, but the store has {shards} shards \
@@ -301,6 +295,11 @@ fn main() -> ExitCode {
         );
         return usage();
     }
+    let mut controller = MigrationController::new()
+        .with_engine_config(config)
+        .with_request_at(SimTime::from_secs(args.request_secs))
+        .with_horizon(SimTime::from_secs(args.horizon_secs))
+        .with_seed(args.seed);
     for &(shard, at, down) in &args.shard_outages {
         controller = controller.with_shard_outage(
             shard,
@@ -414,7 +413,7 @@ fn main() -> ExitCode {
             "  key ranges:    {} ranges moved {} bytes ({} bytes stayed resident)",
             outcome.metrics.ranges_moved,
             outcome.metrics.moved_bytes,
-            outcome.metrics.resident_bytes,
+            outcome.stats.state_bytes_resident,
         );
     }
     ExitCode::SUCCESS

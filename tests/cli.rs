@@ -110,3 +110,40 @@ fn transport_buffer_keeps_the_store_shard_count() {
     assert!(one_shard.is_some(), "the store-queue line is printed");
     assert_eq!(one_shard, store_queue(&["--transport-buffer", "10"]));
 }
+
+#[test]
+fn each_count_prints_once() {
+    // The metrics line holds the spans; the engine's counts print on the
+    // lines below it, once each.
+    for (args, count_lines) in [
+        (
+            "--dag grid --strategy dsm --store-replicas 3 --store-queueing \
+             --shard-outage 1:62:30 --request-secs 60 --horizon-secs 300",
+            &["reliability:", "store queue:", "store realism:"][..],
+        ),
+        (
+            "--dag grid --strategy ccr-key-range --key-skew 8:2 --scope hot --no-wave-timeout \
+             --transport-buffer 2048 --request-secs 60 --horizon-secs 400",
+            &["reliability:", "key ranges:"][..],
+        ),
+    ] {
+        let out = flowmig(&args.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(0), "{args}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = |label: &str| stdout.lines().find(|l| l.trim_start().starts_with(label));
+        let metrics = line("metrics:").expect("the metrics line is printed");
+        for count in [
+            "dropped=",
+            "replayed=",
+            "store_wait=",
+            "quorum_persists=",
+            "store_failures=",
+            "ranges_moved=",
+        ] {
+            assert!(!metrics.contains(count), "{args}: `{count}` in {metrics}");
+        }
+        for label in count_lines {
+            assert!(line(label).is_some(), "{args}: no `{label}` line in\n{stdout}");
+        }
+    }
+}

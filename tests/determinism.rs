@@ -317,7 +317,10 @@ fn quorum_replicated_ccr_pipelined_matrix_is_pinned() {
     ];
     let run = |dag: &Dataflow| {
         controller(7)
-            .with_store_replication(3, 2)
+            .with_engine_config(EngineConfig {
+                store_replication: StoreReplication::new(3, 2),
+                ..full()
+            })
             .run(dag, &CcrPipelined::new(), ScaleDirection::In)
             .expect("paper scenario placeable")
     };
@@ -471,11 +474,10 @@ fn skewed_grid_key_range_timeline_is_pinned() {
 #[test]
 fn large_scope_rebalance_traces_are_identical_and_pinned() {
     const PINNED: u64 = 0x0250af2cd6231029;
-    let run = |backend: QueueBackend| {
-        let config = EngineConfig { transport_buffer: 4096, ..full() };
+    let run = |queue_backend: QueueBackend| {
+        let config = EngineConfig { transport_buffer: 4096, queue_backend, ..full() };
         controller(7)
             .with_engine_config(config)
-            .with_queue_backend(backend)
             .with_horizon(SimTime::from_secs(400))
             .run(
                 &library::grid_zipf(6, 8, 2),
@@ -512,7 +514,10 @@ fn calendar_backend_reproduces_every_default_pin() {
     for strategy in strategies() {
         for dag in dags() {
             let out = controller(7)
-                .with_queue_backend(QueueBackend::Calendar)
+                .with_engine_config(EngineConfig {
+                    queue_backend: QueueBackend::Calendar,
+                    ..full()
+                })
                 .run(&dag, strategy.as_ref(), ScaleDirection::In)
                 .expect("paper scenario placeable");
             let pinned = PR3_BASELINE
@@ -540,11 +545,13 @@ fn calendar_backend_reproduces_every_default_pin() {
 
 /// The trace level changes only what the trace keeps. One seed run at
 /// both levels gives the same stats, store counters and metrics, and the
-/// Metrics trace is exactly the Full trace without the per-root acker
-/// outcomes and the per-instance lifecycle. DSM's kill fails roots, so
-/// all six left-out kinds occur in its run; CCR-P adds windowed waves.
+/// Metrics trace is exactly the Full trace without the ten kinds no
+/// analyzer reads. DSM's kill fails roots and drops events, so seven of
+/// the ten occur in its run; CCR-P adds windowed waves. CCR on a 2-shard
+/// FIFO store of 3 replicas, with shard 0 down across its COMMIT, records
+/// the other three: queue waits, quorum persists and failed operations.
 #[test]
-fn the_metrics_level_keeps_the_full_trace_but_six_kinds() {
+fn the_metrics_level_keeps_the_full_trace_but_ten_kinds() {
     let full_only = |e: &TraceEvent| {
         matches!(
             e,
@@ -554,14 +561,32 @@ fn the_metrics_level_keeps_the_full_trace_but_six_kinds() {
                 | TraceEvent::InstanceKilled { .. }
                 | TraceEvent::WorkerReady { .. }
                 | TraceEvent::InstanceRestored { .. }
+                | TraceEvent::EventDropped { .. }
+                | TraceEvent::StoreQueueWait { .. }
+                | TraceEvent::QuorumPersist { .. }
+                | TraceEvent::StoreOpFailed { .. }
         )
     };
-    for strategy in [&Dsm::new() as &dyn MigrationStrategy, &CcrPipelined::new()] {
+    let store = EngineConfig {
+        store_shards: 2,
+        store_service: StoreServiceModel::FifoPerShard,
+        store_replication: StoreReplication::new(3, 2),
+        ..EngineConfig::default()
+    };
+    // (strategy, engine config, whether shard 0 is down from 62 s to 92 s)
+    let cases: [(&dyn MigrationStrategy, EngineConfig, bool); 3] = [
+        (&Dsm::new(), EngineConfig::default(), false),
+        (&CcrPipelined::new(), EngineConfig::default(), false),
+        (&Ccr::new(), store, true),
+    ];
+    let mut left_out = std::collections::HashSet::new();
+    for (strategy, config, outage) in cases {
         let run = |trace| {
-            controller(7)
-                .with_engine_config(EngineConfig { trace, ..EngineConfig::default() })
-                .run(&library::grid(), strategy, ScaleDirection::In)
-                .expect("paper scenario placeable")
+            let mut c = controller(7).with_engine_config(EngineConfig { trace, ..config });
+            if outage {
+                c = c.with_shard_outage(0, SimTime::from_secs(62), SimDuration::from_secs(30));
+            }
+            c.run(&library::grid(), strategy, ScaleDirection::In).expect("paper scenario placeable")
         };
         let (lean, full) = (run(TraceLevel::Metrics), run(TraceLevel::Full));
         let name = full.strategy;
@@ -572,12 +597,14 @@ fn the_metrics_level_keeps_the_full_trace_but_six_kinds() {
         let kept: Vec<TraceEvent> = full.trace.iter().copied().filter(|e| !full_only(e)).collect();
         assert_eq!(lean.trace.iter().copied().collect::<Vec<_>>(), kept, "{name}: kept events");
         assert_eq!(lean.trace.last_at(), full.trace.last_at(), "{name}: last instant");
+        let kinds: std::collections::HashSet<_> =
+            full.trace.iter().filter(|e| full_only(e)).map(std::mem::discriminant).collect();
         if name == "DSM" {
-            let left_out: std::collections::HashSet<_> =
-                full.trace.iter().filter(|e| full_only(e)).map(std::mem::discriminant).collect();
-            assert_eq!(left_out.len(), 6, "DSM's run records every left-out kind");
+            assert_eq!(kinds.len(), 7, "DSM's run records seven left-out kinds");
         }
+        left_out.extend(kinds);
     }
+    assert_eq!(left_out.len(), 10, "the runs record every left-out kind");
 }
 
 #[test]

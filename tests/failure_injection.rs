@@ -190,7 +190,7 @@ fn ccr_crash_in_the_capture_window_drops_captured_events(service: StoreServiceMo
         dag.clone(),
         instances.clone(),
         &plan,
-        config_with(service),
+        EngineConfig { trace: TraceLevel::Full, ..config_with(service) },
         strategy.protocol(),
         strategy.coordinator(),
         7,
@@ -281,16 +281,17 @@ fn steady_state_crash_recovers_without_migration_fifo() {
 /// and the migration takes the same ROLLBACK path as an executor crash.
 fn shard_outage_mid_commit_rolls_back(service: StoreServiceModel) {
     let outcome = MigrationController::new()
+        .with_engine_config(EngineConfig { trace: TraceLevel::Full, ..config_with(service) })
         .with_request_at(SimTime::from_secs(60))
         .with_horizon(SimTime::from_secs(400))
-        .with_store_service(service)
         .with_shard_outage(0, SimTime::from_secs(50), SimDuration::from_secs(300))
         .run(&library::grid(), &Ccr::new(), ScaleDirection::In)
         .expect("scenario placeable");
 
     assert!(!outcome.completed, "a dead shard must abort the migration");
     assert!(outcome.stats.store_ops_failed > 0, "the COMMIT persists against shard 0 failed");
-    assert_eq!(outcome.metrics.store_failures, outcome.stats.store_ops_failed);
+    let traced = outcome.trace.iter().filter(|e| matches!(e, TraceEvent::StoreOpFailed { .. }));
+    assert_eq!(traced.count() as u64, outcome.stats.store_ops_failed, "one event per failed op");
     let rollbacks = outcome
         .trace
         .iter()
@@ -323,9 +324,12 @@ fn shard_outage_mid_commit_rolls_back_fifo() {
 #[test]
 fn quorum_replication_rides_out_a_mid_wave_replica_loss() {
     let outcome = MigrationController::new()
+        .with_engine_config(EngineConfig {
+            store_replication: StoreReplication::new(3, 2),
+            ..EngineConfig::default()
+        })
         .with_request_at(SimTime::from_secs(60))
         .with_horizon(SimTime::from_secs(400))
-        .with_store_replication(3, 2)
         .with_shard_degradation(0, 1, SimTime::from_secs(50), SimDuration::from_secs(300))
         .run(&library::grid(), &Ccr::new(), ScaleDirection::In)
         .expect("scenario placeable");

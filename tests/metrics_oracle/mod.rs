@@ -24,7 +24,6 @@ pub fn metrics(
             _ => None,
         })
     };
-    let count = |keep: fn(&TraceEvent) -> bool| log.iter().filter(|e| keep(e)).count() as u64;
     let sum = |value: fn(&TraceEvent) -> u64| log.iter().map(value).sum::<u64>();
 
     let rebalance_end = span(MigrationPhase::Rebalance).map_or(req, |(_, e)| e);
@@ -32,10 +31,6 @@ pub fn metrics(
     let last_old = arrivals().filter(|&(_, old, _)| old).map(|(at, ..)| at).max();
     let last_replayed_new =
         arrivals().filter(|&(_, old, replayed)| !old && replayed).map(|(at, ..)| at).max();
-    let store_wait = log.iter().fold(SimDuration::ZERO, |acc, e| match *e {
-        TraceEvent::StoreQueueWait { wait, .. } => acc + wait,
-        _ => acc,
-    });
     let timeline = RateTimeline::from_trace(log, bucket);
     MigrationMetrics {
         restore,
@@ -46,22 +41,12 @@ pub fn metrics(
         catchup: last_old.filter(|&t| t >= rebalance_end).map(rel),
         recovery: last_replayed_new.map(rel),
         stabilization: find_stabilization(&timeline, criteria, req).map(rel),
-        replayed_messages: count(|e| matches!(e, TraceEvent::SourceEmit { replay: true, .. })),
-        dropped_messages: count(|e| matches!(e, TraceEvent::EventDropped { .. })),
         commit_wave: length(MigrationPhase::Commit),
         restore_wave: length(MigrationPhase::Restore),
-        store_wait: Some(store_wait).filter(|w| !w.is_zero()),
-        quorum_persists: count(|e| matches!(e, TraceEvent::QuorumPersist { .. })),
-        degraded_persists: count(|e| matches!(e, TraceEvent::QuorumPersist { degraded: true, .. })),
-        store_failures: count(|e| matches!(e, TraceEvent::StoreOpFailed { .. })),
         shard_downtime: Some(shard_downtime(log)).filter(|d| !d.is_zero()),
         moved_bytes: sum(|e| match *e {
             TraceEvent::RangePersist { moved_bytes, .. }
             | TraceEvent::RangeRestore { moved_bytes, .. } => moved_bytes,
-            _ => 0,
-        }),
-        resident_bytes: sum(|e| match *e {
-            TraceEvent::RangePersist { resident_bytes, .. } => resident_bytes,
             _ => 0,
         }),
         ranges_moved: sum(|e| match *e {

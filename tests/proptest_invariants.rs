@@ -182,11 +182,15 @@ proptest! {
         shards in 1usize..10,
     ) {
         let run = |model| {
+            let config = EngineConfig {
+                store_shards: shards,
+                store_service: model,
+                ..EngineConfig::default()
+            };
             MigrationController::new()
+                .with_engine_config(config)
                 .with_request_at(SimTime::from_secs(60))
                 .with_horizon(SimTime::from_secs(400))
-                .with_store_shards(shards)
-                .with_store_service(model)
                 .with_seed(seed)
                 .run(&library::grid(), &CcrPipelined::new(), ScaleDirection::In)
                 .expect("paper scenario placeable")
@@ -873,7 +877,7 @@ proptest! {
     /// The Metrics trace level keeps every metric: on the same random
     /// traces, the events of a `Full` trace that a Metrics-level log keeps
     /// give the same `MigrationMetrics` and the same throughput and
-    /// latency timelines as the whole trace. The traces draw the six kinds
+    /// latency timelines as the whole trace. The traces draw the ten kinds
     /// the Metrics level leaves out at every position and leave outages
     /// unclosed, and each ends on a left-out `WorkerReady`, mostly after
     /// its last kept event: an open outage must still run to that last
