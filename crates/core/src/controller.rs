@@ -7,6 +7,9 @@ use flowmig_metrics::{MigrationMetrics, StabilityCriteria, TraceLog};
 use flowmig_sim::{RunOutcome, SimDuration, SimTime};
 use flowmig_topology::{Dataflow, InstanceSet, RatePlan};
 
+/// Width of the throughput buckets a run's trace is analyzed in.
+const BUCKET: SimDuration = SimDuration::from_secs(10);
+
 /// Everything measured from one migration run.
 #[derive(Debug, Clone)]
 pub struct MigrationOutcome {
@@ -60,7 +63,6 @@ pub struct MigrationController {
     engine_config: EngineConfig,
     request_at: SimTime,
     horizon: SimTime,
-    bucket: SimDuration,
     seed: u64,
     /// Scheduled shard outages: `(shard, down_replicas, at, downtime)`,
     /// applied to the engine before the run starts.
@@ -73,7 +75,6 @@ impl Default for MigrationController {
             engine_config: EngineConfig::default(),
             request_at: SimTime::from_secs(180),
             horizon: SimTime::from_secs(720),
-            bucket: SimDuration::from_secs(10),
             seed: 42,
             shard_outages: Vec::new(),
         }
@@ -191,7 +192,7 @@ impl MigrationController {
         let shard_stats = engine.store().all_shard_stats();
         let trace = engine.into_trace();
         let metrics =
-            MigrationMetrics::from_trace(&trace, &StabilityCriteria::paper(expected), self.bucket);
+            MigrationMetrics::from_trace(&trace, &StabilityCriteria::paper(expected), BUCKET);
         let completed = trace.migration_completed_at().is_some();
         MigrationOutcome {
             strategy: strategy.name(),

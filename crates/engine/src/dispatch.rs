@@ -28,8 +28,6 @@ pub(crate) struct InstanceMeta {
     pub kind: TaskKind,
     /// Per-event service time of the owning task.
     pub latency: SimDuration,
-    /// Output events per input event, per out-edge.
-    pub selectivity: f64,
     /// Whether the owning task routes by key partition.
     pub keyed: bool,
     /// Key partitions of the owning task (1 = unkeyed).
@@ -87,7 +85,6 @@ impl DispatchTables {
                 task,
                 kind: spec.kind(),
                 latency: spec.latency(),
-                selectivity: spec.selectivity(),
                 keyed: spec.is_keyed(),
                 key_partitions: spec.key_partitions(),
                 store_shard: (i % shard_count) as u32,
@@ -172,7 +169,6 @@ impl DispatchTables {
             let ok = m.task == task
                 && m.kind == spec.kind()
                 && m.latency == spec.latency()
-                && m.selectivity == spec.selectivity()
                 && m.keyed == spec.is_keyed()
                 && m.key_partitions == spec.key_partitions()
                 && m.store_shard as usize == i % shard_count

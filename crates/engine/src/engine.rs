@@ -379,7 +379,7 @@ impl EngineModel {
             tables,
             respawning: InstanceBitset::with_capacity(n),
             in_flight: vec![0; source_count],
-            acker: Acker::new(config.ack_timeout),
+            acker: Acker::new(EngineConfig::ACK_TIMEOUT),
             cache: FastHashMap::default(),
             store,
             trace: TraceLog::with_level(config.trace),
@@ -419,11 +419,10 @@ impl EngineModel {
             Some(i) => self.vm_of(i),
             None => Some(self.pinned_vm), // checkpoint source lives on the pinned VM
         };
-        let same = match (from_vm, to_vm) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        };
-        self.config.net_latency(same)
+        match (from_vm, to_vm) {
+            (Some(a), Some(b)) if a == b => EngineConfig::NET_LATENCY_LOCAL,
+            _ => EngineConfig::NET_LATENCY_REMOTE,
+        }
     }
 
     fn notify<F>(&mut self, sched: &mut Scheduler<'_, Ev>, f: F)
@@ -448,13 +447,13 @@ impl EngineModel {
     fn can_emit(&self, sidx: usize) -> bool {
         !self.paused
             && (!self.protocol.ack_user_events
-                || self.in_flight[sidx] < self.config.max_spout_pending)
+                || self.in_flight[sidx] < EngineConfig::MAX_SPOUT_PENDING)
     }
 
     fn on_source_tick(&mut self, instance: usize, sched: &mut Scheduler<'_, Ev>) {
         let sidx = self.source_of[instance] as usize;
         let backlog_len = self.sources[sidx].backlog.len();
-        if backlog_len >= self.config.max_source_backlog {
+        if backlog_len >= EngineConfig::MAX_SOURCE_BACKLOG {
             // The benchmark generator stalls once its buffer is full (the
             // driver thread sleeps while the spout is paused/throttled).
             let next = self.next_tick_interval(sidx);
@@ -477,16 +476,10 @@ impl EngineModel {
         sched.after(next, Ev::SourceTick { instance: instance as u32 });
     }
 
-    /// Next inter-emission gap: the configured interval with generator
+    /// Next inter-emission gap: the source's interval with generator
     /// scheduling jitter (mean preserved).
     fn next_tick_interval(&mut self, sidx: usize) -> SimDuration {
-        let interval = self.sources[sidx].interval;
-        let jitter = self.config.source_interval_jitter;
-        if jitter == 0.0 {
-            interval
-        } else {
-            self.rng.jittered(interval, jitter)
-        }
+        self.rng.jittered(self.sources[sidx].interval, EngineConfig::SOURCE_INTERVAL_JITTER)
     }
 
     fn maybe_schedule_drain(&mut self, sidx: usize, sched: &mut Scheduler<'_, Ev>) {
@@ -513,8 +506,10 @@ impl EngineModel {
             let (root, gen) = self.sources[sidx].backlog.pop_front().expect("non-empty backlog");
             self.emit_root(sidx, root, gen, false, sched);
         }
-        let interval = self.config.source_drain_interval;
-        sched.after(interval, Ev::SourceDrain { instance: instance as u32 });
+        sched.after(
+            EngineConfig::SOURCE_DRAIN_INTERVAL,
+            Ev::SourceDrain { instance: instance as u32 },
+        );
     }
 
     /// Emits (or re-emits) a root: one copy per out-edge of the source task,
@@ -598,66 +593,38 @@ impl EngineModel {
     }
 
     fn on_deliver(&mut self, to: usize, item: QueueItem, sched: &mut Scheduler<'_, Ev>) {
-        // A scoped rebalance redeploys only the scope members while the
-        // rest of the topology keeps processing, so live upstreams still
-        // emit into the dead slots. Their transports know the slot is
-        // coming back and hold a bounded buffer for the reconnect — the
-        // same contract `Starting` gets below. Whole-topology rebalances
-        // keep the drop: every upstream is dead or drained by then, and
-        // DSM's measured loss depends on it.
-        let respawning = self.respawning.contains(to);
         let rt = &mut self.runtimes[to];
-        if rt.status == WorkerStatus::Dead && respawning {
-            match item {
-                QueueItem::Data(d) => {
-                    if rt.queue.len() < self.config.transport_buffer {
-                        rt.queue.push_back(QueueItem::Data(d));
-                    } else {
-                        self.stats.events_dropped += 1;
-                        self.trace
-                            .record(TraceEvent::EventDropped { root: d.root, at: sched.now() });
-                    }
-                }
-                QueueItem::Control(_) => {
-                    self.stats.control_dropped += 1;
-                }
-            }
-            return;
-        }
-        match rt.status {
+        // A worker that is not running buffers data only while it is
+        // coming back: the upstream transport holds up to `transport_buffer`
+        // events for a worker that is connecting (`Starting`, drained once
+        // ready), and for a dead slot a scoped rebalance is respawning,
+        // since live upstreams still emit into it. Every other dead worker
+        // drops them: in a whole-topology rebalance every upstream is dead
+        // or drained by then, and DSM's measured loss depends on the drop.
+        // Control events time out instead of buffering, which is what
+        // produces DSM's 30 s INIT retry waves (§5.1).
+        let buffers = match rt.status {
             WorkerStatus::Running => {
                 rt.queue.push_back(item);
                 if !rt.busy() {
                     sched.now_event(Ev::Wake { instance: to as u32 });
                 }
+                return;
             }
-            WorkerStatus::Starting => match item {
-                // The upstream worker's transport buffers a bounded amount
-                // of data for a worker that is connecting (it drains once
-                // ready); control events time out instead — that is what
-                // produces DSM's 30 s INIT retry waves (§5.1).
-                QueueItem::Data(d) => {
-                    if rt.queue.len() < self.config.transport_buffer {
-                        rt.queue.push_back(item);
-                    } else {
-                        self.stats.events_dropped += 1;
-                        self.trace
-                            .record(TraceEvent::EventDropped { root: d.root, at: sched.now() });
-                    }
-                }
-                QueueItem::Control(_) => {
-                    self.stats.control_dropped += 1;
-                }
-            },
-            WorkerStatus::Dead => match item {
-                QueueItem::Data(d) => {
-                    self.stats.events_dropped += 1;
-                    self.trace.record(TraceEvent::EventDropped { root: d.root, at: sched.now() });
-                }
-                QueueItem::Control(_) => {
-                    self.stats.control_dropped += 1;
-                }
-            },
+            WorkerStatus::Starting => true,
+            WorkerStatus::Dead => self.respawning.contains(to),
+        };
+        match item {
+            QueueItem::Data(_) if buffers && rt.queue.len() < self.config.transport_buffer => {
+                rt.queue.push_back(item);
+            }
+            QueueItem::Data(d) => {
+                self.stats.events_dropped += 1;
+                self.trace.record(TraceEvent::EventDropped { root: d.root, at: sched.now() });
+            }
+            QueueItem::Control(_) => {
+                self.stats.control_dropped += 1;
+            }
         }
     }
 
@@ -665,7 +632,6 @@ impl EngineModel {
         let meta = *self.tables.meta(instance);
         let latency = meta.latency;
         let is_operator = meta.kind == TaskKind::Operator;
-        let control_latency = self.config.control_latency;
         let rt = &mut self.runtimes[instance];
         if rt.busy() || rt.status != WorkerStatus::Running {
             return;
@@ -695,18 +661,17 @@ impl EngineModel {
                         continue;
                     }
                     rt.current = Some(Work::Data(d));
-                    let jitter = self.config.task_latency_jitter;
-                    let service = if latency.is_zero() || jitter == 0.0 {
-                        latency
-                    } else {
-                        self.rng.jittered(latency, jitter)
-                    };
+                    // A zero latency (a sink's) jitters to zero without a draw.
+                    let service = self.rng.jittered(latency, EngineConfig::TASK_LATENCY_JITTER);
                     sched.after(service, Ev::Finish { instance: instance as u32 });
                     return;
                 }
                 QueueItem::Control(c) => {
                     rt.current = Some(Work::Control(c));
-                    sched.after(control_latency, Ev::Finish { instance: instance as u32 });
+                    sched.after(
+                        EngineConfig::CONTROL_LATENCY,
+                        Ev::Finish { instance: instance as u32 },
+                    );
                     return;
                 }
             }
@@ -764,22 +729,18 @@ impl EngineModel {
             }
             TaskKind::Operator => {
                 self.stats.events_processed += 1;
-                let selectivity = meta.selectivity;
                 let mut children_xor = 0u64;
                 for edge in 0..self.tables.out_degree(task) {
-                    let copies = self.copies(selectivity);
-                    for _ in 0..copies {
-                        let id = self.rng.id();
-                        children_xor ^= id;
-                        let child = DataEvent {
-                            id,
-                            root: d.root,
-                            generated_at: d.generated_at,
-                            replayed: d.replayed,
-                        };
-                        let to = self.route(instance, task, edge, d.root);
-                        self.deliver(QueueItem::Data(child), Some(instance), to, sched);
-                    }
+                    let id = self.rng.id();
+                    children_xor ^= id;
+                    let child = DataEvent {
+                        id,
+                        root: d.root,
+                        generated_at: d.generated_at,
+                        replayed: d.replayed,
+                    };
+                    let to = self.route(instance, task, edge, d.root);
+                    self.deliver(QueueItem::Data(child), Some(instance), to, sched);
                 }
                 if self.protocol.ack_user_events {
                     self.apply_ack(d.root, d.id ^ children_xor, sched);
@@ -787,12 +748,6 @@ impl EngineModel {
             }
             TaskKind::Source => unreachable!("sources do not process queue items"),
         }
-    }
-
-    fn copies(&mut self, selectivity: f64) -> u64 {
-        let whole = selectivity.trunc() as u64;
-        let frac = selectivity.fract();
-        whole + u64::from(frac > 0.0 && self.rng.unit() < frac)
     }
 
     fn apply_ack(&mut self, root: RootId, update: u64, sched: &mut Scheduler<'_, Ev>) {
@@ -828,8 +783,7 @@ impl EngineModel {
                 self.maybe_schedule_drain(cached.source, sched);
             }
         }
-        let interval = self.config.acker_scan_interval;
-        sched.after(interval, Ev::AckerScan);
+        sched.after(EngineConfig::ACKER_SCAN_INTERVAL, Ev::AckerScan);
     }
 
     // ------------------------------------------------------------------
@@ -1040,7 +994,7 @@ impl EngineModel {
         // (emissions have ceased by then for the strategies that window
         // their waves) reaches its queue first.
         let guard = match routing {
-            WaveRouting::Parallel { .. } => self.config.net_latency_remote,
+            WaveRouting::Parallel { .. } => EngineConfig::NET_LATENCY_REMOTE,
             _ => SimDuration::ZERO,
         };
         self.deliver_wave_batch(injections, kind, wave, guard, sched);
@@ -1074,11 +1028,12 @@ impl EngineModel {
     /// service time for `pending_events`, admitted through the instance's
     /// shard queue, which the store serves under
     /// [`EngineConfig::store_service`] and
-    /// [`EngineConfig::store_replication`]. Under per-shard FIFO queueing a
-    /// saturated shard delays the operation; the wait is surfaced in
-    /// [`EngineStats`] and as a [`TraceEvent::StoreQueueWait`] so
-    /// contention is observable rather than silently absorbed. Replicated
-    /// persists additionally record a [`TraceEvent::QuorumPersist`].
+    /// [`EngineConfig::store_replication`] and counts in its shard's
+    /// [`ShardStats`](crate::ShardStats). Under per-shard FIFO queueing a
+    /// saturated shard delays the operation; the wait is traced as a
+    /// [`TraceEvent::StoreQueueWait`] so contention is observable rather
+    /// than silently absorbed. Replicated persists additionally record a
+    /// [`TraceEvent::QuorumPersist`].
     ///
     /// Returns `None` when the operation *fails* — too few live replicas
     /// on the instance's shard ([`TraceEvent::StoreOpFailed`]). The caller
@@ -1099,20 +1054,13 @@ impl EngineModel {
         let outcome = self.store.admit(iid, now, service, kind);
         let shard = self.store.shard_of(iid);
         let AdmitOutcome::Served { delay, wait, degraded } = outcome else {
-            self.stats.store_ops_failed += 1;
             self.trace.record(TraceEvent::StoreOpFailed { instance: iid, shard, at: now });
             return None;
         };
         if !wait.is_zero() {
-            self.stats.store_ops_queued += 1;
-            self.stats.store_wait_us += wait.as_micros();
             self.trace.record(TraceEvent::StoreQueueWait { instance: iid, shard, wait, at: now });
         }
         if kind == StoreOpKind::Persist && replication.is_replicated() {
-            self.stats.store_quorum_persists += 1;
-            if degraded {
-                self.stats.store_degraded_persists += 1;
-            }
             self.trace.record(TraceEvent::QuorumPersist {
                 instance: iid,
                 shard,
@@ -1548,17 +1496,30 @@ impl EngineModel {
         // instances keep running through the rebalance. The assignment flip
         // (`on_target`) still covers every migrating instance — only the
         // kill/respawn/state-move cost is scoped.
-        let scope = self.rebalance_scope.as_deref().unwrap_or(&self.migrating);
-        for &iid in scope {
-            let lost = self.runtimes[iid.index()].kill();
-            self.stats.events_dropped += lost.len() as u64;
-            for d in lost {
-                self.trace.record(TraceEvent::EventDropped { root: d.root, at: sched.now() });
-            }
-            self.trace.record(TraceEvent::InstanceKilled { instance: iid, at: sched.now() });
+        for k in 0..self.rebalance_set().len() {
+            let iid = self.rebalance_set()[k];
+            self.kill(iid, sched.now());
         }
-        let duration = self.config.rebalance_duration(&mut self.rng);
+        let duration =
+            self.rng.jittered(EngineConfig::REBALANCE_BASE, EngineConfig::REBALANCE_JITTER);
         sched.after(duration, Ev::RebalanceDone);
+    }
+
+    /// The instances a rebalance kills and respawns: the scope members
+    /// under a key-range scope, every migrating instance otherwise.
+    fn rebalance_set(&self) -> &[InstanceId] {
+        self.rebalance_scope.as_deref().unwrap_or(&self.migrating)
+    }
+
+    /// Kills `instance` at `at`: counts and traces each event it loses,
+    /// then traces the kill.
+    fn kill(&mut self, instance: InstanceId, at: SimTime) {
+        let lost = self.runtimes[instance.index()].kill();
+        self.stats.events_dropped += lost.len() as u64;
+        for d in lost {
+            self.trace.record(TraceEvent::EventDropped { root: d.root, at });
+        }
+        self.trace.record(TraceEvent::InstanceKilled { instance, at });
     }
 
     fn on_rebalance_done(&mut self, sched: &mut Scheduler<'_, Ev>) {
@@ -1574,8 +1535,8 @@ impl EngineModel {
             .record(TraceEvent::PhaseEnded { phase: MigrationPhase::Rebalance, at: sched.now() });
         // Respawn exactly the set that was killed: marking a still-running
         // cold instance Starting would wrongly drop its deliveries.
-        let scope = self.rebalance_scope.as_deref().unwrap_or(&self.migrating);
-        for &iid in scope {
+        for k in 0..self.rebalance_set().len() {
+            let iid = self.rebalance_set()[k];
             self.runtimes[iid.index()].status = WorkerStatus::Starting;
             let delay = self.config.worker_ready_delay(&mut self.rng);
             sched.after(delay, Ev::WorkerReady { instance: iid.index() as u32 });
@@ -1632,15 +1593,7 @@ impl EngineModel {
     }
 
     fn on_outage_start(&mut self, instance: usize, sched: &mut Scheduler<'_, Ev>) {
-        let lost = self.runtimes[instance].kill();
-        self.stats.events_dropped += lost.len() as u64;
-        for d in lost {
-            self.trace.record(TraceEvent::EventDropped { root: d.root, at: sched.now() });
-        }
-        self.trace.record(TraceEvent::InstanceKilled {
-            instance: InstanceId::from_index(instance),
-            at: sched.now(),
-        });
+        self.kill(InstanceId::from_index(instance), sched.now());
     }
 
     fn on_outage_end(&mut self, instance: usize, sched: &mut Scheduler<'_, Ev>) {
@@ -1678,8 +1631,7 @@ impl Process<Ev> for EngineModel {
             Ev::AckerScan => self.on_acker_scan(sched),
             Ev::CheckpointTimer => {
                 self.notify(sched, |c, ctl| c.on_checkpoint_timer(ctl));
-                let interval = self.config.checkpoint_interval;
-                sched.after(interval, Ev::CheckpointTimer);
+                sched.after(EngineConfig::CHECKPOINT_INTERVAL, Ev::CheckpointTimer);
             }
             Ev::RebalanceDone => self.on_rebalance_done(sched),
             Ev::WorkerReady { instance } => self.on_worker_ready(instance as usize, sched),
@@ -1768,10 +1720,10 @@ impl Engine {
             );
         }
         if protocol.ack_user_events {
-            sim.schedule(SimTime::ZERO + config.acker_scan_interval, Ev::AckerScan);
+            sim.schedule(SimTime::ZERO + EngineConfig::ACKER_SCAN_INTERVAL, Ev::AckerScan);
         }
         if protocol.periodic_checkpoint {
-            sim.schedule(SimTime::ZERO + config.checkpoint_interval, Ev::CheckpointTimer);
+            sim.schedule(SimTime::ZERO + EngineConfig::CHECKPOINT_INTERVAL, Ev::CheckpointTimer);
         }
         Engine { sim, model }
     }
@@ -1849,13 +1801,22 @@ impl Engine {
     /// happens on an empty dataflow).
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let outcome = self.sim.run_until(&mut self.model, horizon);
-        // Mirror the driver's counters into the run stats so callers see
-        // dispatch throughput and queue behaviour next to the engine's own
-        // counters.
-        self.model.stats.sim_events = self.sim.processed();
-        self.model.stats.queue_peak_pending = self.sim.queue_peak_pending() as u64;
-        self.model.stats.queue_rotations = self.sim.queue_rotations();
-        self.model.stats.sched_clamped_past = self.sim.clamped_past_schedules();
+        // Mirror the driver's counters and the store's per-shard operation
+        // counts into the run stats, so callers see dispatch throughput,
+        // queue behaviour and the store's run totals next to the engine's
+        // own counters.
+        let stats = &mut self.model.stats;
+        stats.sim_events = self.sim.processed();
+        stats.queue_peak_pending = self.sim.queue_peak_pending() as u64;
+        stats.queue_rotations = self.sim.queue_rotations();
+        stats.sched_clamped_past = self.sim.clamped_past_schedules();
+        let store = &self.model.store;
+        let shards = || (0..store.shard_count()).map(|shard| store.shard_stats(shard));
+        stats.store_ops_failed = shards().map(|s| s.failed_ops).sum();
+        stats.store_ops_queued = shards().map(|s| s.queued_ops).sum();
+        stats.store_wait_us = shards().map(|s| s.queued_wait.as_micros()).sum();
+        stats.store_quorum_persists = shards().map(|s| s.quorum_persists).sum();
+        stats.store_degraded_persists = shards().map(|s| s.degraded_persists).sum();
         outcome
     }
 
@@ -2033,6 +1994,49 @@ mod tests {
         assert!(!e.is_initialized(victim));
     }
 
+    #[test]
+    fn only_a_worker_coming_back_buffers_data() {
+        // A starting worker and a dead slot a scoped rebalance respawns
+        // buffer data up to the transport buffer; any other dead worker
+        // drops it, and no worker that is not running takes a control event.
+        let mut e = engine_for(library::linear(), ProtocolConfig::dcr(), 1);
+        let ops: Vec<usize> = (0..e.model.instances.len())
+            .filter(|&i| e.model.tables.meta(i).kind == TaskKind::Operator)
+            .take(3)
+            .collect();
+        let (starting, respawning, dead) = (ops[0], ops[1], ops[2]);
+        e.model.runtimes[starting].status = WorkerStatus::Starting;
+        e.model.runtimes[respawning].kill();
+        e.model.respawning.insert(respawning);
+        e.model.runtimes[dead].kill();
+        let buffer = e.model.config.transport_buffer;
+        let control = ControlEvent {
+            kind: ControlKind::Prepare,
+            wave: 0,
+            from: ControlSender::CheckpointSource(TaskId::from_index(0)),
+        };
+        for &to in &ops {
+            let data = (1..=buffer as u64 + 1).map(|id| {
+                let root = RootId(id);
+                QueueItem::Data(DataEvent {
+                    id,
+                    root,
+                    generated_at: SimTime::ZERO,
+                    replayed: false,
+                })
+            });
+            for item in data.chain([QueueItem::Control(control)]) {
+                e.sim.schedule(SimTime::ZERO, Ev::Deliver { to: to as u32, item });
+            }
+        }
+        // The first source tick comes later: only these deliveries run.
+        e.run_until(SimTime::from_millis(1));
+        let depth = |i: usize| e.model.runtimes[i].queue.len();
+        assert_eq!((depth(starting), depth(respawning), depth(dead)), (buffer, buffer, 0));
+        assert_eq!(e.stats().events_dropped, buffer as u64 + 3);
+        assert_eq!(e.stats().control_dropped, 3);
+    }
+
     /// A coordinator that goes straight to Storm's rebalance on request —
     /// no waves — so the test isolates the table-rebuild path.
     struct RebalanceOnly;
@@ -2193,8 +2197,7 @@ mod tests {
         assert_eq!(total, e.model.acker.pending(), "in-flight ledgers track the acker");
         // One spout is saturated, the other nearly idle.
         let counts = e.spout_in_flight();
-        let cfg = EngineConfig::default();
-        assert!(counts.iter().any(|&c| c >= cfg.max_spout_pending - 5));
+        assert!(counts.iter().any(|&c| c >= EngineConfig::MAX_SPOUT_PENDING - 5));
         assert!(counts.iter().any(|&c| c < 10));
     }
 
@@ -2269,9 +2272,8 @@ mod tests {
         // max.spout.pending throttle.
         let total: usize = e.spout_in_flight().iter().sum();
         assert_eq!(total, e.model.acker.pending(), "straggler acks must not unbalance ledgers");
-        let cfg = EngineConfig::default();
         for &c in e.spout_in_flight() {
-            assert!(c <= cfg.max_spout_pending, "ledger within the throttle bound: {c}");
+            assert!(c <= EngineConfig::MAX_SPOUT_PENDING, "ledger within the throttle bound: {c}");
         }
     }
 

@@ -43,8 +43,8 @@
 //! `DispatchTables` bundle (crate-private, in `dispatch`):
 //!
 //! * a dense `InstanceMeta` array — task id, kind, service latency,
-//!   selectivity, keyed-ness, store shard, replica slot — replacing the
-//!   per-event `task_of` → `spec` pointer chases;
+//!   keyed-ness, store shard, replica slot — replacing the per-event
+//!   `task_of` → `spec` pointer chases;
 //! * an [`flowmig_topology::EdgeTable`] — per (task, out-edge): the
 //!   downstream task and its replicas as a dense `u32` index array,
 //!   replacing per-event `downstream(..).to_vec()` + `of_task(..)`;

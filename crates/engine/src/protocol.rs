@@ -126,7 +126,8 @@ pub struct ProtocolConfig {
     /// Ack every user event through the acker service (DSM; DCR/CCR enable
     /// reliability only for checkpoint events — §3.1).
     pub ack_user_events: bool,
-    /// Run periodic checkpoints at `EngineConfig::checkpoint_interval`
+    /// Run periodic checkpoints every
+    /// [`EngineConfig::CHECKPOINT_INTERVAL`](crate::EngineConfig::CHECKPOINT_INTERVAL)
     /// (DSM's always-on 30 s checkpointing).
     pub periodic_checkpoint: bool,
     /// PREPARE starts capture (CCR) instead of snapshotting state (DCR),

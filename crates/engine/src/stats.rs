@@ -60,7 +60,10 @@ pub struct EngineStats {
     pub state_bytes_resident: u64,
     /// Store operations that waited behind a busy shard (per-shard FIFO
     /// service model only; always 0 under the zero-queueing
-    /// compatibility model).
+    /// compatibility model). This and the next four store totals sum a
+    /// [`ShardStats`](crate::ShardStats) field over the shards, where the
+    /// store counts each operation once;
+    /// [`Engine::run_until`](crate::Engine::run_until) fills them.
     pub store_ops_queued: u64,
     /// Total microseconds store operations spent waiting in shard queues
     /// before their service time started.

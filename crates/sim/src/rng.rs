@@ -47,11 +47,6 @@ impl SimRng {
         SimRng::seed_from(child_seed)
     }
 
-    /// Uniform draw in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        self.inner.random::<f64>()
-    }
-
     /// Uniform integer in `[lo, hi)`.
     ///
     /// # Panics
@@ -89,7 +84,8 @@ impl SimRng {
     }
 
     /// Duration jittered uniformly by `±fraction` around `base`
-    /// (e.g. `jittered(7s, 0.05)` is uniform in `[6.65s, 7.35s]`).
+    /// (e.g. `jittered(7s, 0.05)` is uniform in `[6.65s, 7.35s]`). A zero
+    /// `base` returns zero without drawing.
     ///
     /// # Panics
     ///
@@ -159,6 +155,18 @@ mod tests {
             let d = rng.jittered(base, 0.1);
             assert!(d.as_secs_f64() >= 6.29 && d.as_secs_f64() <= 7.71);
         }
+    }
+
+    #[test]
+    fn jittering_zero_returns_zero_without_a_draw() {
+        // The engine jitters every service time, a sink's zero included:
+        // that must not move the stream.
+        let mut rng = SimRng::seed_from(8);
+        let mut fresh = SimRng::seed_from(8);
+        for fraction in [0.0, 0.2, 1.0] {
+            assert_eq!(rng.jittered(SimDuration::ZERO, fraction), SimDuration::ZERO);
+        }
+        assert_eq!(rng.id(), fresh.id(), "the generator drew nothing");
     }
 
     #[test]

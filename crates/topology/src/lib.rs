@@ -6,7 +6,9 @@
 //!
 //! A streaming application is a DAG of tasks: one or more [`TaskKind::Source`]s
 //! emitting events at a fixed rate, user-logic [`TaskKind::Operator`]s with a
-//! service time and selectivity, and [`TaskKind::Sink`]s. This crate provides:
+//! service time, and [`TaskKind::Sink`]s. Every task is the paper's 1:1
+//! dummy: each input event yields one output event per out-edge. This crate
+//! provides:
 //!
 //! * [`Dataflow`] / [`DataflowBuilder`] — validated DAG construction;
 //! * [`RatePlan`] — steady-state rate propagation (input/output ev/s per task);

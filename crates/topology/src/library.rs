@@ -234,7 +234,7 @@ pub fn paper_dataflows() -> Vec<Dataflow> {
 /// The graph has `layers` layers of 1–`max_width` operator tasks; every
 /// task is wired to at least one task of the next layer (plus extra random
 /// edges), so the result is always a valid streaming DAG. All operators
-/// use the paper's defaults (100 ms, 1:1 selectivity, stateful).
+/// use the paper's 100 ms service time.
 /// Deterministic in `seed`.
 ///
 /// # Panics

@@ -3,8 +3,8 @@
 //! The paper sizes parallelism from cumulative input rates: each task gets
 //! one instance (thread + exclusive 1-core slot) per 8 ev/s of input (§5,
 //! "We assign one task instance for each incremental 8 events/sec input
-//! rate"). [`RatePlan`] computes the per-task rates from source emit rates
-//! and selectivities; [`InstanceSet`] expands tasks into instances.
+//! rate"). [`RatePlan`] computes the per-task rates from source emit
+//! rates; [`InstanceSet`] expands tasks into instances.
 
 use crate::graph::Dataflow;
 use crate::task::{TaskId, TaskKind};
@@ -26,8 +26,8 @@ impl RatePlan {
     /// Propagates rates from the sources through the DAG.
     ///
     /// A task's input rate is the sum of its upstream output rates (events
-    /// are replicated on every out-edge); its output rate is
-    /// `input × selectivity`.
+    /// are replicated on every out-edge); every task is 1:1, so its output
+    /// rate equals its input rate.
     pub fn for_dataflow(dag: &Dataflow) -> Self {
         let n = dag.len();
         let mut input_hz = vec![0.0; n];
@@ -36,7 +36,7 @@ impl RatePlan {
             let spec = dag.spec(id);
             let out = match spec.kind() {
                 TaskKind::Source => spec.emit_rate_hz(),
-                _ => input_hz[id.index()] * spec.selectivity(),
+                _ => input_hz[id.index()],
             };
             output_hz[id.index()] = out;
             for &child in dag.downstream(id) {
@@ -232,19 +232,6 @@ mod tests {
         assert_eq!(rates.output_hz(m), 24.0);
         assert_eq!(rates.input_hz(sink), 24.0);
         assert_eq!(rates.expected_sink_rate_hz(&dag), 24.0);
-    }
-
-    #[test]
-    fn selectivity_scales_output() {
-        let mut b = DataflowBuilder::new("sel");
-        let s = b.add(TaskSpec::source("src", 8.0));
-        let t = b.add(TaskSpec::operator("t").with_selectivity(2.0));
-        let k = b.add(TaskSpec::sink("sink"));
-        b.edge(s, t).edge(t, k);
-        let dag = b.finish().unwrap();
-        let rates = RatePlan::for_dataflow(&dag);
-        assert_eq!(rates.output_hz(t), 16.0);
-        assert_eq!(rates.input_hz(k), 16.0);
     }
 
     #[test]

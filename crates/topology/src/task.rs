@@ -106,16 +106,14 @@ impl TaskKind {
 
 /// Static description of one logical task.
 ///
-/// The evaluation in the paper uses dummy operators with a fixed 100 ms
-/// service time and 1:1 selectivity; both are configurable here so tests and
-/// ablations can explore other regimes.
+/// Every task is the paper's 1:1 dummy: each input event yields one output
+/// event per out-edge. An operator's service time defaults to the paper's
+/// 100 ms and can be set per task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskSpec {
     name: String,
     kind: TaskKind,
     latency: SimDuration,
-    selectivity: f64,
-    stateful: bool,
     emit_rate_hz: f64,
     parallelism: Option<usize>,
     /// Number of key partitions in the task's key space (1 = unkeyed).
@@ -131,8 +129,6 @@ impl TaskSpec {
             name: name.into(),
             kind: TaskKind::Source,
             latency: SimDuration::ZERO,
-            selectivity: 1.0,
-            stateful: false,
             emit_rate_hz: rate_hz,
             parallelism: None,
             key_partitions: 1,
@@ -140,15 +136,12 @@ impl TaskSpec {
         }
     }
 
-    /// Creates an operator with the paper's defaults (100 ms service time,
-    /// 1:1 selectivity, stateful).
+    /// Creates an operator with the paper's 100 ms service time.
     pub fn operator(name: impl Into<String>) -> Self {
         TaskSpec {
             name: name.into(),
             kind: TaskKind::Operator,
             latency: SimDuration::from_millis(100),
-            selectivity: 1.0,
-            stateful: true,
             emit_rate_hz: 0.0,
             parallelism: None,
             key_partitions: 1,
@@ -162,8 +155,6 @@ impl TaskSpec {
             name: name.into(),
             kind: TaskKind::Sink,
             latency: SimDuration::ZERO,
-            selectivity: 1.0,
-            stateful: false,
             emit_rate_hz: 0.0,
             parallelism: None,
             key_partitions: 1,
@@ -174,26 +165,6 @@ impl TaskSpec {
     /// Sets the per-event service time.
     pub fn with_latency(mut self, latency: SimDuration) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Sets the selectivity (output events per input event, per out-edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `selectivity` is negative or not finite.
-    pub fn with_selectivity(mut self, selectivity: f64) -> Self {
-        assert!(
-            selectivity.is_finite() && selectivity >= 0.0,
-            "selectivity must be finite and >= 0"
-        );
-        self.selectivity = selectivity;
-        self
-    }
-
-    /// Marks the task stateless (its state is not checkpointed).
-    pub fn stateless(mut self) -> Self {
-        self.stateful = false;
         self
     }
 
@@ -283,16 +254,6 @@ impl TaskSpec {
     /// Per-event service time.
     pub fn latency(&self) -> SimDuration {
         self.latency
-    }
-
-    /// Output events per input event, per out-edge.
-    pub fn selectivity(&self) -> f64 {
-        self.selectivity
-    }
-
-    /// Whether the task keeps user state that must be checkpointed.
-    pub fn is_stateful(&self) -> bool {
-        self.stateful
     }
 
     /// Source emit rate in events per second (zero for non-sources).
@@ -418,8 +379,6 @@ mod tests {
     fn operator_defaults_match_paper() {
         let t = TaskSpec::operator("xform");
         assert_eq!(t.latency(), SimDuration::from_millis(100));
-        assert_eq!(t.selectivity(), 1.0);
-        assert!(t.is_stateful());
         assert_eq!(t.capacity_hz(), 10.0);
         assert_eq!(t.kind(), TaskKind::Operator);
         assert!(t.kind().is_migratable());
@@ -440,13 +399,8 @@ mod tests {
 
     #[test]
     fn builder_style_modifiers() {
-        let t = TaskSpec::operator("agg")
-            .with_latency(SimDuration::from_millis(50))
-            .with_selectivity(2.0)
-            .stateless();
+        let t = TaskSpec::operator("agg").with_latency(SimDuration::from_millis(50));
         assert_eq!(t.capacity_hz(), 20.0);
-        assert_eq!(t.selectivity(), 2.0);
-        assert!(!t.is_stateful());
     }
 
     #[test]
@@ -462,12 +416,6 @@ mod tests {
     #[should_panic(expected = "at least one instance")]
     fn rejects_zero_parallelism() {
         let _ = TaskSpec::operator("bad").with_parallelism(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "selectivity")]
-    fn rejects_negative_selectivity() {
-        let _ = TaskSpec::operator("bad").with_selectivity(-1.0);
     }
 
     #[test]
